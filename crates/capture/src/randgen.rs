@@ -8,9 +8,15 @@
 //! the exact opposite behavior."* We reproduce that: the generator emits
 //! real random tensors and reports a per-element cycle cost whose
 //! float-vs-int ratio flips with the standard-library flavor.
+//!
+//! The cost is one function, [`StdlibFlavor::input_cycles`]. The
+//! end-to-end driver prices benchmark capture through it directly and
+//! never materialises the tensor — the simulated phone pays for the
+//! bytes, the simulator does not. [`RandomTensorGen`] is for callers
+//! that want the real tensor as well.
 
 use aitax_des::SimRng;
-use aitax_tensor::{QuantParams, Tensor};
+use aitax_tensor::{DType, QuantParams, Tensor};
 
 /// Which C++ standard library the (simulated) benchmark was built against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +48,27 @@ impl StdlibFlavor {
             StdlibFlavor::LibStdCxx => 40.0,
         }
     }
+
+    /// CPU cycles to generate a random input of `elements` values of
+    /// `dtype`: quantized types pay the integer rate, everything else
+    /// the floating-point rate.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use aitax_capture::StdlibFlavor;
+    /// use aitax_tensor::DType;
+    /// let f = StdlibFlavor::LibCxx;
+    /// assert!(f.input_cycles(DType::F32, 1000) < f.input_cycles(DType::I8, 1000));
+    /// ```
+    pub fn input_cycles(self, dtype: DType, elements: usize) -> f64 {
+        let per_element = if dtype.is_quantized() {
+            self.int_cycles_per_element()
+        } else {
+            self.float_cycles_per_element()
+        };
+        elements as f64 * per_element
+    }
 }
 
 /// Generates random model inputs and accounts their cost.
@@ -70,7 +97,7 @@ impl RandomTensorGen {
     pub fn gen_f32(&mut self, dims: &[usize]) -> (Tensor, f64) {
         let n: usize = dims.iter().product();
         let data: Vec<f32> = (0..n).map(|_| self.rng.uniform(-1.0, 1.0) as f32).collect();
-        let cycles = n as f64 * self.flavor.float_cycles_per_element();
+        let cycles = self.flavor.input_cycles(DType::F32, n);
         (Tensor::from_f32(dims, data), cycles)
     }
 
@@ -81,7 +108,7 @@ impl RandomTensorGen {
         let data: Vec<i8> = (0..n)
             .map(|_| self.rng.uniform_u64(0, 256) as u8 as i8)
             .collect();
-        let cycles = n as f64 * self.flavor.int_cycles_per_element();
+        let cycles = self.flavor.input_cycles(DType::I8, n);
         (
             Tensor::from_i8(dims, data, QuantParams::from_range(-1.0, 1.0)),
             cycles,

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use aitax_capture::{CameraConfig, RandomTensorGen, StdlibFlavor};
+use aitax_capture::{CameraConfig, StdlibFlavor};
 use aitax_des::{FaultPlan, SimSpan, SimTime, TraceBuffer};
 use aitax_framework::{Engine, Plan, Session};
 use aitax_kernel::{Machine, MachineStats, NoiseConfig, TaskSpec, Work};
@@ -251,7 +251,6 @@ impl E2eConfig {
             iteration: 0,
             done: false,
             model_init: SimSpan::ZERO,
-            randgen: RandomTensorGen::new(self.stdlib, self.seed ^ 0x5eed),
             last_frame: SimTime::ZERO,
             stage_windows: Vec::new(),
         }));
@@ -325,7 +324,6 @@ struct RunState {
     iteration: usize,
     done: bool,
     model_init: SimSpan,
-    randgen: RandomTensorGen,
     /// Timestamp of the camera frame consumed last.
     last_frame: SimTime,
     /// Per-stage execution windows, recorded when tracing is enabled so
@@ -405,16 +403,11 @@ impl Driver {
                 m.submit_cpu(task, move |m| d2.end_capture(m));
             });
         } else {
-            // Benchmark methodology: generate a random input tensor.
-            let elements = self.graph.input_elements() as usize;
-            let cycles = {
-                let mut st = self.state.borrow_mut();
-                if self.config.dtype.is_quantized() {
-                    st.randgen.gen_i8(&[elements.max(1)]).1
-                } else {
-                    st.randgen.gen_f32(&[elements.max(1)]).1
-                }
-            };
+            // Benchmark methodology: generate a random input tensor. Only
+            // its cost reaches the simulated CPU, so price it without
+            // materialising the bytes.
+            let elements = (self.graph.input_elements() as usize).max(1);
+            let cycles = self.config.stdlib.input_cycles(self.config.dtype, elements);
             let d = self.clone();
             let task = TaskSpec::foreground("random-input", Work::Cycles(cycles));
             m.submit_cpu(task, move |m| d.end_capture(m));
