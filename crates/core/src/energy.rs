@@ -5,19 +5,20 @@
 //! module asks *where the joules go*. When tracing is enabled, the
 //! runner records a `(stage, start, end)` window for every pipeline
 //! stage of every iteration, and [`EnergyReport::from_trace`] prices
-//! those windows with the per-rail [`EnergyMeter`]: C·V²·f dynamic CPU
-//! power at the DVFS-chosen operating point, gated accelerator rails,
-//! AXI transfer energy and the always-on idle floor. The result supports
-//! the paper-adjacent questions latency alone cannot answer — most
-//! importantly that DSP offload wins on energy per inference even where
-//! it loses on latency (race-to-idle plus a power-gated rail).
+//! those windows with the per-rail energy meter ([`MeterIndex`]): C·V²·f
+//! dynamic CPU power at the DVFS-chosen operating point, gated
+//! accelerator rails, AXI transfer energy and the always-on idle floor.
+//! The result supports the paper-adjacent questions latency alone
+//! cannot answer — most importantly that DSP offload wins on energy per
+//! inference even where it loses on latency (race-to-idle plus a
+//! power-gated rail).
 //!
 //! [`TaxReport`]: crate::stage::TaxReport
 
 use std::collections::BTreeMap;
 
 use aitax_des::{SimSpan, SimTime, TraceBuffer};
-use aitax_power::{energy_delay_product, EnergyMeter, PowerSpec, RailEnergy};
+use aitax_power::{energy_delay_product, MeterIndex, PowerSpec, RailEnergy};
 
 use crate::stage::Stage;
 
@@ -44,21 +45,17 @@ impl EnergyReport {
         iterations: usize,
         end: SimTime,
     ) -> Self {
-        let meter = EnergyMeter::new(spec);
+        // One index prices every stage window and the whole-run total.
+        let index = MeterIndex::new(spec, trace);
         let mut per_stage: BTreeMap<Stage, RailEnergy> = BTreeMap::new();
         for stage in Stage::ALL {
-            let spans: Vec<(SimTime, SimTime)> = windows
-                .iter()
-                .filter(|(s, _, _)| *s == stage)
-                .map(|&(_, a, b)| (a, b))
-                .collect();
             let mut sum = RailEnergy::new();
-            for cell in meter.attribute(trace, &spans) {
-                sum.merge(&cell);
+            for &(_, from, to) in windows.iter().filter(|(s, _, _)| *s == stage) {
+                sum.merge(&index.energy_between(from, to));
             }
             per_stage.insert(stage, sum);
         }
-        let total = meter.energy_between(trace, SimTime::ZERO, end);
+        let total = index.energy_between(SimTime::ZERO, end);
         EnergyReport {
             per_stage,
             total,

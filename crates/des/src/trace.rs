@@ -198,12 +198,17 @@ pub enum TraceKind {
     },
 }
 
+/// Kind tags of the two events interval extraction reads straight from
+/// the columns.
+const TAG_EXEC_START: u8 = 0;
+const TAG_EXEC_END: u8 = 1;
+
 /// Column encoding of a [`TraceKind`]: a 1-byte tag plus a wide (`u64`)
 /// and a narrow (`u32`) payload word. Unused payloads encode as zero.
 fn encode_kind(kind: TraceKind) -> (u8, u64, u32) {
     match kind {
-        TraceKind::ExecStart { task, label } => (0, task, label.index()),
-        TraceKind::ExecEnd { task } => (1, task, 0),
+        TraceKind::ExecStart { task, label } => (TAG_EXEC_START, task, label.index()),
+        TraceKind::ExecEnd { task } => (TAG_EXEC_END, task, 0),
         TraceKind::ContextSwitch => (2, 0, 0),
         TraceKind::Migration { task, from, to } => {
             (3, task, (u32::from(from) << 8) | u32::from(to))
@@ -226,11 +231,11 @@ fn encode_kind(kind: TraceKind) -> (u8, u64, u32) {
 /// Inverse of [`encode_kind`].
 fn decode_kind(tag: u8, pa: u64, pb: u32) -> TraceKind {
     match tag {
-        0 => TraceKind::ExecStart {
+        TAG_EXEC_START => TraceKind::ExecStart {
             task: pa,
             label: Symbol::from_index(pb),
         },
-        1 => TraceKind::ExecEnd { task: pa },
+        TAG_EXEC_END => TraceKind::ExecEnd { task: pa },
         2 => TraceKind::ContextSwitch,
         3 => TraceKind::Migration {
             task: pa,
@@ -589,8 +594,9 @@ impl TraceBuffer {
     }
 
     /// Single O(n) pass pairing starts with ends via per-resource open
-    /// lists. Returns the closed intervals in `ExecEnd` encounter order
-    /// plus whatever remained open, grouped by resource slot.
+    /// lists. Reads the tag column directly, decoding only exec events.
+    /// Returns the closed intervals in `ExecEnd` encounter order plus
+    /// whatever remained open, grouped by resource slot.
     #[allow(clippy::type_complexity)]
     fn collect_intervals(
         &self,
@@ -600,17 +606,20 @@ impl TraceBuffer {
     ) {
         let mut open: Vec<Vec<(TraceResource, u64, SimTime, Symbol)>> = Vec::new();
         let mut out = Vec::new();
-        for ev in self.iter() {
-            match ev.kind {
-                TraceKind::ExecStart { task, label } => {
-                    let slot = res_slot(ev.resource);
+        for i in 0..self.len() {
+            let p = self.phys(i);
+            let slot = usize::from(self.res[p]);
+            let task = self.pa[p];
+            match self.tags[p] {
+                TAG_EXEC_START => {
                     if open.len() <= slot {
                         open.resize_with(slot + 1, Vec::new);
                     }
-                    open[slot].push((ev.resource, task, ev.time, label));
+                    let start = SimTime::from_ns(self.times[p]);
+                    let label = Symbol::from_index(self.pb[p]);
+                    open[slot].push((res_unslot(self.res[p]), task, start, label));
                 }
-                TraceKind::ExecEnd { task } => {
-                    let slot = res_slot(ev.resource);
+                TAG_EXEC_END => {
                     if let Some(per_resource) = open.get_mut(slot) {
                         if let Some(pos) = per_resource.iter().rposition(|&(_, t, _, _)| t == task)
                         {
@@ -620,7 +629,7 @@ impl TraceBuffer {
                                 task,
                                 label,
                                 start,
-                                end: ev.time,
+                                end: SimTime::from_ns(self.times[p]),
                             });
                         }
                     }

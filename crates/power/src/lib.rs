@@ -13,7 +13,8 @@
 //!   attributing joules per rail to arbitrary time windows (pipeline
 //!   stages, iterations) and binning per-rail power timelines. CPU
 //!   intervals are priced at the frequency the DVFS governor had set
-//!   (`TraceKind::Dvfs` changepoints).
+//!   (`TraceKind::Dvfs` changepoints). [`MeterIndex`] digests a trace
+//!   once so that metering many windows touches only what overlaps each.
 //! * [`Battery`] — joule bookkeeping that turns per-inference energy into
 //!   state-of-charge and runtime estimates.
 //!
@@ -52,7 +53,7 @@ pub mod meter;
 pub mod spec;
 
 pub use battery::{typical_phone_battery, Battery, BatterySpec};
-pub use meter::{EnergyMeter, PowerTimeline, RailEnergy};
+pub use meter::{EnergyMeter, MeterIndex, PowerTimeline, RailEnergy};
 pub use spec::{
     AccelRailSpec, CoreRailSpec, InterconnectPowerSpec, OperatingPoint, PowerSpec, Rail,
 };

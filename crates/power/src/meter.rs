@@ -11,10 +11,10 @@
 
 use std::collections::BTreeMap;
 
-use aitax_des::trace::{ExecInterval, TraceKind, TraceResource};
+use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{SimSpan, SimTime, TraceBuffer};
 
-use crate::spec::{PowerSpec, Rail};
+use crate::spec::{AccelRailSpec, CoreRailSpec, PowerSpec, Rail};
 
 /// Energy attributed per rail, in joules.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -138,36 +138,13 @@ pub struct EnergyMeter<'a> {
     spec: &'a PowerSpec,
 }
 
-/// Per-core DVFS frequency steps extracted from the trace: `(time, freq)`
-/// changepoints in ascending time order, per core index.
-struct FreqTimeline {
-    steps: Vec<Vec<(SimTime, f64)>>,
-}
-
-impl FreqTimeline {
-    fn build(spec: &PowerSpec, trace: &TraceBuffer) -> Self {
-        let mut steps: Vec<Vec<(SimTime, f64)>> = spec
-            .core_rails
-            .iter()
-            .map(|r| vec![(SimTime::ZERO, r.nominal().freq_hz)])
-            .collect();
-        for ev in trace.iter() {
-            if let TraceKind::Dvfs { core, freq_hz } = ev.kind {
-                if let Some(track) = steps.get_mut(core as usize) {
-                    track.push((ev.time, freq_hz as f64));
-                }
-            }
-        }
-        FreqTimeline { steps }
-    }
-
-    /// Frequency of `core` at time `t` (last change at or before `t`).
-    fn freq_at(&self, core: usize, t: SimTime) -> f64 {
-        let track = &self.steps[core];
-        match track.partition_point(|&(when, _)| when <= t) {
-            0 => track[0].1,
-            i => track[i - 1].1,
-        }
+/// The value in force at time `t` on a step track of `(time, value)`
+/// changepoints in trace order, starting value first (the last change
+/// at or before `t`).
+fn step_at(track: &[(SimTime, f64)], t: SimTime) -> f64 {
+    match track.partition_point(|&(when, _)| when <= t) {
+        0 => track[0].1,
+        i => track[i - 1].1,
     }
 }
 
@@ -182,125 +159,193 @@ fn overlap_secs(s: SimTime, e: SimTime, a: SimTime, b: SimTime) -> f64 {
     }
 }
 
-impl<'a> EnergyMeter<'a> {
-    /// Creates a meter over a power spec.
-    pub fn new(spec: &'a PowerSpec) -> Self {
-        EnergyMeter { spec }
-    }
+/// An execution interval priced once: the slot of the rail it draws on
+/// and its busy increment (active minus idle watts, so the floor isn't
+/// double-paid).
+#[derive(Debug, Clone, Copy)]
+struct BusySpan {
+    start: SimTime,
+    end: SimTime,
+    slot: usize,
+    watts: f64,
+}
 
-    /// The spec this meter prices against.
-    pub fn spec(&self) -> &PowerSpec {
-        self.spec
-    }
+/// A trace digested once for repeated metering.
+///
+/// Holds the priced execution intervals in [`TraceBuffer::exec_intervals`]
+/// order (by start) with a running maximum of their ends, and the AXI
+/// bursts in trace order. A window `[from, to)` then visits only the
+/// intervals that can overlap it — from the first whose running-max end
+/// passes `from` to the first that starts at or after `to` — and, when
+/// burst times are nondecreasing, only the bursts inside it. Both walks
+/// keep the full scan's order of [`RailEnergy::add`] calls, so every
+/// ledger is bit-identical to metering each window against the whole
+/// trace, at O(log I + overlaps) per window instead of O(I + E).
+#[derive(Debug, Clone)]
+pub struct MeterIndex {
+    /// Every rail a window can charge: the floor rails in the order
+    /// their floor is paid, then [`Rail::Axi`].
+    rails: Vec<Rail>,
+    /// Idle/uncore floor watts of each floor rail (`rails` minus AXI).
+    floor_w: Vec<f64>,
+    busy: Vec<BusySpan>,
+    /// `reach[i]` is the latest end among `busy[..=i]`.
+    reach: Vec<SimTime>,
+    /// AXI bursts as `(time, joules)`, in trace order.
+    axi: Vec<(SimTime, f64)>,
+    /// Whether `axi` times are nondecreasing (binary-searchable).
+    axi_sorted: bool,
+}
 
-    /// Attributes trace energy to each half-open window `[from, to)`.
-    ///
-    /// Windows may overlap or leave gaps; each is metered independently.
-    /// Every window pays the idle/uncore floor for its full length plus
-    /// the busy increment of each execution interval overlapping it.
-    pub fn attribute(
-        &self,
-        trace: &TraceBuffer,
-        windows: &[(SimTime, SimTime)],
-    ) -> Vec<RailEnergy> {
-        let intervals = trace.exec_intervals();
-        let freqs = FreqTimeline::build(self.spec, trace);
-        windows
+impl MeterIndex {
+    /// Indexes `trace` for metering against `spec`: one pass over the
+    /// events for DVFS steps and AXI bursts, one interval extraction.
+    pub fn new(spec: &PowerSpec, trace: &TraceBuffer) -> Self {
+        let cores = spec.core_rails.len();
+        let mut rails: Vec<Rail> = (0..cores).map(|i| Rail::Cpu(i as u8)).collect();
+        let mut floor_w: Vec<f64> = spec.core_rails.iter().map(|r| r.idle_power_w()).collect();
+        let mut accel = |rail: Rail, r: &AccelRailSpec| {
+            rails.push(rail);
+            floor_w.push(r.idle_power_w());
+            (rails.len() - 1, r.busy_w - r.idle_power_w())
+        };
+        let gpu = accel(Rail::Gpu, &spec.gpu);
+        let dsp = accel(Rail::Dsp, &spec.dsp);
+        let npu = spec.npu.as_ref().map(|r| accel(Rail::Npu, r));
+        rails.extend([Rail::Uncore, Rail::Axi]);
+        floor_w.push(spec.interconnect.uncore_w);
+
+        // Per-core busy increments at each DVFS step (nominal clock until
+        // the first change) and the AXI bursts, in one pass.
+        let busy_w = |r: &CoreRailSpec, freq_hz: f64| r.active_power_w(freq_hz) - r.idle_power_w();
+        let mut steps: Vec<Vec<(SimTime, f64)>> = spec
+            .core_rails
             .iter()
-            .map(|&(from, to)| self.meter_window(trace, &intervals, &freqs, from, to))
-            .collect()
-    }
-
-    /// Energy per rail over one window `[from, to)`.
-    pub fn energy_between(&self, trace: &TraceBuffer, from: SimTime, to: SimTime) -> RailEnergy {
-        self.attribute(trace, &[(from, to)])
-            .pop()
-            // aitax-allow(panic-path): attribute() returns exactly one ledger per window passed in
-            .expect("one window in, one ledger out")
-    }
-
-    fn meter_window(
-        &self,
-        trace: &TraceBuffer,
-        intervals: &[ExecInterval],
-        freqs: &FreqTimeline,
-        from: SimTime,
-        to: SimTime,
-    ) -> RailEnergy {
-        let mut out = RailEnergy::new();
-        if to <= from {
-            return out;
-        }
-        let window_secs = (to - from).as_secs();
-
-        // Idle/uncore floor for the whole window.
-        for (i, rail) in self.spec.core_rails.iter().enumerate() {
-            out.add(Rail::Cpu(i as u8), rail.idle_power_w() * window_secs);
-        }
-        out.add(Rail::Gpu, self.spec.gpu.idle_power_w() * window_secs);
-        out.add(Rail::Dsp, self.spec.dsp.idle_power_w() * window_secs);
-        if let Some(npu) = &self.spec.npu {
-            out.add(Rail::Npu, npu.idle_power_w() * window_secs);
-        }
-        out.add(Rail::Uncore, self.spec.interconnect.uncore_w * window_secs);
-
-        // Busy increments (active minus idle, so floor isn't double-paid).
-        for iv in intervals {
-            let secs = overlap_secs(iv.start, iv.end, from, to);
-            // aitax-allow(float-eq): exact-zero overlap means the interval misses the window
-            if secs == 0.0 {
-                continue;
-            }
-            match iv.resource {
-                TraceResource::CpuCore(c) => {
-                    if let Some(rail) = self.spec.core_rails.get(c as usize) {
-                        let f = freqs.freq_at(c as usize, iv.start);
-                        let inc = rail.active_power_w(f) - rail.idle_power_w();
-                        out.add(Rail::Cpu(c), inc * secs);
-                    }
-                }
-                TraceResource::Gpu => {
-                    let inc = self.spec.gpu.busy_w - self.spec.gpu.idle_power_w();
-                    out.add(Rail::Gpu, inc * secs);
-                }
-                TraceResource::Dsp => {
-                    let inc = self.spec.dsp.busy_w - self.spec.dsp.idle_power_w();
-                    out.add(Rail::Dsp, inc * secs);
-                }
-                TraceResource::Npu => {
-                    if let Some(npu) = &self.spec.npu {
-                        out.add(Rail::Npu, (npu.busy_w - npu.idle_power_w()) * secs);
-                    }
-                }
-                // AXI busy time carries no rate term; bursts are priced
-                // per byte below.
-                TraceResource::Axi => {}
-            }
-        }
-
-        // Data movement: every AXI burst inside the window.
-        let epb = self.spec.interconnect.energy_per_byte_j;
+            .map(|r| vec![(SimTime::ZERO, busy_w(r, r.nominal().freq_hz))])
+            .collect();
+        let epb = spec.interconnect.energy_per_byte_j;
+        let mut axi: Vec<(SimTime, f64)> = Vec::new();
         for ev in trace.iter() {
-            if let TraceKind::AxiBurst { bytes } = ev.kind {
-                if ev.time >= from && ev.time < to {
-                    out.add(Rail::Axi, bytes as f64 * epb);
+            match ev.kind {
+                TraceKind::Dvfs { core, freq_hz } => {
+                    if let Some(track) = steps.get_mut(core as usize) {
+                        let r = &spec.core_rails[core as usize];
+                        track.push((ev.time, busy_w(r, freq_hz as f64)));
+                    }
                 }
+                TraceKind::AxiBurst { bytes } => axi.push((ev.time, bytes as f64 * epb)),
+                _ => {}
             }
         }
-        out
+        let axi_sorted = axi.windows(2).all(|w| w[0].0 <= w[1].0);
+
+        let busy: Vec<BusySpan> = trace
+            .exec_intervals()
+            .into_iter()
+            .filter_map(|iv| {
+                let (slot, watts) = match iv.resource {
+                    TraceResource::CpuCore(c) => {
+                        (c as usize, step_at(steps.get(c as usize)?, iv.start))
+                    }
+                    TraceResource::Gpu => gpu,
+                    TraceResource::Dsp => dsp,
+                    TraceResource::Npu => npu?,
+                    // AXI busy time carries no rate term; bursts are
+                    // priced per byte.
+                    TraceResource::Axi => return None,
+                };
+                Some(BusySpan {
+                    start: iv.start,
+                    end: iv.end,
+                    slot,
+                    watts,
+                })
+            })
+            .collect();
+        let reach = busy
+            .iter()
+            .scan(SimTime::ZERO, |latest, span| {
+                *latest = (*latest).max(span.end);
+                Some(*latest)
+            })
+            .collect();
+        MeterIndex {
+            rails,
+            floor_w,
+            busy,
+            reach,
+            axi,
+            axi_sorted,
+        }
     }
 
-    /// Bins the trace range `[0, end)` into a per-rail power timeline.
+    /// Energy per rail over one window `[from, to)`: the idle/uncore
+    /// floor for its full length, the busy increment of each execution
+    /// interval overlapping it, and every AXI burst inside it. Empty and
+    /// inverted windows meter to an empty ledger.
+    pub fn energy_between(&self, from: SimTime, to: SimTime) -> RailEnergy {
+        if to <= from {
+            return RailEnergy::new();
+        }
+        // One cell per rail slot, charged exactly as `RailEnergy::add`
+        // charges its map (same zero skip, same order per rail).
+        let mut cells: Vec<Option<f64>> = vec![None; self.rails.len()];
+        let mut add = |slot: usize, joules: f64| {
+            // aitax-allow(float-eq): the exact-zero skip of RailEnergy::add
+            if joules != 0.0 {
+                *cells[slot].get_or_insert(0.0) += joules;
+            }
+        };
+        let window_secs = (to - from).as_secs();
+        for (slot, &watts) in self.floor_w.iter().enumerate() {
+            add(slot, watts * window_secs);
+        }
+
+        // Spans before `first` all end at or before `from`; spans are
+        // sorted by start, so the first starting at or after `to` ends
+        // the walk.
+        let first = self.reach.partition_point(|&end| end <= from);
+        for span in &self.busy[first..] {
+            if span.start >= to {
+                break;
+            }
+            let secs = overlap_secs(span.start, span.end, from, to);
+            // aitax-allow(float-eq): exact-zero overlap means the interval misses the window
+            if secs != 0.0 {
+                add(span.slot, span.watts * secs);
+            }
+        }
+
+        let (lo, hi) = if self.axi_sorted {
+            (
+                self.axi.partition_point(|&(t, _)| t < from),
+                self.axi.partition_point(|&(t, _)| t < to),
+            )
+        } else {
+            (0, self.axi.len())
+        };
+        let axi = self.rails.len() - 1;
+        for &(t, joules) in &self.axi[lo..hi] {
+            if t >= from && t < to {
+                add(axi, joules);
+            }
+        }
+        RailEnergy {
+            cells: self
+                .rails
+                .iter()
+                .zip(cells)
+                .filter_map(|(&rail, cell)| Some((rail, cell?)))
+                .collect(),
+        }
+    }
+
+    /// Bins the range `[0, end)` into a per-rail power timeline.
     ///
     /// # Panics
     ///
     /// Panics if `bin_width` is zero.
-    pub fn power_timeline(
-        &self,
-        trace: &TraceBuffer,
-        bin_width: SimSpan,
-        end: SimTime,
-    ) -> PowerTimeline {
+    pub fn power_timeline(&self, bin_width: SimSpan, end: SimTime) -> PowerTimeline {
         assert!(!bin_width.is_zero(), "bin width must be positive");
         let w = bin_width.as_ns();
         let n = (end.as_ns().div_ceil(w)) as usize;
@@ -331,69 +376,85 @@ impl<'a> EnergyMeter<'a> {
         for b in 0..n {
             let (a, z) = bin_bounds(b);
             let secs = (z - a).as_secs();
-            for (i, rail) in self.spec.core_rails.iter().enumerate() {
-                deposit(Rail::Cpu(i as u8), b, rail.idle_power_w() * secs);
+            for (&rail, &watts) in self.rails.iter().zip(&self.floor_w) {
+                deposit(rail, b, watts * secs);
             }
-            deposit(Rail::Gpu, b, self.spec.gpu.idle_power_w() * secs);
-            deposit(Rail::Dsp, b, self.spec.dsp.idle_power_w() * secs);
-            if let Some(npu) = &self.spec.npu {
-                deposit(Rail::Npu, b, npu.idle_power_w() * secs);
-            }
-            deposit(Rail::Uncore, b, self.spec.interconnect.uncore_w * secs);
         }
 
         // Busy increments, spread over the bins each interval touches.
-        let freqs = FreqTimeline::build(self.spec, trace);
-        for iv in trace.exec_intervals() {
-            let (inc_w, rail) = match iv.resource {
-                TraceResource::CpuCore(c) => match self.spec.core_rails.get(c as usize) {
-                    Some(r) => {
-                        let f = freqs.freq_at(c as usize, iv.start);
-                        (r.active_power_w(f) - r.idle_power_w(), Rail::Cpu(c))
-                    }
-                    None => continue,
-                },
-                TraceResource::Gpu => (
-                    self.spec.gpu.busy_w - self.spec.gpu.idle_power_w(),
-                    Rail::Gpu,
-                ),
-                TraceResource::Dsp => (
-                    self.spec.dsp.busy_w - self.spec.dsp.idle_power_w(),
-                    Rail::Dsp,
-                ),
-                TraceResource::Npu => match &self.spec.npu {
-                    Some(npu) => (npu.busy_w - npu.idle_power_w(), Rail::Npu),
-                    None => continue,
-                },
-                TraceResource::Axi => continue,
-            };
-            if iv.start >= end {
+        for span in &self.busy {
+            if span.start >= end {
                 continue;
             }
-            let first = (iv.start.as_ns() / w) as usize;
-            let last = ((iv.end.as_ns().saturating_sub(1)) / w).min(n as u64 - 1) as usize;
+            let first = (span.start.as_ns() / w) as usize;
+            let last = ((span.end.as_ns().saturating_sub(1)) / w).min(n as u64 - 1) as usize;
             for b in first..=last {
                 let (a, z) = bin_bounds(b);
-                deposit(rail, b, inc_w * overlap_secs(iv.start, iv.end, a, z));
+                deposit(
+                    self.rails[span.slot],
+                    b,
+                    span.watts * overlap_secs(span.start, span.end, a, z),
+                );
             }
         }
 
         // AXI bursts land in the bin containing their timestamp.
-        let epb = self.spec.interconnect.energy_per_byte_j;
-        for ev in trace.iter() {
-            if let TraceKind::AxiBurst { bytes } = ev.kind {
-                if ev.time < end {
-                    deposit(
-                        Rail::Axi,
-                        (ev.time.as_ns() / w) as usize,
-                        bytes as f64 * epb,
-                    );
-                }
+        for &(t, joules) in &self.axi {
+            if t < end {
+                deposit(Rail::Axi, (t.as_ns() / w) as usize, joules);
             }
         }
 
         timeline.rails = rails.into_iter().collect();
         timeline
+    }
+}
+
+impl<'a> EnergyMeter<'a> {
+    /// Creates a meter over a power spec.
+    pub fn new(spec: &'a PowerSpec) -> Self {
+        EnergyMeter { spec }
+    }
+
+    /// The spec this meter prices against.
+    pub fn spec(&self) -> &PowerSpec {
+        self.spec
+    }
+
+    /// Attributes trace energy to each half-open window `[from, to)`.
+    ///
+    /// Windows may overlap or leave gaps; each is metered independently.
+    /// Every window pays the idle/uncore floor for its full length plus
+    /// the busy increment of each execution interval overlapping it.
+    pub fn attribute(
+        &self,
+        trace: &TraceBuffer,
+        windows: &[(SimTime, SimTime)],
+    ) -> Vec<RailEnergy> {
+        let index = MeterIndex::new(self.spec, trace);
+        windows
+            .iter()
+            .map(|&(from, to)| index.energy_between(from, to))
+            .collect()
+    }
+
+    /// Energy per rail over one window `[from, to)`.
+    pub fn energy_between(&self, trace: &TraceBuffer, from: SimTime, to: SimTime) -> RailEnergy {
+        MeterIndex::new(self.spec, trace).energy_between(from, to)
+    }
+
+    /// Bins the trace range `[0, end)` into a per-rail power timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin_width` is zero.
+    pub fn power_timeline(
+        &self,
+        trace: &TraceBuffer,
+        bin_width: SimSpan,
+        end: SimTime,
+    ) -> PowerTimeline {
+        MeterIndex::new(self.spec, trace).power_timeline(bin_width, end)
     }
 }
 
