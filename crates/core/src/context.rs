@@ -58,16 +58,16 @@ impl SimContext {
     /// cached machine models the same chipset, freshly booted otherwise.
     /// Either way the returned machine is indistinguishable from
     /// `Machine::new(SocCatalog::get(soc), seed)`.
+    #[expect(clippy::expect_used, reason = "both branches leave Some in place")]
     pub fn checkout(&mut self, soc: SocId, seed: u64) -> &mut Machine {
         let reusable = matches!(&self.machine, Some((cached, _)) if *cached == soc);
         if reusable {
-            // aitax-allow(panic-path): just matched Some above
+            #[expect(clippy::expect_used, reason = "just matched Some above")]
             let (_, m) = self.machine.as_mut().expect("matched Some");
             m.reset(seed);
         } else {
             self.machine = Some((soc, Machine::new(SocCatalog::get(soc), seed)));
         }
-        // aitax-allow(panic-path): both branches leave Some in place
         &mut self.machine.as_mut().expect("machine just installed").1
     }
 

@@ -77,6 +77,7 @@ impl DegradationReport {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use aitax_des::SimSpan;

@@ -263,7 +263,10 @@ pub fn fig6(opts: ExperimentOpts) -> String {
             .run();
         let inf_ms = fmt_ms(r.summary(Stage::Inference).mean_ms());
         let iters = r.tax.iterations();
-        // aitax-allow(panic-path): tracing(true) was set on this run; the trace is always present
+        #[expect(
+            clippy::expect_used,
+            reason = "tracing(true) was set on this run; the trace is always present"
+        )]
         let trace = r.trace.expect("tracing was enabled");
         let profile = ProfileReport::from_trace(&trace, SimSpan::from_ms(20.0));
         out.push_str(&format!("=== {name} ===\n"));

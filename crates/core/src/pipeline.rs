@@ -200,8 +200,11 @@ impl E2eConfig {
         // when it actually boots a machine.
         let spec = SocCatalog::get(self.soc);
         let entry = Zoo::entry(self.model);
+        #[expect(
+            clippy::panic,
+            reason = "user-facing runner: an unsupported engine/model pairing is a usage error worth aborting"
+        )]
         let session = Session::compile_cached(self.engine, self.model, self.dtype, self.soc)
-            // aitax-allow(panic-path): user-facing runner: an unsupported engine/model pairing is a usage error worth aborting
             .unwrap_or_else(|e| panic!("cannot run {}: {e}", entry.display_name));
         let graph = session.graph_shared();
         let plan = session.plan().clone();
@@ -232,12 +235,18 @@ impl E2eConfig {
 
         // Background inference loops (multi-tenancy).
         if self.background_loops > 0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "builder contract: background_loops > 0 requires background_engine"
+            )]
             let bg_engine = self
                 .background_engine
-                // aitax-allow(panic-path): builder contract: background_loops > 0 requires background_engine
                 .expect("background loops require an engine");
+            #[expect(
+                clippy::panic,
+                reason = "user-facing runner: an unusable background engine is a usage error worth aborting"
+            )]
             let bg_session = Session::compile_cached(bg_engine, self.model, self.dtype, self.soc)
-                // aitax-allow(panic-path): user-facing runner: an unusable background engine is a usage error worth aborting
                 .unwrap_or_else(|e| panic!("background engine unusable: {e}"));
             for _ in 0..self.background_loops {
                 spawn_background_loop(m, bg_session.clone());

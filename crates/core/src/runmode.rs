@@ -90,6 +90,7 @@ impl std::fmt::Display for RunMode {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 
@@ -126,7 +127,8 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> = RunMode::ALL.iter().map(|m| m.label()).collect();
+        let labels: std::collections::BTreeSet<_> =
+            RunMode::ALL.iter().map(|m| m.label()).collect();
         assert_eq!(labels.len(), 3);
     }
 }

@@ -118,7 +118,6 @@ impl Summary {
     /// Coefficient of variation (stddev / mean; 0 when the mean is 0).
     pub fn cv(&self) -> f64 {
         let mean = self.mean_ms();
-        // aitax-allow(float-eq): exact-zero mean sentinel: CV is defined as 0 there
         if mean == 0.0 {
             0.0
         } else {
@@ -191,7 +190,6 @@ impl Summary {
             return 0.0;
         }
         let med = self.median_ms();
-        // aitax-allow(float-eq): exact-zero median sentinel guards the division below
         if med == 0.0 {
             return 0.0;
         }
@@ -619,7 +617,6 @@ impl Welford {
 
     /// Coefficient of variation (stddev / mean; 0 when the mean is 0).
     pub fn cv(&self) -> f64 {
-        // aitax-allow(float-eq): exact-zero mean sentinel: CV is defined as 0 there
         if self.mean() == 0.0 {
             0.0
         } else {
@@ -629,6 +626,7 @@ impl Welford {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 

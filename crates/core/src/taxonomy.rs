@@ -65,7 +65,10 @@ impl TaxonomyReport {
                 ExecTarget::Dsp { efficiency } => cost::dsp_exec_span(&soc.dsp, p.macs, efficiency),
                 ExecTarget::Gpu { efficiency } => cost::gpu_exec_span(&soc.gpu, p.macs, efficiency),
                 ExecTarget::Npu { efficiency } => {
-                    // aitax-allow(panic-path): the planner emits Npu partitions only for chipsets that declare an NPU
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the planner emits Npu partitions only for chipsets that declare an NPU"
+                    )]
                     let npu = soc.npu.expect("npu partition without npu");
                     SimSpan::from_secs(2.0 * p.macs as f64 / (npu.int8_ops * efficiency))
                 }

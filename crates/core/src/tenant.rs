@@ -112,6 +112,7 @@ pub fn total_attributed_ms(tenants: &[TenantTax]) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 

@@ -6,7 +6,7 @@
 //! engines, background inference loops, fault plans and a trace ring
 //! small enough to evict early events.
 
-#[allow(dead_code, reason = "only the power crate's oracle bins timelines")]
+#[expect(dead_code, reason = "only the power crate's oracle bins timelines")]
 #[path = "../../power/tests/oracle/mod.rs"]
 mod oracle;
 

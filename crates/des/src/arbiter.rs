@@ -235,11 +235,14 @@ impl Arbiter {
     /// Panics if `hold` is not currently held.
     pub fn release(&mut self, now: SimTime, hold: HoldId) -> Option<(Ticket, HoldId)> {
         self.settle(now);
+        #[expect(
+            clippy::expect_used,
+            reason = "double-release is a simulator bug, not a data condition"
+        )]
         let pos = self
             .holders
             .iter()
             .position(|h| h.id == hold)
-            // aitax-allow(panic-path): double-release is a simulator bug, not a data condition
             .expect("releasing a hold the arbiter does not know");
         let released = self.holders.swap_remove(pos);
         if let Some(log) = self.log.as_mut() {
@@ -258,7 +261,10 @@ impl Arbiter {
         if !grantable {
             return None;
         }
-        // aitax-allow(panic-path): grantable implies the queue is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "grantable implies the queue is non-empty"
+        )]
         let w = self.queue.pop_front().expect("checked non-empty");
         let id = HoldId(self.fresh());
         self.holders.push(Hold {

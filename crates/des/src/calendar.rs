@@ -460,7 +460,10 @@ impl Calendar {
     ///
     /// Returns `None` when the calendar is empty. Cancelled events are
     /// silently skipped (and their slab slots recycled).
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "`next` advances the simulation clock; the calendar is deliberately not an Iterator"
+    )]
     pub fn next(&mut self) -> Option<(SimTime, Token)> {
         loop {
             let (lvl, s) = self.first_due()?;

@@ -156,7 +156,10 @@ impl LegacyCalendar {
     ///
     /// Returns `None` when the calendar is empty. Cancelled events are
     /// silently skipped (and their slots recycled).
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "`next` advances the simulation clock; the calendar is deliberately not an Iterator"
+    )]
     pub fn next(&mut self) -> Option<(SimTime, Token)> {
         while let Some(Reverse((at, _seq, slot))) = self.heap.pop() {
             let (generation, was_live) = self.retire(slot);

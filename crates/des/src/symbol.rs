@@ -70,9 +70,11 @@ impl SymbolTable {
         if let Some(&i) = self.index.get(s) {
             return Symbol(i);
         }
-        let i = u32::try_from(self.strings.len())
-            // aitax-allow(panic-path): 2^32 distinct labels means the workload generator is broken
-            .expect("symbol table overflow");
+        #[expect(
+            clippy::expect_used,
+            reason = "2^32 distinct labels means the workload generator is broken"
+        )]
+        let i = u32::try_from(self.strings.len()).expect("symbol table overflow");
         self.strings.push(s.into());
         self.index.insert(s.into(), i);
         Symbol(i)
@@ -83,10 +85,13 @@ impl SymbolTable {
     /// # Panics
     ///
     /// Panics if `sym` was minted by a different table.
+    #[expect(
+        clippy::expect_used,
+        reason = "a foreign symbol is a cross-table logic bug worth crashing on"
+    )]
     pub fn resolve(&self, sym: Symbol) -> &str {
         self.strings
             .get(sym.0 as usize)
-            // aitax-allow(panic-path): a foreign symbol is a cross-table logic bug worth crashing on
             .expect("symbol resolved against a table that did not intern it")
     }
 

@@ -87,7 +87,10 @@ fn res_unslot(code: u16) -> TraceResource {
         257 => TraceResource::Gpu,
         258 => TraceResource::Npu,
         259 => TraceResource::Axi,
-        // aitax-allow(panic-path): only res_slot writes this column; other codes are memory corruption
+        #[expect(
+            clippy::panic,
+            reason = "only res_slot writes this column; other codes are memory corruption"
+        )]
         _ => panic!("corrupt trace resource code {code}"),
     }
 }
@@ -215,10 +218,10 @@ fn encode_kind(kind: TraceKind) -> (u8, u64, u32) {
         }
         TraceKind::Irq { source } => (4, 0, source.index()),
         TraceKind::Rpc { phase } => {
+            #[expect(clippy::expect_used, reason = "ALL is exhaustive by definition")]
             let idx = RpcPhase::ALL
                 .iter()
                 .position(|&p| p == phase)
-                // aitax-allow(panic-path): ALL is exhaustive by definition
                 .expect("RpcPhase missing from ALL") as u32;
             (5, 0, idx)
         }
@@ -256,7 +259,10 @@ fn decode_kind(tag: u8, pa: u64, pb: u32) -> TraceKind {
         8 => TraceKind::Marker {
             label: Symbol::from_index(pb),
         },
-        // aitax-allow(panic-path): only encode_kind writes this column; other tags are memory corruption
+        #[expect(
+            clippy::panic,
+            reason = "only encode_kind writes this column; other tags are memory corruption"
+        )]
         _ => panic!("corrupt trace kind tag {tag}"),
     }
 }
@@ -597,7 +603,10 @@ impl TraceBuffer {
     /// lists. Reads the tag column directly, decoding only exec events.
     /// Returns the closed intervals in `ExecEnd` encounter order plus
     /// whatever remained open, grouped by resource slot.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "private helper; both callers destructure the pair immediately"
+    )]
     fn collect_intervals(
         &self,
     ) -> (

@@ -37,6 +37,11 @@ const SCRIPT_SEEDS: [u64; 6] = [
 /// Total operations across all scripts unless `AITAX_DIFF_OPS` overrides.
 const DEFAULT_TOTAL_OPS: u64 = 1_200_000;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "AITAX_DIFF_OPS only sizes the run; both calendars replay the same scripts"
+)]
+#[expect(clippy::panic, reason = "a malformed knob fails the test")]
 fn total_ops() -> u64 {
     match std::env::var("AITAX_DIFF_OPS") {
         Ok(v) => v
@@ -109,6 +114,10 @@ impl Harness {
 
     /// Pops both calendars and asserts they fire the same logical event
     /// at the same instant. Returns whether anything fired.
+    #[expect(
+        clippy::panic,
+        reason = "a divergence between the calendars fails the test"
+    )]
     fn pop(&mut self, ctx: &str) -> bool {
         let w = self.wheel.next();
         let l = self.legacy.next();

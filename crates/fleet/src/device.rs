@@ -154,6 +154,7 @@ pub fn run_device_in(ctx: &mut SimContext, spec: &DeviceSpec, requests: u64) -> 
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::population::PopulationSpec;

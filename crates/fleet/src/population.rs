@@ -5,29 +5,18 @@
 //! background-app pressure, per-device fault rate, and a workload mix —
 //! and materializes device *k* with [`PopulationSpec::device`]. Sampling
 //! uses the pure two-level stream `root.derive2(STREAM_*, k)`
-//! ([`SimRng::derive2`]), so a device is a function of
+//! ([`SimRng::derive2`], ids from [`aitax_des::rng`]), so a device is a function of
 //! `(population seed, k)` alone: the same device appears at index *k*
 //! regardless of shard split, thread count, or which other devices were
 //! ever sampled.
 
 use aitax_des::fault::FaultKind;
+use aitax_des::rng::{STREAM_DEVICE, STREAM_PROBE, STREAM_RUN, STREAM_TENANT};
 use aitax_des::SimRng;
 use aitax_framework::Engine;
 use aitax_models::zoo::ModelId;
 use aitax_soc::SocId;
 use aitax_tensor::DType;
-
-/// High-level stream id for device-spec sampling.
-pub const STREAM_DEVICE: u64 = 1;
-/// High-level stream id for the main (latency) run of a device.
-pub const STREAM_RUN: u64 = 2;
-/// High-level stream id for the traced energy-probe run of a device.
-pub const STREAM_PROBE: u64 = 3;
-/// High-level stream id for co-resident tenant sampling. A separate
-/// stream so enabling multi-tenancy never perturbs the device fields the
-/// other streams sample — artifacts at `multi_tenant_rate` 0 stay
-/// byte-identical to populations sampled before the knob existed.
-pub const STREAM_TENANT: u64 = 4;
 
 /// Ambient thermal cohort a device falls into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -116,7 +116,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "pins the ordering of the efficiency constants"
+    )]
     fn snpe_beats_nnapi_beats_nothing() {
         assert!(SNPE_DSP_EFFICIENCY > NNAPI_DSP_EFFICIENCY);
         assert!(SNPE_DSP_EFFICIENCY > HEXAGON_DELEGATE_EFFICIENCY);

@@ -332,8 +332,10 @@ impl Session {
         check_dtype(engine, dtype)?;
         let graph = aitax_models::cached_graph(model, dtype);
         let cache = PLANS.get_or_init(|| Mutex::new(BTreeMap::new()));
-        // aitax-allow(panic-path): planners are pure and never panic, so
-        // the mutex cannot be poisoned.
+        #[expect(
+            clippy::expect_used,
+            reason = "planners are pure and never panic, so the mutex cannot be poisoned"
+        )]
         let mut map = cache.lock().expect("plan cache poisoned");
         let plan = map
             .entry((engine, model, dtype, soc))
@@ -543,10 +545,13 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
             });
         }
         ExecTarget::Npu { efficiency } => {
+            #[expect(
+                clippy::expect_used,
+                reason = "Session::compile rejects Npu plans on NPU-less chipsets before execution"
+            )]
             let npu = m
                 .spec()
                 .npu
-                // aitax-allow(panic-path): Session::compile rejects Npu plans on NPU-less chipsets before execution
                 .expect("Npu partition compiled for a chipset without an NPU");
             let work =
                 aitax_des::SimSpan::from_secs(2.0 * part.macs as f64 / (npu.int8_ops * efficiency));
@@ -647,6 +652,7 @@ fn run_cpu_op(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use aitax_models::zoo::{ModelId, Zoo};

@@ -59,6 +59,7 @@ pub(crate) fn plan_gpu(graph: &Graph) -> Plan {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::session::{Engine, Session};

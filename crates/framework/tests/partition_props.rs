@@ -62,6 +62,7 @@ fn arb_op(rng: &mut SimRng) -> Op {
     }
 }
 
+#[expect(clippy::expect_used, reason = "a random graph has at least one op")]
 fn arb_graph(rng: &mut SimRng) -> Graph {
     let n = rng.uniform_u64(1, 60) as usize;
     let ops: Vec<Op> = (0..n).map(|_| arb_op(rng)).collect();
@@ -73,6 +74,7 @@ fn arb_graph(rng: &mut SimRng) -> Graph {
         .with_per_channel_quant(per_channel)
 }
 
+#[expect(clippy::expect_used, reason = "a compile failure fails the test")]
 fn assert_plan_sound(graph: &Graph, engine: Engine) {
     let soc = SocCatalog::get(SocId::Sd845);
     let session = Session::compile(engine, Arc::new(graph.clone()), soc).expect("compiles");

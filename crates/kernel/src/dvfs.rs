@@ -150,6 +150,7 @@ impl Machine {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::task::{CoreMask, TaskSpec, Work};

@@ -266,10 +266,13 @@ impl Machine {
         let mem = self.spec().memory;
         let overhead = match invoke.device {
             RpcDevice::Dsp => self.spec().dsp.invoke_overhead,
+            #[expect(
+                clippy::expect_used,
+                reason = "NPU invokes are only issued on chipsets that declare an NPU"
+            )]
             RpcDevice::Npu => {
                 self.spec()
                     .npu
-                    // aitax-allow(panic-path): NPU invokes are only issued on chipsets that declare an NPU
                     .expect("NPU invoke on a chipset without an NPU")
                     .invoke_overhead
             }

@@ -756,10 +756,13 @@ impl Machine {
             AccelKind::Gpu => &mut self.gpu,
             AccelKind::Npu => &mut self.npu,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "accelerator completion events are only scheduled while a job is running"
+        )]
         let job = state
             .running
             .take()
-            // aitax-allow(panic-path): accelerator completion events are only scheduled while a job is running
             .expect("accelerator completion without a running job");
         let now = self.cal.now();
         self.trace.record(
@@ -794,6 +797,7 @@ pub(crate) enum AccelKind {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use aitax_soc::{SocCatalog, SocId};

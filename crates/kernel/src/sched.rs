@@ -126,6 +126,10 @@ impl Machine {
     }
 
     /// Least-loaded eligible core, lowest index on ties.
+    #[expect(
+        clippy::expect_used,
+        reason = "spawn validates affinity masks against the core count"
+    )]
     fn place(&self, affinity: CoreMask) -> usize {
         let mut best = None;
         let mut best_load = usize::MAX;
@@ -139,7 +143,6 @@ impl Machine {
                 best = Some(i);
             }
         }
-        // aitax-allow(panic-path): spawn validates affinity masks against the core count
         best.expect("affinity mask excludes every core on this SoC")
     }
 
@@ -210,10 +213,13 @@ impl Machine {
         // would, so thermal/DVFS accounting cannot tell the difference.
         self.touch_thermal();
         self.gov_observe(core, false);
+        #[expect(
+            clippy::expect_used,
+            reason = "preemption is only triggered while a task is running"
+        )]
         let running = self.cores[core]
             .running
             .take()
-            // aitax-allow(panic-path): preemption is only triggered while a task is running
             .expect("preempting an idle core");
         let cancelled = self.cal.cancel(running.slice_token);
         debug_assert!(cancelled, "running task must have a live slice end");
@@ -245,9 +251,12 @@ impl Machine {
         };
         let now = self.cal.now();
         self.touch_thermal();
+        #[expect(
+            clippy::expect_used,
+            reason = "task records outlive their scheduled events by construction"
+        )]
         let class = self.tasks[id.0 as usize]
             .as_ref()
-            // aitax-allow(panic-path): task records outlive their scheduled events by construction
             .expect("dispatching a completed task")
             .class;
         // The core flips busy: fold the elapsed idle stretch into its
@@ -271,9 +280,12 @@ impl Machine {
         }
 
         let (rate, slice, label, penalty) = {
+            #[expect(
+                clippy::expect_used,
+                reason = "task records outlive their scheduled events by construction"
+            )]
             let task = self.tasks[id.0 as usize]
                 .as_mut()
-                // aitax-allow(panic-path): task records outlive their scheduled events by construction
                 .expect("dispatching a completed task");
             let penalty = std::mem::replace(&mut task.pending_penalty, SimSpan::ZERO);
             let spec = &self.core_specs[core];
@@ -311,10 +323,13 @@ impl Machine {
         // core's state flips to idle.
         self.touch_thermal();
         self.gov_observe(core, false);
+        #[expect(
+            clippy::expect_used,
+            reason = "slice-end events are cancelled when their core goes idle"
+        )]
         let running = self.cores[core]
             .running
             .take()
-            // aitax-allow(panic-path): slice-end events are cancelled when their core goes idle
             .expect("slice end on an idle core");
         let now = self.cal.now();
         let id = running.task;
@@ -325,9 +340,12 @@ impl Machine {
         );
 
         let finished = {
+            #[expect(
+                clippy::expect_used,
+                reason = "task records outlive their scheduled events by construction"
+            )]
             let task = self.tasks[id.0 as usize]
                 .as_mut()
-                // aitax-allow(panic-path): task records outlive their scheduled events by construction
                 .expect("running task has no record");
             let ran = now.since(running.work_start);
             task.cpu_time += ran;
@@ -337,7 +355,10 @@ impl Machine {
 
         if finished {
             let cb = {
-                // aitax-allow(panic-path): task records outlive their scheduled events by construction
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "task records outlive their scheduled events by construction"
+                )]
                 let task = self.tasks[id.0 as usize].as_mut().unwrap();
                 task.on_done.take()
             };
@@ -388,10 +409,13 @@ impl Machine {
         // list (uniform index, then select), without building the list —
         // the RNG stream, and therefore the event sequence, is unchanged.
         let k = self.rng.uniform_u64(0, count as u64) as usize;
+        #[expect(
+            clippy::expect_used,
+            reason = "k < count over the same predicate by construction"
+        )]
         let to = (0..n)
             .filter(|&c| eligible(c))
             .nth(k)
-            // aitax-allow(panic-path): k < count over the same predicate by construction
             .expect("k-th eligible core exists");
         self.migrate(id, from, to);
         true
@@ -442,10 +466,13 @@ impl Machine {
             }
         }
         if let Some((vc, pos)) = victim {
+            #[expect(
+                clippy::expect_used,
+                reason = "the victim position was computed from the same runq this event"
+            )]
             let id = self.cores[vc]
                 .runq
                 .remove(pos)
-                // aitax-allow(panic-path): the victim position was computed from the same runq this event
                 .expect("victim position valid");
             self.migrate(id, vc, core);
         }
@@ -548,7 +575,7 @@ mod tests {
             );
         }
         m.run_until_idle();
-        let used: std::collections::HashSet<_> = m
+        let used: std::collections::BTreeSet<_> = m
             .trace
             .exec_intervals()
             .iter()

@@ -200,6 +200,7 @@ impl TaskSpec {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use aitax_des::SimSpan;

@@ -1,38 +1,54 @@
 //! Pins the steady-state event loop at **zero heap allocations per
 //! event** with a counting global allocator — the probe-effect guarantee
-//! `BENCH_sim.json` tracks (`steady_allocs`) and the `hot-path-alloc`
-//! lint protects at review time.
+//! `BENCH_sim.json` tracks (`steady_allocs`) — and pins
+//! [`Machine::reset`], the context-reuse path, at zero allocations too.
 //!
-//! The scenario mirrors the benchmark's `machine-hot`: long foreground
-//! tasks time-slicing over the big cores with tracing enabled. After
-//! warmup every structure has reached steady capacity — the calendar's
-//! slot slab and heap, the per-slot event table, the pre-reserved trace
-//! buffer — so `Machine::step` must never touch the allocator again.
+//! The step scenario mirrors the benchmark's `machine-hot`: long
+//! foreground tasks time-slicing over the big cores with tracing enabled.
+//! After warmup every structure has reached steady capacity — the
+//! calendar's slot slab and heap, the per-slot event table, the
+//! pre-reserved trace buffer — so `Machine::step` must never touch the
+//! allocator again. The offload scenario does the same for the DSP wait
+//! queue (priority-ordered enqueue, dispatch, completion) and for timers
+//! that are armed and cancelled every event.
 //!
-//! This file intentionally holds a single `#[test]`: the allocation
-//! counters are process-global, and a sibling test running on another
-//! thread would bleed its allocations into the measured window.
+//! The simulator is single-threaded, so the counter is per thread: the
+//! test harness and sibling tests allocate on other threads and cannot
+//! bleed into a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use aitax_des::SimSpan;
 use aitax_kernel::{Machine, TaskSpec, Work};
 use aitax_soc::{SocCatalog, SocId};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far on the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,11 +77,11 @@ fn steady_state_step_loop_never_allocates() {
         assert!(m.step(), "workload drained during warmup");
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..MEASURED {
         assert!(m.step(), "workload drained during measurement");
     }
-    let steady = ALLOCS.load(Ordering::Relaxed) - before;
+    let steady = allocs() - before;
 
     assert_eq!(
         steady, 0,
@@ -76,4 +92,77 @@ fn steady_state_step_loop_never_allocates() {
         m.stats().context_switches > 0,
         "scenario must actually exercise the dispatcher"
     );
+}
+
+#[test]
+fn reset_after_a_run_never_allocates() {
+    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 42);
+    m.set_tracing(true);
+    for i in 0..8 {
+        m.submit_cpu(
+            TaskSpec::foreground(format!("fg{i}"), Work::Cycles(5e7)),
+            |_| {},
+        );
+    }
+    m.run_until_idle();
+    assert_eq!(m.stats().tasks_completed, 8, "warm run must drain");
+
+    let before = allocs();
+    m.reset(7);
+    let during = allocs() - before;
+
+    assert_eq!(
+        during, 0,
+        "Machine::reset allocated {during} time(s); reuse must keep the \
+         previous run's storage instead of rebuilding it"
+    );
+}
+
+/// Resubmits itself on completion: a fn item is zero-sized, so boxing
+/// it as the completion callback does not allocate.
+fn dsp_chain(m: &mut Machine) {
+    m.submit_dsp_prio("dsp", SimSpan::from_us(50.0), 1, dsp_chain);
+}
+
+fn dsp_chain_low(m: &mut Machine) {
+    m.submit_dsp_raw("dsp-low", SimSpan::from_us(80.0), dsp_chain_low);
+}
+
+/// Re-arms itself after scheduling and cancelling a decoy timer.
+fn timer_chain(m: &mut Machine) {
+    let decoy = m.after(SimSpan::from_us(60.0), timer_chain);
+    assert!(m.cancel_timer(decoy));
+    m.after(SimSpan::from_us(40.0), timer_chain);
+}
+
+#[test]
+fn steady_state_dsp_queue_and_timers_never_allocate() {
+    const WARMUP: u64 = 2_000;
+    const MEASURED: u64 = 20_000;
+
+    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 42);
+    m.set_tracing(true);
+    m.trace.reserve_events(8 * (WARMUP + MEASURED) as usize);
+    // Two chains per priority band keep waiters queued, so enqueues take
+    // both the priority-insert and the FIFO-append path.
+    for _ in 0..2 {
+        dsp_chain(&mut m);
+        dsp_chain_low(&mut m);
+    }
+    timer_chain(&mut m);
+    for _ in 0..WARMUP {
+        assert!(m.step(), "chains drained during warmup");
+    }
+
+    let before = allocs();
+    for _ in 0..MEASURED {
+        assert!(m.step(), "chains drained during measurement");
+    }
+    let steady = allocs() - before;
+
+    assert_eq!(
+        steady, 0,
+        "steady-state DSP queue and timers allocated {steady} time(s) over {MEASURED} events"
+    );
+    assert!(m.stats().dsp_jobs > MEASURED / 4, "the DSP must stay busy");
 }

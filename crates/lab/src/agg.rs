@@ -189,6 +189,7 @@ impl SweepReport {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::pool::run_jobs;

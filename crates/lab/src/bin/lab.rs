@@ -36,6 +36,10 @@ struct Opts {
     verify: bool,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "AITAX_* knobs only supply CLI defaults; the parsed options define the run"
+)]
 fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
         .ok()
@@ -61,6 +65,14 @@ fn usage() -> &'static str {
      \x20 --trace PATH          export a Chrome trace of the grid's first job\n\
      \x20 --verify-determinism  re-run serially and byte-compare artifacts (~2x runtime)\n\
      \x20 --help, -h            print this help"
+}
+
+/// Parses a count flag; zero is a usage error.
+fn positive(v: &str, flag: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} must be a positive integer")),
+    }
 }
 
 fn parse(args: &[String]) -> Result<Opts, String> {
@@ -91,26 +103,9 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             }
             "--grid" => opts.grid = Some(value("--grid")?),
             "--list" => opts.list = true,
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_string())?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--repeats" => {
-                opts.repeats = Some(
-                    value("--repeats")?
-                        .parse()
-                        .map_err(|_| "--repeats must be a positive integer".to_string())?,
-                );
-            }
-            "--iters" => {
-                opts.iters = value("--iters")?
-                    .parse()
-                    .map_err(|_| "--iters must be a positive integer".to_string())?;
-            }
+            "--threads" => opts.threads = positive(&value("--threads")?, "--threads")?,
+            "--repeats" => opts.repeats = Some(positive(&value("--repeats")?, "--repeats")?),
+            "--iters" => opts.iters = positive(&value("--iters")?, "--iters")?,
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()
@@ -138,6 +133,10 @@ fn render_table(grid_name: &str, report: &SweepReport) -> Table {
 }
 
 fn emit(title: &str, table: &Table) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "AITAX_TSV picks the table format on stdout; artifacts do not depend on it"
+    )]
     if std::env::var("AITAX_TSV")
         .map(|v| v == "1")
         .unwrap_or(false)
@@ -153,6 +152,10 @@ fn emit(title: &str, table: &Table) {
 /// Runs `grid` on `threads` workers and returns the aggregate plus the
 /// wall-clock seconds the sweep took.
 fn sweep(grid: &Grid, threads: usize) -> (SweepReport, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sweep wall time goes to stderr only, never into an artifact"
+    )]
     let start = Instant::now();
     let results = aitax_lab::run_jobs(grid.expand(), threads);
     let secs = start.elapsed().as_secs_f64();
@@ -161,8 +164,12 @@ fn sweep(grid: &Grid, threads: usize) -> (SweepReport, f64) {
 
 /// Exports the Chrome trace of the grid's first job (tracing forced).
 fn export_trace(grid: &Grid, path: &PathBuf) -> std::io::Result<()> {
-    let mut jobs = grid.expand();
-    let mut job = jobs.remove(0);
+    let Some(mut job) = grid.expand().into_iter().next() else {
+        return Err(std::io::Error::other(format!(
+            "grid '{}' has no jobs",
+            grid.name
+        )));
+    };
     job.scenario = job.scenario.clone().tracing(true);
     let report = {
         let s = &job.scenario;
@@ -182,7 +189,9 @@ fn export_trace(grid: &Grid, path: &PathBuf) -> std::io::Result<()> {
         }
         cfg.run()
     };
-    let trace = report.trace.expect("tracing was forced on");
+    let Some(trace) = report.trace else {
+        return Err(std::io::Error::other("the traced run recorded no trace"));
+    };
     let name = format!("{} · {}", grid.name, job.scenario.label);
     std::fs::write(path, chrome::chrome_trace(&trace, &name))
 }
@@ -204,7 +213,10 @@ fn main() -> ExitCode {
 
     if opts.list {
         for name in scenarios::NAMES {
-            let g = scenarios::by_name(name, opts.iters, opts.seed).unwrap();
+            let Some(g) = scenarios::by_name(name, opts.iters, opts.seed) else {
+                eprintln!("error: grid '{name}' is listed but not defined");
+                return ExitCode::FAILURE;
+            };
             println!(
                 "{name:<8} {} scenarios × {} repeats = {} jobs",
                 g.scenarios().len(),

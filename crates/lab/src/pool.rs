@@ -26,7 +26,10 @@ use crate::job::{JobResult, JobSpec};
 /// Worker-thread count to use by default: the `AITAX_THREADS` environment
 /// variable when set, otherwise the machine's available parallelism.
 pub fn default_threads() -> usize {
-    // aitax-allow(env-read): AITAX_THREADS picks the worker count only; the input-ordered merge keeps artifacts identical for any value
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "AITAX_THREADS picks the worker count only; the input-ordered merge keeps artifacts identical for any value"
+    )]
     if let Ok(v) = std::env::var("AITAX_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
@@ -73,6 +76,14 @@ where
 /// # Panics
 ///
 /// Propagates a panic from any task after the pool unwinds.
+#[expect(
+    clippy::unwrap_used,
+    reason = "mutex poisoning only follows a task panic, which the pool propagates anyway"
+)]
+#[expect(
+    clippy::panic,
+    reason = "the scope join guarantees every task slot was filled"
+)]
 pub fn run_tasks_ctx<T, R, C, Mk, F>(tasks: Vec<T>, threads: usize, mk: Mk, run: F) -> Vec<R>
 where
     T: Send,
@@ -100,6 +111,10 @@ where
     let queues: Vec<Mutex<VecDeque<(usize, T)>>> = queues.into_iter().map(Mutex::new).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one worker pool: results merge by input position, so the thread count never reaches an artifact"
+    )]
     std::thread::scope(|scope| {
         for me in 0..threads {
             let queues = &queues;
@@ -116,17 +131,14 @@ where
                     // The own-queue guard must drop before stealing: holding
                     // it while locking a victim's queue would let a ring of
                     // stealing workers deadlock.
-                    // aitax-allow(panic-path): mutex poisoning only follows a task panic, which the pool propagates anyway
                     let mut task = queues[me].lock().unwrap().pop_front();
                     if task.is_none() {
                         task = (1..threads)
-                            // aitax-allow(panic-path): mutex poisoning only follows a task panic, which the pool propagates anyway
                             .find_map(|d| queues[(me + d) % threads].lock().unwrap().pop_back());
                     }
                     match task {
                         Some((idx, task)) => {
                             let result = run(&mut ctx, &task);
-                            // aitax-allow(panic-path): mutex poisoning only follows a task panic, which the pool propagates anyway
                             *results[idx].lock().unwrap() = Some(result);
                         }
                         None => break,
@@ -141,9 +153,7 @@ where
         .enumerate()
         .map(|(i, slot)| {
             slot.into_inner()
-                // aitax-allow(panic-path): mutex poisoning only follows a task panic, which the pool propagates anyway
                 .unwrap()
-                // aitax-allow(panic-path): the scope join guarantees every task slot was filled
                 .unwrap_or_else(|| panic!("task {i} produced no result"))
         })
         .collect()

@@ -29,6 +29,10 @@ fn dense(m: usize, k: usize, n: usize) -> Op {
 }
 
 /// MobileBERT for question answering.
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn mobile_bert(dtype: DType) -> Graph {
     let s = SEQ_LEN;
     let mut b = GraphBuilder::new("mobile_bert", dtype, s as u64).push(Op::Embedding {
@@ -90,7 +94,6 @@ pub fn mobile_bert(dtype: DType) -> Graph {
     b.push(dense(s, HIDDEN, 2))
         .push(Op::Reshape { elements: s * 2 })
         .finish()
-        // aitax-allow(panic-path): graph is statically non-empty by construction
         .expect("mobile bert graph is non-empty")
 }
 

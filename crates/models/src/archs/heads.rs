@@ -53,6 +53,10 @@ fn mobilenet_v2_backbone(
 /// SSD MobileNet v2 at 300×300 (published ≈0.8 GMACs, 4.3 M params),
 /// ending in TFLite's fused `DetectionPostProcess` custom op — the op
 /// whose CPU-only implementation forces partition splits under NNAPI.
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn ssd_mobilenet_v2(dtype: DType) -> Graph {
     let b = GraphBuilder::new("ssd_mobilenet_v2", dtype, 300 * 300 * 3);
     let (mut b, h, c) = mobilenet_v2_backbone(b, 300, false);
@@ -109,7 +113,6 @@ pub fn ssd_mobilenet_v2(dtype: DType) -> Graph {
         classes: 91,
     })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("ssd graph is non-empty")
 }
 
@@ -119,6 +122,10 @@ pub fn ssd_mobilenet_v2(dtype: DType) -> Graph {
 /// projection, and an in-graph bilinear resize back to 513×513×21 — the
 /// resize is why DeepLab's *pre*-processing is tiny (≈1% per §IV-A) while
 /// its in-graph and post work is large.
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn deeplab_v3_mnv2(dtype: DType) -> Graph {
     let b = GraphBuilder::new("deeplab_v3_mobilenet_v2", dtype, 513 * 513 * 3);
     let (mut b, h, c) = mobilenet_v2_backbone(b, 513, true);
@@ -190,12 +197,15 @@ pub fn deeplab_v3_mnv2(dtype: DType) -> Graph {
             out_w: 513,
             c: classes,
         });
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     b.finish().expect("deeplab graph is non-empty")
 }
 
 /// PoseNet (MobileNet v1 backbone, output stride 16) at 224×224 with
 /// heatmap + offset heads over 17 keypoints.
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn posenet(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("posenet", dtype, 224 * 224 * 3).push(Op::Conv2d {
         in_h: 224,
@@ -258,7 +268,6 @@ pub fn posenet(dtype: DType) -> Graph {
         elements: h * w * 17,
     })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("posenet graph is non-empty")
 }
 

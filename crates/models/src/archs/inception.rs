@@ -147,6 +147,10 @@ fn inception_c(b: GraphBuilder, in_c: usize) -> GraphBuilder {
 }
 
 /// Inception v3 at 299×299 (published: ≈5.7 GMACs, 23.8 M params).
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn inception_v3(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("inception_v3", dtype, 299 * 299 * 3)
         // Stem.
@@ -222,7 +226,6 @@ pub fn inception_v3(dtype: DType) -> Graph {
     })
     .push(Op::Softmax { n: 1001 })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("inception v3 graph is non-empty")
 }
 
@@ -230,6 +233,10 @@ pub fn inception_v3(dtype: DType) -> Graph {
 ///
 /// Same module vocabulary as v3, with the deeper v4 block counts and wider
 /// stem/filters.
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn inception_v4(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("inception_v4", dtype, 299 * 299 * 3)
         // v4 stem (wider than v3).
@@ -334,7 +341,6 @@ pub fn inception_v4(dtype: DType) -> Graph {
     })
     .push(Op::Softmax { n: 1001 })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("inception v4 graph is non-empty")
 }
 

@@ -58,6 +58,10 @@ fn reduction(mut b: GraphBuilder, h: usize, in_c: usize, out_c: usize) -> (Graph
 }
 
 /// NasNet-Mobile at 331×331 (published: 564 MMACs, 5.3 M params).
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn nasnet_mobile(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("nasnet_mobile", dtype, 331 * 331 * 3).push(Op::Conv2d {
         in_h: 331,
@@ -115,7 +119,6 @@ pub fn nasnet_mobile(dtype: DType) -> Graph {
     })
     .push(Op::Softmax { n: 1001 })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("nasnet graph is non-empty")
 }
 

@@ -10,6 +10,10 @@ use super::{mbconv, separable};
 
 /// MobileNet 1.0 v1 at 224×224 — the canonical mobile classifier
 /// (published: 569 MMACs, 4.24 M params).
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn mobilenet_v1(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("mobilenet_v1_1.0_224", dtype, 224 * 224 * 3).push(Op::Conv2d {
         in_h: 224,
@@ -51,11 +55,14 @@ pub fn mobilenet_v1(dtype: DType) -> Graph {
     })
     .push(Op::Softmax { n: 1001 })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("mobilenet v1 graph is non-empty")
 }
 
 /// SqueezeNet v1.0 at 227×227 (published: ≈837 MMACs, 1.25 M params).
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn squeezenet(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("squeezenet", dtype, 227 * 227 * 3).push(Op::Conv2d {
         in_h: 227,
@@ -143,12 +150,15 @@ pub fn squeezenet(dtype: DType) -> Graph {
     })
     .push(Op::Softmax { n: 1000 })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("squeezenet graph is non-empty")
 }
 
 /// AlexNet at 256×256 (published at 227: ≈727 MMACs, 61 M params; Table I
 /// lists the 256×256 variant).
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn alexnet(dtype: DType) -> Graph {
     GraphBuilder::new("alexnet", dtype, 256 * 256 * 3)
         .push(Op::Conv2d {
@@ -241,7 +251,6 @@ pub fn alexnet(dtype: DType) -> Graph {
         })
         .push(Op::Softmax { n: 1000 })
         .finish()
-        // aitax-allow(panic-path): graph is statically non-empty by construction
         .expect("alexnet graph is non-empty")
 }
 
@@ -250,6 +259,10 @@ pub fn alexnet(dtype: DType) -> Graph {
 /// The Lite variants drop squeeze-and-excite and swap swish for ReLU6 —
 /// and, crucially for Fig. 5, their INT8 variants use operator
 /// configurations with patchy NNAPI driver support on SD845-era phones.
+#[expect(
+    clippy::expect_used,
+    reason = "graph is statically non-empty by construction"
+)]
 pub fn efficientnet_lite0(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("efficientnet_lite0", dtype, 224 * 224 * 3).push(Op::Conv2d {
         in_h: 224,
@@ -298,7 +311,6 @@ pub fn efficientnet_lite0(dtype: DType) -> Graph {
     })
     .push(Op::Softmax { n: 1000 })
     .finish()
-    // aitax-allow(panic-path): graph is statically non-empty by construction
     .expect("efficientnet-lite0 graph is non-empty")
 }
 

@@ -26,8 +26,10 @@ static GRAPHS: OnceLock<GraphCache> = OnceLock::new();
 /// the life of the process.
 pub fn cached_graph(model: ModelId, dtype: DType) -> Arc<Graph> {
     let cache = GRAPHS.get_or_init(|| Mutex::new(BTreeMap::new()));
-    // aitax-allow(panic-path): graph builders are pure and never panic,
-    // so the mutex cannot be poisoned.
+    #[expect(
+        clippy::expect_used,
+        reason = "graph builders are pure and never panic, so the mutex cannot be poisoned"
+    )]
     let mut map = cache.lock().expect("graph cache poisoned");
     map.entry((model, dtype))
         .or_insert_with(|| Arc::new(Zoo::entry(model).build_graph_with(dtype)))

@@ -108,7 +108,7 @@ fn zoo_graphs_have_consistent_io() {
             assert!(n.op.output_elements() > 0, "{id:?}/{}", n.name);
         }
         // Names unique.
-        let names: std::collections::HashSet<_> =
+        let names: std::collections::BTreeSet<_> =
             g.nodes().iter().map(|n| n.name.as_str()).collect();
         assert_eq!(names.len(), g.len(), "{id:?} duplicate node names");
     }

@@ -88,6 +88,7 @@ fn sigmoid(x: f32) -> f32 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 

@@ -30,7 +30,10 @@ impl WordPieceTokenizer {
     /// Panics if `[UNK]` is missing.
     pub fn new(vocab: impl IntoIterator<Item = (String, u32)>) -> Self {
         let vocab: BTreeMap<String, u32> = vocab.into_iter().collect();
-        // aitax-allow(panic-path): documented constructor contract: the vocabulary must contain [UNK]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: the vocabulary must contain [UNK]"
+        )]
         let unk_id = *vocab.get("[UNK]").expect("vocabulary must contain [UNK]");
         WordPieceTokenizer {
             vocab,

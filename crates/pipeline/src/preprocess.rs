@@ -170,7 +170,6 @@ pub fn rotate(src: &ArgbImage, rotation: Rotation) -> ArgbImage {
 ///
 /// Panics if `std` is zero.
 pub fn normalize_to_tensor(src: &ArgbImage, mean: f32, std: f32) -> Tensor {
-    // aitax-allow(float-eq): exact-zero divisor check backing the documented panic contract
     assert!(std != 0.0, "normalization std must be non-zero");
     let (w, h) = (src.width(), src.height());
     let mut data = Vec::with_capacity(w * h * 3);

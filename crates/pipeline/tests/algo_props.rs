@@ -182,7 +182,7 @@ fn tracker_ids_unique_per_frame() {
                 .collect();
             let n = dets.len();
             let out = tracker.update(dets, 0.15);
-            let ids: std::collections::HashSet<u64> = out.iter().map(|(id, _)| *id).collect();
+            let ids: std::collections::BTreeSet<u64> = out.iter().map(|(id, _)| *id).collect();
             assert_eq!(
                 ids.len(),
                 n,

@@ -30,7 +30,6 @@ impl RailEnergy {
 
     /// Adds joules to a rail.
     pub fn add(&mut self, rail: Rail, joules: f64) {
-        // aitax-allow(float-eq): exact-zero skip avoids materializing empty rail cells
         if joules != 0.0 {
             *self.cells.entry(rail).or_insert(0.0) += joules;
         }
@@ -96,7 +95,6 @@ impl PowerTimeline {
     /// Average total watts in a bin.
     pub fn total_watts(&self, bin: usize) -> f64 {
         let secs = self.bin_secs(bin);
-        // aitax-allow(float-eq): exact-zero bin width sentinel guards the division
         if secs == 0.0 {
             return 0.0;
         }
@@ -106,7 +104,6 @@ impl PowerTimeline {
     /// Average watts on one rail in a bin.
     pub fn rail_watts(&self, rail: Rail, bin: usize) -> f64 {
         let secs = self.bin_secs(bin);
-        // aitax-allow(float-eq): exact-zero bin width sentinel guards the division
         if secs == 0.0 {
             return 0.0;
         }
@@ -291,7 +288,6 @@ impl MeterIndex {
         // charges its map (same zero skip, same order per rail).
         let mut cells: Vec<Option<f64>> = vec![None; self.rails.len()];
         let mut add = |slot: usize, joules: f64| {
-            // aitax-allow(float-eq): the exact-zero skip of RailEnergy::add
             if joules != 0.0 {
                 *cells[slot].get_or_insert(0.0) += joules;
             }
@@ -310,7 +306,6 @@ impl MeterIndex {
                 break;
             }
             let secs = overlap_secs(span.start, span.end, from, to);
-            // aitax-allow(float-eq): exact-zero overlap means the interval misses the window
             if secs != 0.0 {
                 add(span.slot, span.watts * secs);
             }
@@ -366,7 +361,6 @@ impl MeterIndex {
 
         let mut rails: BTreeMap<Rail, Vec<f64>> = BTreeMap::new();
         let mut deposit = |rail: Rail, bin: usize, joules: f64| {
-            // aitax-allow(float-eq): exact-zero skip avoids allocating all-zero bins
             if joules != 0.0 {
                 rails.entry(rail).or_insert_with(|| vec![0.0; n])[bin] += joules;
             }
@@ -459,6 +453,7 @@ impl<'a> EnergyMeter<'a> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::spec::{AccelRailSpec, CoreRailSpec, InterconnectPowerSpec};

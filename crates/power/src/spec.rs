@@ -91,15 +91,21 @@ impl CoreRailSpec {
     }
 
     /// The nominal (highest) operating point.
+    #[expect(
+        clippy::expect_used,
+        reason = "catalog rails always declare at least one operating point"
+    )]
     pub fn nominal(&self) -> OperatingPoint {
-        // aitax-allow(panic-path): catalog rails always declare at least one operating point
         *self.opps.last().expect("rail has at least one OPP")
     }
 
     /// Supply voltage at a frequency, piecewise-linearly interpolated
     /// between operating points and clamped at the table ends.
     pub fn voltage_at(&self, freq_hz: f64) -> f64 {
-        // aitax-allow(panic-path): catalog rails always declare at least one operating point
+        #[expect(
+            clippy::expect_used,
+            reason = "catalog rails always declare at least one operating point"
+        )]
         let first = self.opps.first().expect("rail has at least one OPP");
         if freq_hz <= first.freq_hz {
             return first.voltage_v;
@@ -275,6 +281,7 @@ impl fmt::Display for Rail {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 

@@ -270,6 +270,7 @@ fn indexed_timeline_matches_full_scan_bit_for_bit() {
 }
 
 #[test]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 fn burst_on_a_window_edge_belongs_to_the_window_it_opens() {
     let mut rng = SimRng::seed_from(3);
     let spec = random_spec(&mut rng);

@@ -7,11 +7,8 @@
 //! exact same offered load, so every latency difference is contention,
 //! never traffic noise.
 
+use aitax_des::rng::STREAM_ARRIVAL;
 use aitax_des::{SimRng, SimSpan, SimTime};
-
-/// Stream id for arrival processes under the root seed (kept clear of
-/// the machine-noise streams other crates derive).
-const STREAM_ARRIVAL: u64 = 11;
 
 /// Arrivals start this long into the run, leaving room for per-tenant
 /// warmup requests (session setup, DSP mapping) to drain first. A fixed

@@ -255,6 +255,7 @@ pub fn attribute(cfg: &ServeConfig, runs: &[ScenarioRun]) -> ServeReport {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::scenarios;

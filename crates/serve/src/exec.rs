@@ -114,20 +114,26 @@ struct World {
 impl World {
     /// Tenant `k`'s live state. Every event handler is scheduled against
     /// an active tenant, and tenant slots are never vacated mid-run.
+    #[expect(
+        clippy::expect_used,
+        reason = "handlers are only scheduled for active tenants"
+    )]
     fn tenant_mut(&mut self, k: usize) -> &mut TenantState {
         self.tenants[k]
             .as_mut()
-            // aitax-allow(panic-path): handlers are only scheduled for active tenants
             .expect("handler targets an inactive tenant")
     }
 }
 
 impl TenantState {
     /// The request this handler chain belongs to.
+    #[expect(
+        clippy::expect_used,
+        reason = "a handler chain runs only while its request is in flight"
+    )]
     fn cur_mut(&mut self) -> &mut CurReq {
         self.cur
             .as_mut()
-            // aitax-allow(panic-path): a handler chain runs only while its request is in flight
             .expect("handler fired with no request in flight")
     }
 }
@@ -155,8 +161,11 @@ pub fn run_scenario(cfg: &ServeConfig, only: Option<usize>) -> ScenarioRun {
             if only.is_some_and(|o| o != k) {
                 return None;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "scenario builders pair engines with supported dtypes"
+            )]
             let session = Session::compile_cached(spec.engine, spec.model, spec.dtype, cfg.soc)
-                // aitax-allow(panic-path): scenario builders pair engines with supported dtypes
                 .expect("tenant engine/dtype mismatch");
             let elements = session.graph().input_elements().max(1);
             session.set_priority(spec.qos.priority());
@@ -204,18 +213,18 @@ pub fn run_scenario(cfg: &ServeConfig, only: Option<usize>) -> ScenarioRun {
         .filter(|&k| world.borrow().tenants[k].is_some())
         .collect();
     for &k in &active {
+        #[expect(clippy::unwrap_used, reason = "k was filtered on is_some above")]
         let session = world.borrow().tenants[k]
             .as_ref()
             .map(|t| t.session.clone())
-            // aitax-allow(panic-path): k was filtered on is_some above
             .unwrap();
         session.invoke(&mut m, |_| {});
     }
     for &k in &active {
+        #[expect(clippy::unwrap_used, reason = "k was filtered on is_some above")]
         let arrivals = world.borrow().tenants[k]
             .as_ref()
             .map(|t| t.arrivals.clone())
-            // aitax-allow(panic-path): k was filtered on is_some above
             .unwrap();
         for (i, &at) in arrivals.iter().enumerate() {
             let w = world.clone();
@@ -257,9 +266,12 @@ fn on_arrival(w: &WorldRef, m: &mut Machine, k: usize, i: usize) {
     let start_now = {
         let mut world = w.borrow_mut();
         let bound = world.queue_bound;
+        #[expect(
+            clippy::expect_used,
+            reason = "arrivals are only scheduled for active tenants"
+        )]
         let ts = world.tenants[k]
             .as_mut()
-            // aitax-allow(panic-path): arrivals are only scheduled for active tenants
             .expect("arrival for inactive tenant");
         if ts.busy {
             if ts.queue.len() < bound {
@@ -341,19 +353,22 @@ fn on_inf_done(w: &WorldRef, m: &mut Machine, k: usize) {
     let now = m.now();
     let (task, resumed) = {
         let mut world = w.borrow_mut();
+        #[expect(clippy::expect_used, reason = "inference only starts after a grant")]
         let hold = {
             let cur = world.tenant_mut(k).cur_mut();
             cur.inf_done = now;
             cur.hold
                 .take()
-                // aitax-allow(panic-path): inference only starts after a grant
                 .expect("inference finished without a memory hold")
         };
         let resumed = world.membw.release(now, hold).map(|(ticket, new_hold)| {
+            #[expect(
+                clippy::expect_used,
+                reason = "every queued ticket is parked before the next event fires"
+            )]
             let owner = world
                 .parked
                 .remove(&ticket)
-                // aitax-allow(panic-path): every queued ticket is parked before the next event fires
                 .expect("granted ticket has no parked owner");
             world.tenant_mut(owner).cur_mut().hold = Some(new_hold);
             owner
@@ -375,10 +390,13 @@ fn on_post_done(w: &WorldRef, m: &mut Machine, k: usize) {
     let next = {
         let mut world = w.borrow_mut();
         let ts = world.tenant_mut(k);
+        #[expect(
+            clippy::expect_used,
+            reason = "post-processing only runs for the in-flight request"
+        )]
         let cur = ts
             .cur
             .take()
-            // aitax-allow(panic-path): post-processing only runs for the in-flight request
             .expect("completion without an in-flight request");
         let breakdown = StageBreakdown {
             pre_processing: cur.pre_done.since(cur.start),
@@ -414,6 +432,7 @@ pub fn breakdown_consistent(r: &RequestRecord) -> bool {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
     use crate::scenarios;

@@ -107,6 +107,7 @@ fn admission_never_exceeds_the_queue_bound() {
 }
 
 #[test]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 fn bound_zero_serves_only_idle_arrivals() {
     let cfg = oversubscribed(0, 5);
     let run = run_scenario(&cfg, None);

@@ -110,6 +110,7 @@ pub fn little_cluster(count: usize, freq_ghz: f64, migration_penalty_us: f64) ->
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 

@@ -143,6 +143,7 @@ pub fn default_phone_thermals() -> ThermalModel {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 

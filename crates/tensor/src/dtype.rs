@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn all_lists_every_variant_once() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for d in DType::ALL {
             assert!(seen.insert(d));
         }

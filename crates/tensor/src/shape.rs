@@ -27,8 +27,11 @@ impl Shape {
     /// Panics if the element count overflows `usize`.
     pub fn new(dims: &[usize]) -> Self {
         let s = Shape(dims.to_vec());
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: an overflowing element count is unrepresentable"
+        )]
         s.checked_elements()
-            // aitax-allow(panic-path): documented panic: an overflowing element count is unrepresentable
             .expect("shape element count overflows usize");
         s
     }
@@ -54,8 +57,11 @@ impl Shape {
     }
 
     /// Total number of elements.
+    #[expect(
+        clippy::expect_used,
+        reason = "the element count was validated at construction"
+    )]
     pub fn elements(&self) -> usize {
-        // aitax-allow(panic-path): the element count was validated at construction
         self.checked_elements().expect("validated at construction")
     }
 

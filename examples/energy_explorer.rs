@@ -30,6 +30,10 @@ fn run(engine: Engine) -> E2eReport {
         .run()
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the run is traced, so it carries a trace and an energy report"
+)]
 fn explore(name: &str, engine: Engine) -> f64 {
     println!("==================== {name} ====================\n");
     let report = run(engine);

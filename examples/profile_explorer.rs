@@ -16,6 +16,10 @@ use aitax::profiler::ProfileReport;
 use aitax::soc::{SocCatalog, SocId};
 use aitax::tensor::DType;
 
+#[expect(
+    clippy::expect_used,
+    reason = "EfficientNet-Lite0 int8 runs on every engine explored here, and the run is traced"
+)]
 fn explore(name: &str, engine: Engine) {
     println!("==================== {name} ====================\n");
     let soc = SocCatalog::get(SocId::Sd845);

@@ -75,6 +75,7 @@ fn transient_faults_are_deterministic_too() {
 /// The zero-overhead guarantee: installing an empty plan changes nothing
 /// — not one sample, not one counter, not one trace event.
 #[test]
+#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 fn empty_fault_plan_is_zero_overhead() {
     let bare = fig6_config().run();
     let planned = fig6_config().fault_plan(FaultPlan::new(42)).run();

@@ -79,7 +79,7 @@ fn crop_is_a_subset() {
         let out = preprocess::center_crop(&src, cw, ch);
         assert_eq!(out.width(), cw, "case {case}");
         assert_eq!(out.height(), ch, "case {case}");
-        let set: std::collections::HashSet<u32> = src.pixels().iter().copied().collect();
+        let set: std::collections::BTreeSet<u32> = src.pixels().iter().copied().collect();
         for &px in out.pixels() {
             assert!(set.contains(&px), "case {case}");
         }
@@ -128,7 +128,7 @@ fn top_k_sorted_and_sized() {
         }
         // Nothing outside the result beats the last kept element.
         if let Some(last) = top.last() {
-            let kept: std::collections::HashSet<usize> = top.iter().map(|c| c.class).collect();
+            let kept: std::collections::BTreeSet<usize> = top.iter().map(|c| c.class).collect();
             for (i, &s) in scores.iter().enumerate() {
                 if !kept.contains(&i) {
                     assert!(s <= last.score + 1e-6, "case {case}");

@@ -11,6 +11,7 @@ use aitax::profiler::ProfileReport;
 use aitax::tensor::DType;
 use aitax::testkit::{assert_ratio_within, assert_within};
 
+#[expect(clippy::expect_used, reason = "the run is traced")]
 fn profile(engine: Engine) -> (ProfileReport, u64) {
     let r = E2eConfig::new(ModelId::EfficientNetLite0, DType::I8)
         .engine(engine)

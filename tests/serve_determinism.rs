@@ -16,6 +16,7 @@ use std::fmt::Write as _;
 use aitax::serve::{artifact, run_report, scenarios, ServeReport};
 use aitax::testkit::{assert_valid_json, check_golden, Tolerance};
 
+#[expect(clippy::expect_used, reason = "smoke is a committed scenario")]
 fn smoke_report(threads: usize) -> ServeReport {
     let cfg = scenarios::by_name("smoke").expect("committed scenario");
     run_report(&cfg, threads).0
