@@ -75,6 +75,12 @@ impl SimContext {
     pub fn cached_soc(&self) -> Option<SocId> {
         self.machine.as_ref().map(|(soc, _)| *soc)
     }
+
+    /// The cached machine as the last run left it, for inspection
+    /// between runs (the next checkout resets it).
+    pub fn machine(&self) -> Option<&Machine> {
+        self.machine.as_ref().map(|(_, m)| m)
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! not perturb the system under test. Interning fixes that: labels are
 //! deduplicated once at task-submission time into a [`SymbolTable`],
 //! and every trace event carries a `Copy` 4-byte [`Symbol`]. Strings
-//! are materialized only at report/export time.
+//! are materialized only at report/export time. Work submitted while
+//! tracing is off never interns at all: it carries [`Symbol::UNTRACED`].
 
 use std::collections::BTreeMap;
 
@@ -19,6 +20,10 @@ use std::collections::BTreeMap;
 pub struct Symbol(u32);
 
 impl Symbol {
+    /// The label of work submitted while tracing was off. No table ever
+    /// mints it, and every table resolves it to `"<untraced>"`.
+    pub const UNTRACED: Symbol = Symbol(u32::MAX);
+
     /// Raw table index (useful for logging).
     pub fn index(self) -> u32 {
         self.0
@@ -74,13 +79,17 @@ impl SymbolTable {
             clippy::expect_used,
             reason = "2^32 distinct labels means the workload generator is broken"
         )]
-        let i = u32::try_from(self.strings.len()).expect("symbol table overflow");
+        let i = u32::try_from(self.strings.len())
+            .ok()
+            .filter(|&i| i != Symbol::UNTRACED.0)
+            .expect("symbol table overflow");
         self.strings.push(s.into());
         self.index.insert(s.into(), i);
         Symbol(i)
     }
 
-    /// The string a symbol stands for.
+    /// The string a symbol stands for; `"<untraced>"` for
+    /// [`Symbol::UNTRACED`].
     ///
     /// # Panics
     ///
@@ -90,6 +99,9 @@ impl SymbolTable {
         reason = "a foreign symbol is a cross-table logic bug worth crashing on"
     )]
     pub fn resolve(&self, sym: Symbol) -> &str {
+        if sym == Symbol::UNTRACED {
+            return "<untraced>";
+        }
         self.strings
             .get(sym.0 as usize)
             .expect("symbol resolved against a table that did not intern it")
@@ -162,6 +174,16 @@ mod tests {
         let _ = s;
         let empty = SymbolTable::new();
         empty.resolve(Symbol(0));
+    }
+
+    #[test]
+    fn untraced_resolves_in_any_table() {
+        let empty = SymbolTable::new();
+        assert_eq!(empty.resolve(Symbol::UNTRACED), "<untraced>");
+        let mut t = SymbolTable::new();
+        let a = t.intern("<untraced>");
+        assert_ne!(a, Symbol::UNTRACED, "interning never mints the sentinel");
+        assert_eq!(t.resolve(Symbol::UNTRACED), "<untraced>");
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! traffic — Figure 6 of the paper).
 //!
 //! Tracing is opt-in: a disabled [`TraceBuffer`] drops events with a single
-//! branch, keeping the probe effect of the *simulator itself* at zero, in the
-//! spirit of the paper's §III-D probe-effect discussion. When enabled, the
+//! branch, and work submitted while it is off neither formats nor interns
+//! a label ([`TraceBuffer::label`], [`TraceBuffer::intern`]), keeping
+//! the probe effect of the *simulator itself* at zero, in the spirit of the
+//! paper's §III-D probe-effect discussion. When enabled, the
 //! probe effect is one append per event: labels are interned [`Symbol`]s, so
 //! recording never touches the heap once the event storage is warm (see
 //! [`TraceBuffer::intern`] and [`TraceBuffer::reserve_events`]).
@@ -34,6 +36,7 @@
 //! [`TraceBuffer::exec_intervals`]) see exactly the events an unbounded
 //! buffer would have kept for that window.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::symbol::{Symbol, SymbolTable};
@@ -353,7 +356,7 @@ impl TraceBuffer {
     ///
     /// Disabling drops any recorded events; the symbol table (and thus
     /// every previously minted [`Symbol`]) survives, so labels interned
-    /// while tracing was off stay valid when it is re-enabled. The
+    /// before the toggle stay valid when tracing is re-enabled. The
     /// capacity bound also survives the toggle.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -421,13 +424,31 @@ impl TraceBuffer {
         self.head = 0;
     }
 
-    /// Interns `label`, returning a [`Symbol`] valid for this buffer.
+    /// Interns `label` while tracing is on, returning a [`Symbol`] valid
+    /// for this buffer; otherwise returns [`Symbol::UNTRACED`] without
+    /// touching the table, so untraced runs never pay for labels.
     ///
-    /// Works whether or not tracing is enabled — callers intern labels
-    /// once at object-creation time and record cheap symbols thereafter.
-    /// Symbols are never evicted, even when the event ring wraps.
+    /// Callers intern once at submission time and record cheap symbols
+    /// thereafter. Symbols are never evicted, even when the event ring
+    /// wraps.
     pub fn intern(&mut self, label: &str) -> Symbol {
-        self.symbols.intern(label)
+        if self.enabled {
+            self.symbols.intern(label)
+        } else {
+            Symbol::UNTRACED
+        }
+    }
+
+    /// Formats a dynamic work label while tracing is on; otherwise yields
+    /// an empty label without formatting or allocating. Paired with
+    /// [`TraceBuffer::intern`], untraced runs never build a label string
+    /// nobody reads.
+    pub fn label(&self, args: fmt::Arguments<'_>) -> Cow<'static, str> {
+        if self.enabled {
+            Cow::Owned(fmt::format(args))
+        } else {
+            Cow::Borrowed("")
+        }
     }
 
     /// The string a symbol minted by this buffer stands for.
@@ -913,6 +934,19 @@ mod tests {
         buf.set_enabled(true);
         assert!(buf.is_enabled());
         assert_eq!(buf.resolve(label), "kept", "symbols survive the toggle");
+    }
+
+    #[test]
+    fn untraced_labels_skip_formatting_and_the_table() {
+        let mut buf = TraceBuffer::disabled();
+        assert_eq!(buf.label(format_args!("op#{}", 3)), "");
+        assert_eq!(buf.intern("op#3"), Symbol::UNTRACED);
+        assert!(buf.symbols().is_empty());
+        buf.set_enabled(true);
+        assert_eq!(buf.label(format_args!("op#{}", 3)), "op#3");
+        let s = buf.intern("op#3");
+        assert_eq!(buf.resolve(s), "op#3");
+        assert_eq!(buf.resolve(Symbol::UNTRACED), "<untraced>");
     }
 
     #[test]

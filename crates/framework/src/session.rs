@@ -1,5 +1,6 @@
 //! Sessions: compiled models ready to invoke on a [`Machine`].
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -419,11 +420,11 @@ impl Session {
     /// partition, driver prepare) on the machine, then fires `on_done`.
     pub fn initialize(&self, m: &mut Machine, on_done: impl FnOnce(&mut Machine) + 'static) {
         let span = self.inner.plan.compile_span;
-        let task = TaskSpec::foreground(
-            format!("model-init:{}", self.inner.graph.name()),
-            Work::Span(span),
-        )
-        .with_priority(self.inner.qos_priority.get());
+        let label = m
+            .trace
+            .label(format_args!("model-init:{}", self.inner.graph.name()));
+        let task = TaskSpec::foreground(label, Work::Span(span))
+            .with_priority(self.inner.qos_priority.get());
         m.submit_cpu(task, on_done);
     }
 
@@ -436,7 +437,9 @@ impl Session {
         if inner.plan.dsp_probe && !inner.dsp_probe_done.get() {
             inner.dsp_probe_done.set(true);
             let probe = RpcInvoke {
-                label: format!("nnapi-probe:{}", inner.graph.name()),
+                label: m
+                    .trace
+                    .label(format_args!("nnapi-probe:{}", inner.graph.name())),
                 in_bytes: 4096,
                 out_bytes: 64,
                 dsp_work: SimSpan::from_us(400.0),
@@ -490,6 +493,18 @@ fn build_plan(engine: Engine, graph: &Graph, soc: &SocSpec) -> Plan {
 
 type DoneCb = Box<dyn FnOnce(&mut Machine)>;
 
+/// `"<device>:<model>[<first>..<end>]"` while tracing, else empty.
+fn partition_label(
+    m: &Machine,
+    device: &str,
+    inner: &Inner,
+    part: &Partition,
+) -> Cow<'static, str> {
+    let (name, (first, end)) = (inner.graph.name(), part.ops);
+    m.trace
+        .label(format_args!("{device}:{name}[{first}..{end}]"))
+}
+
 fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
     if idx >= inner.plan.partitions.len() {
         done(m);
@@ -513,11 +528,11 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 .sum();
             let cycles =
                 part.macs as f64 * cost::NNAPI_REFERENCE_CYCLES_PER_MAC + elements as f64 * 2.0;
-            let task = TaskSpec::nnapi_fallback(
-                format!("nnapi-ref:{}", inner.graph.name()),
-                Work::Cycles(cycles),
-            )
-            .with_priority(inner.qos_priority.get());
+            let label = m
+                .trace
+                .label(format_args!("nnapi-ref:{}", inner.graph.name()));
+            let task = TaskSpec::nnapi_fallback(label, Work::Cycles(cycles))
+                .with_priority(inner.qos_priority.get());
             m.submit_cpu(task, next);
         }
         ExecTarget::Dsp { efficiency } => {
@@ -527,7 +542,7 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 return;
             }
             let invoke = RpcInvoke {
-                label: format!("dsp:{}[{}..{}]", inner.graph.name(), part.ops.0, part.ops.1),
+                label: partition_label(m, "dsp", &inner, &part),
                 in_bytes: part.in_bytes,
                 out_bytes: part.out_bytes,
                 dsp_work: work,
@@ -560,7 +575,7 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 return;
             }
             let invoke = RpcInvoke {
-                label: format!("npu:{}[{}..{}]", inner.graph.name(), part.ops.0, part.ops.1),
+                label: partition_label(m, "npu", &inner, &part),
                 in_bytes: part.in_bytes,
                 out_bytes: part.out_bytes,
                 dsp_work: work,
@@ -582,7 +597,7 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 + m.spec().memory.transfer_span(part.in_bytes)
                 + m.spec().memory.transfer_span(part.out_bytes);
             let job = GpuJob {
-                label: format!("gpu:{}[{}..{}]", inner.graph.name(), part.ops.0, part.ops.1),
+                label: partition_label(m, "gpu", &inner, &part),
                 exec,
             };
             m.submit_gpu(job, next);
@@ -599,11 +614,11 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
 fn run_cpu_fallback(inner: Rc<Inner>, macs: u64, planned: SimSpan, m: &mut Machine, next: DoneCb) {
     m.degradation_mut().cpu_fallbacks += 1;
     let cycles = macs as f64 * cost::NNAPI_REFERENCE_CYCLES_PER_MAC;
-    let task = TaskSpec::nnapi_fallback(
-        format!("fallback:{}", inner.graph.name()),
-        Work::Cycles(cycles),
-    )
-    .with_priority(inner.qos_priority.get());
+    let label = m
+        .trace
+        .label(format_args!("fallback:{}", inner.graph.name()));
+    let task = TaskSpec::nnapi_fallback(label, Work::Cycles(cycles))
+        .with_priority(inner.qos_priority.get());
     let start = m.now();
     m.submit_cpu(task, move |m| {
         let actual = m.now() - start;
@@ -643,7 +658,10 @@ fn run_cpu_op(
     };
     let prio = inner.qos_priority.get();
     let specs: Vec<TaskSpec> = (0..threads)
-        .map(|t| TaskSpec::foreground(format!("{}#{t}", node.name), work).with_priority(prio))
+        .map(|t| {
+            let label = m.trace.label(format_args!("{}#{t}", node.name));
+            TaskSpec::foreground(label, work).with_priority(prio)
+        })
         .collect();
     let next_inner = inner.clone();
     m.submit_cpu_parallel(specs, move |m| {

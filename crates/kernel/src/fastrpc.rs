@@ -15,6 +15,8 @@
 //! process-mapping setup, which is "done once, and we can perform multiple
 //! inferences using the same setup" — the amortization curve of Figure 8.
 
+use std::borrow::Cow;
+
 use aitax_des::trace::{RpcPhase, TraceKind, TraceResource};
 use aitax_des::{FaultKind, SimSpan, SimTime};
 
@@ -117,8 +119,9 @@ pub const BURST_IOCTL_FACTOR: f64 = 0.25;
 /// One FastRPC method invocation.
 #[derive(Debug, Clone)]
 pub struct RpcInvoke {
-    /// Label for traces (e.g. the delegated partition name).
-    pub label: String,
+    /// Label for traces (e.g. the delegated partition name); see
+    /// [`TaskSpec::name`] for when it is empty.
+    pub label: Cow<'static, str>,
     /// Bytes shared CPU→DSP (inputs, first-call weights).
     pub in_bytes: u64,
     /// Bytes shared DSP→CPU (outputs).
@@ -142,7 +145,7 @@ pub struct RpcInvoke {
 impl Default for RpcInvoke {
     fn default() -> Self {
         RpcInvoke {
-            label: String::new(),
+            label: Cow::Borrowed(""),
             in_bytes: 0,
             out_bytes: 0,
             dsp_work: SimSpan::ZERO,
@@ -208,8 +211,8 @@ impl Machine {
         if invoke.burst {
             cycles *= BURST_IOCTL_FACTOR;
         }
-        let entry = TaskSpec::kernel(format!("ioctl:{}", invoke.label), Work::Cycles(cycles))
-            .with_priority(invoke.priority);
+        let label = self.trace.label(format_args!("ioctl:{}", invoke.label));
+        let entry = TaskSpec::kernel(label, Work::Cycles(cycles)).with_priority(invoke.priority);
         self.submit_cpu(entry, move |m| {
             // Decision point: the driver can reject the call right at the
             // user→kernel boundary.
@@ -242,8 +245,10 @@ impl Machine {
             d.cache_storm_flushes += 1;
             d.faults_injected += 1;
         }
-        let task = TaskSpec::kernel(format!("cacheflush:{}", invoke.label), Work::Span(flush))
-            .with_priority(invoke.priority);
+        let label = self
+            .trace
+            .label(format_args!("cacheflush:{}", invoke.label));
+        let task = TaskSpec::kernel(label, Work::Span(flush)).with_priority(invoke.priority);
         self.submit_cpu(task, move |m| m.rpc_doorbell(invoke, attempt, on_done));
     }
 
@@ -359,8 +364,8 @@ impl Machine {
             cycles *= BURST_IOCTL_FACTOR;
         }
         let prio = invoke.priority;
-        let task = TaskSpec::kernel(format!("ioctl-ret:{}", invoke.label), Work::Cycles(cycles))
-            .with_priority(prio);
+        let label = self.trace.label(format_args!("ioctl-ret:{}", invoke.label));
+        let task = TaskSpec::kernel(label, Work::Cycles(cycles)).with_priority(prio);
         self.submit_cpu(task, move |m| {
             let t =
                 TaskSpec::kernel("cache-invalidate", Work::Span(invalidate)).with_priority(prio);
@@ -386,7 +391,7 @@ mod tests {
         Machine::new(SocCatalog::get(SocId::Sd845), 3)
     }
 
-    fn invoke(label: &str, work_ms: f64) -> RpcInvoke {
+    fn invoke(label: impl Into<Cow<'static, str>>, work_ms: f64) -> RpcInvoke {
         RpcInvoke {
             label: label.into(),
             in_bytes: 150_528,
@@ -455,7 +460,7 @@ mod tests {
         let start = m.now();
         for i in 0..3 {
             let d = done.clone();
-            m.fastrpc_invoke(invoke(&format!("c{i}"), 10.0), move |mm| {
+            m.fastrpc_invoke(invoke(format!("c{i}"), 10.0), move |mm| {
                 d.borrow_mut().push((mm.now() - start).as_ms());
             });
         }

@@ -1,5 +1,6 @@
 //! The simulated phone: SoC + OS state + event loop.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use aitax_des::trace::{TraceKind, TraceResource};
@@ -85,7 +86,7 @@ impl DegradationStats {
 
 pub(crate) struct Task {
     /// Trace label, interned at submission time so slice dispatch never
-    /// touches the heap.
+    /// touches the heap; [`Symbol::UNTRACED`] when submitted untraced.
     pub label: Symbol,
     pub work_kind: Work,
     /// Remaining work, in the units of `work_kind`.
@@ -152,8 +153,8 @@ pub(crate) struct AccelState {
 /// launch-overhead semantics.
 #[derive(Debug, Clone)]
 pub struct GpuJob {
-    /// Label for traces.
-    pub label: String,
+    /// Label for traces (see [`TaskSpec::name`](crate::TaskSpec::name)).
+    pub label: Cow<'static, str>,
     /// Pure execution time on the GPU (excluding launch overhead).
     pub exec: SimSpan,
 }
@@ -172,6 +173,10 @@ pub(crate) enum Ev {
 pub struct Machine {
     pub(crate) spec: &'static SocSpec,
     pub(crate) core_specs: Vec<aitax_soc::CpuCoreSpec>,
+    /// Default affinity of foreground tasks: the big cores.
+    pub(crate) big_cores: CoreMask,
+    /// Default affinity of every other class: all cores.
+    pub(crate) all_cores: CoreMask,
     pub(crate) cal: Calendar,
     pub(crate) rng: SimRng,
     /// Structured trace buffer (disabled by default; enable for profiling).
@@ -226,6 +231,8 @@ impl Machine {
             .collect();
         let thermal = ThermalState::new(spec.thermal);
         Machine {
+            big_cores: CoreMask::of(&spec.big_core_ids()),
+            all_cores: CoreMask::of(&(0..core_specs.len()).collect::<Vec<_>>()),
             core_specs,
             cores,
             thermal,
@@ -395,7 +402,8 @@ impl Machine {
     fn inject_background_burst(&mut self, cycles: &[f64]) {
         use crate::task::TaskSpec;
         for (i, &c) in cycles.iter().enumerate() {
-            let spec = TaskSpec::background(format!("fault-burst-{i}"), Work::Cycles(c));
+            let label = self.trace.label(format_args!("fault-burst-{i}"));
+            let spec = TaskSpec::background(label, Work::Cycles(c));
             self.submit_cpu(spec, |_| {});
         }
         self.degradation.background_bursts += 1;
@@ -416,6 +424,13 @@ impl Machine {
 
     /// Enables or disables structured tracing. Disabling drops recorded
     /// events; interned labels stay valid either way.
+    ///
+    /// Labels exist only for work submitted after tracing turns on: work
+    /// submitted while it was off carries [`Symbol::UNTRACED`] and shows
+    /// up as `"<untraced>"` in a trace that starts while it is queued or
+    /// running. A FastRPC call built while tracing was off has an empty
+    /// label, so its phases submitted after the switch carry only their
+    /// prefix (`cacheflush:`, `ioctl-ret:`, and an empty DSP job label).
     pub fn set_tracing(&mut self, enabled: bool) {
         self.trace.set_enabled(enabled);
     }

@@ -112,8 +112,8 @@ impl Machine {
 
     fn default_affinity(&self, class: TaskClass) -> CoreMask {
         match class {
-            TaskClass::Foreground => CoreMask::of(&self.spec.big_core_ids()),
-            _ => CoreMask::of(&(0..self.cores.len()).collect::<Vec<_>>()),
+            TaskClass::Foreground => self.big_cores,
+            _ => self.all_cores,
         }
     }
 

@@ -1,5 +1,7 @@
 //! Schedulable CPU work.
 
+use std::borrow::Cow;
+
 use aitax_soc::CpuCoreSpec;
 
 /// Identifier of a submitted CPU task.
@@ -124,8 +126,10 @@ impl CoreMask {
 /// Everything needed to submit one CPU task.
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
-    /// Human-readable label (appears in traces).
-    pub name: String,
+    /// Human-readable label (appears in traces). Static labels borrow;
+    /// dynamic ones come from [`TraceBuffer::label`](aitax_des::TraceBuffer::label),
+    /// which leaves them empty while tracing is off.
+    pub name: Cow<'static, str>,
     /// The work to perform.
     pub work: Work,
     /// Scheduling class.
@@ -143,7 +147,7 @@ pub struct TaskSpec {
 
 impl TaskSpec {
     /// A foreground task (big-core affine by default).
-    pub fn foreground(name: impl Into<String>, work: Work) -> Self {
+    pub fn foreground(name: impl Into<Cow<'static, str>>, work: Work) -> Self {
         TaskSpec {
             name: name.into(),
             work,
@@ -154,7 +158,7 @@ impl TaskSpec {
     }
 
     /// A background task (runs anywhere).
-    pub fn background(name: impl Into<String>, work: Work) -> Self {
+    pub fn background(name: impl Into<Cow<'static, str>>, work: Work) -> Self {
         TaskSpec {
             name: name.into(),
             work,
@@ -165,7 +169,7 @@ impl TaskSpec {
     }
 
     /// A kernel/driver work item.
-    pub fn kernel(name: impl Into<String>, work: Work) -> Self {
+    pub fn kernel(name: impl Into<Cow<'static, str>>, work: Work) -> Self {
         TaskSpec {
             name: name.into(),
             work,
@@ -176,7 +180,7 @@ impl TaskSpec {
     }
 
     /// An NNAPI CPU-fallback execution slice.
-    pub fn nnapi_fallback(name: impl Into<String>, work: Work) -> Self {
+    pub fn nnapi_fallback(name: impl Into<Cow<'static, str>>, work: Work) -> Self {
         TaskSpec {
             name: name.into(),
             work,

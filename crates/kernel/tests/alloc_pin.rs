@@ -12,6 +12,13 @@
 //! queue (priority-ordered enqueue, dispatch, completion) and for timers
 //! that are armed and cancelled every event.
 //!
+//! Scenarios that complete and resubmit tasks grow the per-task table
+//! with every fresh task id, so they are pinned on a *warm* machine: one
+//! full pass sizes every table, `Machine::reset` keeps that storage, and
+//! the identical second pass must not allocate. Two such pins cover the
+//! untraced submit path (a static label is neither formatted nor
+//! interned) and QoS preemption (`preempt_running`).
+//!
 //! The simulator is single-threaded, so the counter is per thread: the
 //! test harness and sibling tests allocate on other threads and cannot
 //! bleed into a measured window.
@@ -20,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aitax_des::SimSpan;
-use aitax_kernel::{Machine, TaskSpec, Work};
+use aitax_kernel::{CoreMask, Machine, TaskSpec, Work};
 use aitax_soc::{SocCatalog, SocId};
 
 struct CountingAlloc;
@@ -165,4 +172,102 @@ fn steady_state_dsp_queue_and_timers_never_allocate() {
         "steady-state DSP queue and timers allocated {steady} time(s) over {MEASURED} events"
     );
     assert!(m.stats().dsp_jobs > MEASURED / 4, "the DSP must stay busy");
+}
+
+/// Runs `scenario` for `events` events to size every table, resets the
+/// machine, then returns the machine and the allocations of an identical
+/// second pass (its set-up excluded).
+fn warm_rerun_allocs(scenario: fn(&mut Machine), events: u64) -> (Machine, u64) {
+    let steps = |m: &mut Machine| {
+        for _ in 0..events {
+            assert!(m.step(), "scenario drained");
+        }
+    };
+    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 42);
+    scenario(&mut m);
+    steps(&mut m);
+    m.reset(42);
+    scenario(&mut m);
+    let before = allocs();
+    steps(&mut m);
+    let during = allocs() - before;
+    (m, during)
+}
+
+/// Short and long foreground chains that resubmit themselves on
+/// completion: every task is dispatched, time-sliced or completed, and
+/// replaced by a fresh one, all with a static label and a zero-sized fn
+/// item as the callback.
+fn short_chain(m: &mut Machine) {
+    m.submit_cpu(
+        TaskSpec::foreground("short", Work::Cycles(4e5)),
+        short_chain,
+    );
+}
+
+fn long_chain(m: &mut Machine) {
+    m.submit_cpu(TaskSpec::foreground("long", Work::Cycles(3e7)), long_chain);
+}
+
+fn untraced_chains(m: &mut Machine) {
+    for _ in 0..3 {
+        short_chain(m);
+        long_chain(m);
+    }
+}
+
+#[test]
+fn untraced_submit_cpu_never_allocates_on_a_warm_machine() {
+    let (m, during) = warm_rerun_allocs(untraced_chains, 30_000);
+    assert!(!m.trace.is_enabled());
+    assert_eq!(
+        during, 0,
+        "untraced submit/dispatch/slice-end/completion allocated {during} time(s)"
+    );
+    assert!(
+        m.trace.symbols().is_empty(),
+        "untraced work interned a label"
+    );
+    assert!(
+        m.stats().tasks_completed > 5_000,
+        "chains must keep completing"
+    );
+}
+
+/// A priority-1 arrival every 500 us whose completion re-arms the next;
+/// it finds every big core busy with a priority-0 hog and preempts one.
+fn urgent_arrival(m: &mut Machine) {
+    let task = TaskSpec::foreground("urgent", Work::Cycles(3e5)).with_priority(1);
+    m.submit_cpu(task, urgent_done);
+}
+
+fn urgent_done(m: &mut Machine) {
+    m.after(SimSpan::from_us(500.0), urgent_arrival);
+}
+
+fn hogs_and_urgent_arrivals(m: &mut Machine) {
+    m.set_tracing(true);
+    m.trace.reserve_events(1 << 16);
+    let big = CoreMask::of(&m.spec().big_core_ids());
+    for _ in 0..big.count() {
+        m.submit_cpu(
+            TaskSpec::foreground("hog", Work::Fp32Flops(1e18)).with_affinity(big),
+            |_| {},
+        );
+    }
+    urgent_arrival(m);
+}
+
+#[test]
+fn steady_state_preemption_never_allocates() {
+    let (m, during) = warm_rerun_allocs(hogs_and_urgent_arrivals, 15_000);
+    assert_eq!(
+        during, 0,
+        "steady-state preemption allocated {during} time(s)"
+    );
+    assert!(
+        m.stats().preemptions > 1_000,
+        "every urgent arrival must preempt a hog, got {}",
+        m.stats().preemptions
+    );
 }

@@ -149,8 +149,12 @@ type WorldRef = Rc<RefCell<World>>;
 /// Panics if a tenant's engine cannot compile its model (scenario
 /// construction bugs, e.g. a DSP engine with a float model).
 pub fn run_scenario(cfg: &ServeConfig, only: Option<usize>) -> ScenarioRun {
-    let soc = SocCatalog::get(cfg.soc);
-    let mut m = Machine::new(soc, cfg.seed);
+    let mut m = Machine::new(SocCatalog::get(cfg.soc), cfg.seed);
+    simulate(cfg, only, &mut m)
+}
+
+/// [`run_scenario`] on a caller-provided, freshly booted machine.
+fn simulate(cfg: &ServeConfig, only: Option<usize>, m: &mut Machine) -> ScenarioRun {
     let cost = CostModel::new(RuntimeKind::Native);
 
     let tenants: Vec<Option<TenantState>> = cfg
@@ -218,7 +222,7 @@ pub fn run_scenario(cfg: &ServeConfig, only: Option<usize>) -> ScenarioRun {
             .as_ref()
             .map(|t| t.session.clone())
             .unwrap();
-        session.invoke(&mut m, |_| {});
+        session.invoke(m, |_| {});
     }
     for &k in &active {
         #[expect(clippy::unwrap_used, reason = "k was filtered on is_some above")]
@@ -311,8 +315,8 @@ fn start_request(w: &WorldRef, m: &mut Machine, k: usize, i: usize) {
             inf_done: now,
             hold: None,
         });
-        TaskSpec::foreground(format!("{}:pre", ts.label), Work::Cycles(ts.pre_cycles))
-            .with_priority(ts.priority)
+        let label = m.trace.label(format_args!("{}:pre", ts.label));
+        TaskSpec::foreground(label, Work::Cycles(ts.pre_cycles)).with_priority(ts.priority)
     };
     let w2 = w.clone();
     m.submit_cpu(task, move |m| on_pre_done(&w2, m, k));
@@ -374,8 +378,9 @@ fn on_inf_done(w: &WorldRef, m: &mut Machine, k: usize) {
             owner
         });
         let ts = world.tenant_mut(k);
-        let task = TaskSpec::foreground(format!("{}:post", ts.label), Work::Cycles(ts.post_cycles))
-            .with_priority(ts.priority);
+        let label = m.trace.label(format_args!("{}:post", ts.label));
+        let task =
+            TaskSpec::foreground(label, Work::Cycles(ts.post_cycles)).with_priority(ts.priority);
         (task, resumed)
     };
     if let Some(owner) = resumed {
@@ -478,6 +483,20 @@ mod tests {
             }
         }
         assert_eq!(a.blame_ms, b.blame_ms);
+    }
+
+    #[test]
+    fn untraced_scenario_interns_nothing() {
+        let cfg = scenarios::by_name("contention").unwrap().seed(4);
+        let mut m = Machine::new(SocCatalog::get(cfg.soc), cfg.seed);
+        let run = simulate(&cfg, None, &mut m);
+        assert!(m.stats().rpc_calls > 0, "the mix must offload");
+        assert!(run.tenants.iter().all(|t| !t.completed.is_empty()));
+        assert!(
+            m.trace.symbols().is_empty(),
+            "untraced serving interned {} label(s)",
+            m.trace.symbols().len()
+        );
     }
 
     #[test]

@@ -14,12 +14,14 @@ use aitax::core::runmode::RunMode;
 use aitax::des::fault::{FaultKind, FaultPlan};
 use aitax::des::{SimSpan, SimTime};
 use aitax::framework::Engine;
-use aitax::kernel::{Machine, RpcDevice, RpcInvoke};
+use aitax::kernel::{Machine, RpcDevice, RpcInvoke, TaskSpec, Work};
+use aitax::lab::chrome_trace;
 use aitax::models::zoo::ModelId;
 use aitax::profiler::ProfileReport;
 use aitax::soc::{SocCatalog, SocId};
 use aitax::tensor::DType;
 use aitax::testkit::invariant::{check_stats_agreement, check_trace};
+use aitax::testkit::json::assert_valid_json;
 use aitax::testkit::{assert_report_ok, check_golden, Tolerance};
 
 fn traced(cfg: E2eConfig) -> E2eReport {
@@ -79,7 +81,7 @@ fn fig7_bare_fastrpc_trace_is_well_formed() {
     for i in 0..3 {
         m.fastrpc_invoke(
             RpcInvoke {
-                label: format!("call-{i}"),
+                label: format!("call-{i}").into(),
                 in_bytes: 150_528,
                 out_bytes: 1_001,
                 dsp_work: SimSpan::from_ms(2.0),
@@ -94,6 +96,60 @@ fn fig7_bare_fastrpc_trace_is_well_formed() {
     assert!(violations.is_empty(), "{violations:?}");
     let agreement = check_stats_agreement(&m.trace, m.stats());
     assert!(agreement.is_empty(), "{agreement:?}");
+}
+
+/// Tracing switched on while untraced work is still queued: that work
+/// carries no label, so it must export as `<untraced>` and pass through
+/// the invariant checks without a panic. A FastRPC call whose label was
+/// formatted untraced is empty, so its phases submitted after the switch
+/// carry only their prefix (`ioctl-ret:`). (The tasks already running at
+/// the switch close without a recorded start, which the pairing check
+/// may report; only a panic fails this test.)
+#[test]
+fn tracing_turned_on_mid_queue_exports_untraced_labels() {
+    let soc = SocCatalog::get(SocId::Sd845);
+    let mut m = Machine::new(soc, 5);
+    for _ in 0..12 {
+        m.submit_cpu(TaskSpec::foreground("queued", Work::Cycles(2e6)), |_| {});
+    }
+    m.submit_dsp_raw("dsp-queued", SimSpan::from_ms(1.0), |_| {});
+    m.submit_dsp_raw("dsp-queued", SimSpan::from_ms(1.0), |_| {});
+    for i in 0..2 {
+        let label = if i == 0 {
+            "rpc".into()
+        } else {
+            m.trace.label(format_args!("rpc-{i}"))
+        };
+        m.fastrpc_invoke(
+            RpcInvoke {
+                label,
+                in_bytes: 4096,
+                out_bytes: 64,
+                dsp_work: SimSpan::from_ms(1.0),
+                ..Default::default()
+            },
+            |_| {},
+        );
+    }
+    for _ in 0..3 {
+        assert!(m.step());
+    }
+    m.set_tracing(true);
+    m.submit_cpu(TaskSpec::foreground("traced", Work::Cycles(1e6)), |_| {});
+    m.run_until_idle();
+    assert!(
+        !m.trace.symbols().is_empty(),
+        "work after the switch is labelled"
+    );
+
+    let _ = check_trace(&m.trace);
+    let _ = check_stats_agreement(&m.trace, m.stats());
+    let json = chrome_trace(&m.trace, "sd845 · tracing on mid-queue");
+    assert_valid_json("mid_queue_trace", &json);
+    assert!(json.contains("\"name\":\"<untraced>\""), "{json}");
+    assert!(json.contains("\"name\":\"traced\""), "{json}");
+    assert!(json.contains("\"name\":\"ioctl-ret:rpc\""), "{json}");
+    assert!(json.contains("\"name\":\"ioctl-ret:\""), "{json}");
 }
 
 /// Fig. 8 scenario: offload amortization sweep on the Hexagon delegate.
