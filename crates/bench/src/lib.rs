@@ -1,48 +1,15 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! The paper's exhibits ([`EXHIBITS`], run by the `figures` binary) and
+//! the timing helper of the `cargo bench` harnesses.
 //!
-//! Every binary accepts the environment variables:
-//!
-//! * `AITAX_ITERS` — iterations per configuration (default 100; the paper
-//!   used 500 — set `AITAX_ITERS=500` for the full methodology),
-//! * `AITAX_SEED` — base random seed (default 1),
-//! * `AITAX_TSV=1` — emit TSV instead of aligned text.
+//! Every exhibit honours `AITAX_ITERS` (iterations per configuration,
+//! default 100; set `AITAX_ITERS=500` for the paper's full methodology),
+//! `AITAX_SEED` (default 1), `AITAX_THREADS` (lab sweep workers) and
+//! `AITAX_TSV=1` (TSV tables instead of aligned text). A set but invalid
+//! value is a usage error, exactly as for the `lab` flag it mirrors.
 
-use aitax_core::experiment::ExperimentOpts;
-use aitax_core::report::Table;
+pub mod exhibits;
 
-/// Reads experiment options from the environment.
-pub fn opts_from_env() -> ExperimentOpts {
-    let mut opts = ExperimentOpts::default();
-    if let Ok(v) = std::env::var("AITAX_ITERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            opts.iterations = n.max(1);
-        }
-    }
-    if let Ok(v) = std::env::var("AITAX_SEED") {
-        if let Ok(s) = v.parse::<u64>() {
-            opts.seed = s;
-        }
-    }
-    opts
-}
-
-/// Whether TSV output was requested.
-pub fn tsv_requested() -> bool {
-    std::env::var("AITAX_TSV")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Prints a table in the requested format, with a heading.
-pub fn emit(title: &str, table: &Table) {
-    if tsv_requested() {
-        print!("{}", table.render_tsv());
-    } else {
-        println!("## {title}\n");
-        print!("{}", table.render_text());
-        println!();
-    }
-}
+pub use exhibits::{Exhibit, Knobs, EXHIBITS};
 
 /// Times `f` over `iters` iterations (after one warm-up call) and prints
 /// the mean per-iteration latency. The `cargo bench` harnesses use this
@@ -56,22 +23,4 @@ pub fn bench_case<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     }
     let per_us = start.elapsed().as_secs_f64() / f64::from(iters) * 1e6;
     println!("{name:<44} {per_us:>12.1} us/iter   ({iters} iters)");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_opts_sane() {
-        let o = opts_from_env();
-        assert!(o.iterations >= 1);
-    }
-
-    #[test]
-    fn emit_does_not_panic() {
-        let mut t = Table::new(vec!["a"]);
-        t.row(vec!["1".into()]);
-        emit("test", &t);
-    }
 }

@@ -40,6 +40,16 @@ pub fn json_num(x: f64) -> String {
     }
 }
 
+/// Appends one array element per item, rendered by `row`: each on its
+/// own line, `,`-separated — the canonical body of an artifact's JSON
+/// arrays.
+pub fn json_rows<T>(out: &mut String, items: &[T], mut row: impl FnMut(&mut String, &T)) {
+    for (i, item) in items.iter().enumerate() {
+        row(out, item);
+        out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+    }
+}
+
 /// Renders a [`DistStats`] as a canonical JSON object (appended to
 /// `out`). Shared by the lab and fleet artifact writers.
 pub fn dist_json(out: &mut String, d: &DistStats) {

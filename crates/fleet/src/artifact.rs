@@ -13,11 +13,9 @@
 //! reported on stderr by the `fleet` binary, never in an artifact.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
-use aitax_core::artifact::{json_escape, json_num, stream_dist_json};
+use aitax_core::artifact::{json_escape, json_num, json_rows, stream_dist_json};
+use aitax_lab::cli::Artifacts;
 
 use crate::agg::{Cohort, FleetReport};
 
@@ -49,12 +47,11 @@ fn cohort_json(out: &mut String, c: &Cohort) {
 
 fn group_json(out: &mut String, name: &str, group: &[(String, Cohort)]) {
     let _ = writeln!(out, "  \"{name}\": [");
-    for (i, (label, c)) in group.iter().enumerate() {
+    json_rows(out, group, |out, (label, c)| {
         let _ = write!(out, "    {{\"label\":\"{}\",\"stats\":", json_escape(label));
         cohort_json(out, c);
         out.push('}');
-        out.push_str(if i + 1 < group.len() { ",\n" } else { "\n" });
-    }
+    });
     out.push_str("  ]");
 }
 
@@ -149,7 +146,7 @@ pub fn bench_json(report: &FleetReport) -> String {
         json_num(t.energy_mj.mean()),
         t.degradation.faults_injected,
     );
-    for (i, (label, c)) in report.by_chipset.iter().enumerate() {
+    json_rows(&mut out, &report.by_chipset, |out, (label, c)| {
         let _ = write!(
             out,
             "    {{\"chipset\": \"{}\", \"devices\": {}, \"e2e_p50_ms\": {}, \
@@ -163,36 +160,22 @@ pub fn bench_json(report: &FleetReport) -> String {
             json_num(c.tax.mean()),
             json_num(c.energy_mj.mean()),
         );
-        out.push_str(if i + 1 < report.by_chipset.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
+    });
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Writes `fleet_<population>.json` and `fleet_<population>.csv` under
-/// `out_dir` (created if missing) and returns the paths written.
-pub fn write_artifacts(report: &FleetReport, out_dir: &Path) -> io::Result<Vec<PathBuf>> {
-    fs::create_dir_all(out_dir)?;
-    let json_path = out_dir.join(format!("fleet_{}.json", report.population));
-    let csv_path = out_dir.join(format!("fleet_{}.csv", report.population));
-    fs::write(&json_path, fleet_json(report))?;
-    fs::write(&csv_path, fleet_csv(report))?;
-    Ok(vec![json_path, csv_path])
-}
-
-/// Writes the population-trajectory file (conventionally
-/// `BENCH_fleet.json` at the repository top level).
-pub fn write_bench_json(report: &FleetReport, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
+/// The artifact set: `fleet_<population>.json`, `fleet_<population>.csv`
+/// and the `BENCH_fleet.json` bytes.
+pub fn artifacts(report: &FleetReport) -> Artifacts {
+    let name = &report.population;
+    Artifacts {
+        files: vec![
+            (format!("fleet_{name}.json"), fleet_json(report)),
+            (format!("fleet_{name}.csv"), fleet_csv(report)),
+        ],
+        bench: bench_json(report),
     }
-    fs::write(path, bench_json(report))
 }
 
 #[cfg(test)]

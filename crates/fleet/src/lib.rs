@@ -58,7 +58,7 @@ pub mod population;
 pub mod shard;
 
 pub use agg::{Cohort, FleetReport};
-pub use artifact::{bench_json, fleet_csv, fleet_json, write_artifacts, write_bench_json};
+pub use artifact::{artifacts, bench_json, fleet_csv, fleet_json};
 pub use device::{run_device, run_device_in, DevicePartial, PROBE_ITERS};
 pub use population::{DeviceSpec, ExecPath, PopulationSpec, ThermalBand, WorkloadSpec};
 pub use shard::{run_fleet, ShardPlan};

@@ -13,11 +13,11 @@
 //! artifact.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+
+use aitax_core::artifact::json_rows;
 
 use crate::agg::{ScenarioStats, SweepReport};
+use crate::cli::Artifacts;
 
 // The canonical JSON primitives moved to aitax-core so the fleet
 // artifact writer shares them; re-exported here for API compatibility.
@@ -83,14 +83,7 @@ pub fn sweep_json(report: &SweepReport) -> String {
         report.repeats,
         report.jobs,
     );
-    for (i, s) in report.scenarios.iter().enumerate() {
-        scenario_json(&mut out, s);
-        out.push_str(if i + 1 < report.scenarios.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
+    json_rows(&mut out, &report.scenarios, scenario_json);
     out.push_str("  ]\n}\n");
     out
 }
@@ -165,7 +158,7 @@ pub fn bench_json(report: &SweepReport) -> String {
         json_num(worst_cv),
         json_num(tax.mean()),
     );
-    for (i, s) in report.scenarios.iter().enumerate() {
+    json_rows(&mut out, &report.scenarios, |out, s| {
         let _ = write!(
             out,
             "    {{\"scenario\": \"{}\", \"e2e_p50_ms\": {}, \"e2e_p95_ms\": {}, \
@@ -177,36 +170,21 @@ pub fn bench_json(report: &SweepReport) -> String {
             json_num(s.e2e.cv),
             json_num(s.tax_fraction),
         );
-        out.push_str(if i + 1 < report.scenarios.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
+    });
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Writes `lab_<grid>.json` and `lab_<grid>.csv` under `out_dir`
-/// (created if missing) and returns the paths written.
-pub fn write_artifacts(report: &SweepReport, out_dir: &Path) -> io::Result<Vec<PathBuf>> {
-    fs::create_dir_all(out_dir)?;
-    let json_path = out_dir.join(format!("lab_{}.json", report.grid));
-    let csv_path = out_dir.join(format!("lab_{}.csv", report.grid));
-    fs::write(&json_path, sweep_json(report))?;
-    fs::write(&csv_path, sweep_csv(report))?;
-    Ok(vec![json_path, csv_path])
-}
-
-/// Writes the perf-trajectory file (conventionally `BENCH_lab.json` at
-/// the repository top level).
-pub fn write_bench_json(report: &SweepReport, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
+/// The sweep's artifact set: `lab_<grid>.json`, `lab_<grid>.csv` and
+/// the `BENCH_lab.json` bytes.
+pub fn artifacts(report: &SweepReport) -> Artifacts {
+    Artifacts {
+        files: vec![
+            (format!("lab_{}.json", report.grid), sweep_json(report)),
+            (format!("lab_{}.csv", report.grid), sweep_csv(report)),
+        ],
+        bench: bench_json(report),
     }
-    fs::write(path, bench_json(report))
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 
+use aitax_core::artifact::json_rows;
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{SimTime, TraceBuffer};
 
@@ -135,10 +136,7 @@ pub fn chrome_trace(trace: &TraceBuffer, process_name: &str) -> String {
     }
 
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, line) in lines.iter().enumerate() {
-        out.push_str(line);
-        out.push_str(if i + 1 < lines.len() { ",\n" } else { "\n" });
-    }
+    json_rows(&mut out, &lines, |out, line| out.push_str(line));
     out.push_str("]}\n");
     out
 }

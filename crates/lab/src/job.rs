@@ -27,21 +27,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Runs the job to completion in a throwaway [`SimContext`].
-    ///
-    /// Deterministic: the result depends only on the spec, never on the
-    /// thread or time it ran.
-    pub fn run(&self) -> JobResult {
-        self.run_in(&mut SimContext::new())
-    }
-
-    /// Runs the job in `ctx`, reusing its machine when possible.
-    ///
-    /// Byte-identical to [`JobSpec::run`] — reuse only skips setup work
-    /// (see [`E2eConfig::run_in`]) — so pool workers can thread one
-    /// context through every job they execute without perturbing
-    /// results.
-    pub fn run_in(&self, ctx: &mut SimContext) -> JobResult {
+    /// The end-to-end configuration this job runs: the scenario under
+    /// the job's seed.
+    pub fn config(&self) -> E2eConfig {
         let s = &self.scenario;
         let mut cfg = E2eConfig::new(s.model, s.dtype)
             .engine(s.engine)
@@ -57,7 +45,25 @@ impl JobSpec {
         if let Some(fault) = &s.fault {
             cfg = cfg.fault_plan(fault.plan(self.seed));
         }
-        let r = cfg.run_in(ctx);
+        cfg
+    }
+
+    /// Runs the job to completion in a throwaway [`SimContext`].
+    ///
+    /// Deterministic: the result depends only on the spec, never on the
+    /// thread or time it ran.
+    pub fn run(&self) -> JobResult {
+        self.run_in(&mut SimContext::new())
+    }
+
+    /// Runs the job in `ctx`, reusing its machine when possible.
+    ///
+    /// Byte-identical to [`JobSpec::run`] — reuse only skips setup work
+    /// (see [`E2eConfig::run_in`]) — so pool workers can thread one
+    /// context through every job they execute without perturbing
+    /// results.
+    pub fn run_in(&self, ctx: &mut SimContext) -> JobResult {
+        let r = self.config().run_in(ctx);
         let stage_ms = Stage::ALL.map(|stage| r.summary(stage).samples_ms().to_vec());
         JobResult {
             id: self.id,

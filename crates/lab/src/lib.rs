@@ -43,6 +43,7 @@
 pub mod agg;
 pub mod artifact;
 pub mod chrome;
+pub mod cli;
 pub mod job;
 pub mod pool;
 pub mod render;
@@ -50,8 +51,8 @@ pub mod scenario;
 pub mod scenarios;
 
 pub use agg::{DistStats, ScenarioStats, SweepReport};
-pub use artifact::{bench_json, sweep_csv, sweep_json, write_artifacts, write_bench_json};
+pub use artifact::{artifacts, bench_json, sweep_csv, sweep_json};
 pub use chrome::chrome_trace;
 pub use job::{JobResult, JobSpec};
-pub use pool::{default_threads, run_jobs, run_tasks, run_tasks_ctx};
+pub use pool::{run_jobs, run_tasks, run_tasks_ctx};
 pub use scenario::{FaultSpec, Grid, Scenario};

@@ -23,23 +23,6 @@ use std::sync::Mutex;
 
 use crate::job::{JobResult, JobSpec};
 
-/// Worker-thread count to use by default: the `AITAX_THREADS` environment
-/// variable when set, otherwise the machine's available parallelism.
-pub fn default_threads() -> usize {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "AITAX_THREADS picks the worker count only; the input-ordered merge keeps artifacts identical for any value"
-    )]
-    if let Ok(v) = std::env::var("AITAX_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs `run` over every task and returns the results **in input
 /// order**, regardless of which worker executed what.
 ///

@@ -1,4 +1,4 @@
-//! The named grids the `lab` binary (and the rewired figure bins) run.
+//! The named grids the `lab` binary and the `figures` exhibits run.
 //!
 //! Each function builds the declarative scenario spec for one exhibit;
 //! [`by_name`] is the CLI registry. Grids only *describe* work — seeds,

@@ -7,11 +7,9 @@
 //! itself goes to stderr in the binary, never into an artifact.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
-use aitax_core::artifact::{dist_json, json_escape, json_num};
+use aitax_core::artifact::{dist_json, json_escape, json_num, json_rows};
+use aitax_lab::cli::Artifacts;
 
 use crate::attribution::{ServeReport, TenantReport};
 
@@ -69,15 +67,10 @@ pub fn serve_json(report: &ServeReport) -> String {
     );
     let _ = writeln!(out, "  \"membw_queued\": {},", report.membw_queued);
     out.push_str("  \"tenants\": [\n");
-    for (i, t) in report.tenants.iter().enumerate() {
+    json_rows(&mut out, &report.tenants, |out, t| {
         out.push_str("    ");
-        tenant_json(&mut out, t);
-        out.push_str(if i + 1 < report.tenants.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
+        tenant_json(out, t);
+    });
     out.push_str("  ]\n}\n");
     out
 }
@@ -142,7 +135,7 @@ pub fn bench_json(report: &ServeReport) -> String {
         json_num(report.added_ms)
     );
     out.push_str("  \"tenants\": [\n");
-    for (i, t) in report.tenants.iter().enumerate() {
+    json_rows(&mut out, &report.tenants, |out, t| {
         let _ = write!(
             out,
             "    {{\"tenant\":\"{}\",\"qos\":\"{}\",\"solo_p99_ms\":{},\"multi_p99_ms\":{},\
@@ -154,34 +147,22 @@ pub fn bench_json(report: &ServeReport) -> String {
             json_num(t.suffered_ms),
             json_num(t.caused_ms),
         );
-        out.push_str(if i + 1 < report.tenants.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
+    });
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Writes `serve_<scenario>.json` and `serve_<scenario>.csv` under `dir`.
-pub fn write_artifacts(report: &ServeReport, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("serve_{}.json", report.scenario));
-    let csv_path = dir.join(format!("serve_{}.csv", report.scenario));
-    fs::write(&json_path, serve_json(report))?;
-    fs::write(&csv_path, serve_csv(report))?;
-    Ok(vec![json_path, csv_path])
-}
-
-/// Writes the `BENCH_serve.json` trajectory file.
-pub fn write_bench_json(report: &ServeReport, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
+/// The artifact set: `serve_<scenario>.json`, `serve_<scenario>.csv`
+/// and the `BENCH_serve.json` bytes.
+pub fn artifacts(report: &ServeReport) -> Artifacts {
+    let name = &report.scenario;
+    Artifacts {
+        files: vec![
+            (format!("serve_{name}.json"), serve_json(report)),
+            (format!("serve_{name}.csv"), serve_csv(report)),
+        ],
+        bench: bench_json(report),
     }
-    fs::write(path, bench_json(report))
 }
 
 #[cfg(test)]

@@ -1,0 +1,63 @@
+//! Exit codes of the `serve` binary: 2 for any usage error — an unknown
+//! flag, a missing value, a zero count, an out-of-range rate, a bad
+//! `AITAX_*` default or an unknown scenario — and 0 for `--help`,
+//! `--list` and a clean run.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Runs `serve` with `env` and `args`, keeping any artifacts out of the
+/// source tree. The scratch flags come first so that a flag missing its
+/// value stays last.
+#[expect(
+    clippy::expect_used,
+    reason = "a serve binary that cannot start fails the test"
+)]
+fn serve_exit_code(env: &[(&str, &str)], args: &[&str]) -> Option<i32> {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve-cli");
+    Command::new(env!("CARGO_BIN_EXE_serve"))
+        .env_remove("AITAX_SEED")
+        .env_remove("AITAX_THREADS")
+        .envs(env.iter().copied())
+        .arg("--out")
+        .arg(dir.join("out"))
+        .arg("--bench")
+        .arg(dir.join("BENCH_serve.json"))
+        .args(args)
+        .output()
+        .expect("serve binary runs")
+        .status
+        .code()
+}
+
+const RUN: &[&str] = &["--scenario", "smoke", "--requests", "2"];
+
+/// What a case checks, its `AITAX_*` variables, its arguments and the
+/// exit code it expects.
+type Case<'a> = (&'a str, &'a [(&'a str, &'a str)], &'a [&'a str], i32);
+
+#[test]
+fn exit_codes_follow_the_shared_rule() {
+    let cases: &[Case] = &[
+        ("unknown flag", &[], &["--bogus"], 2),
+        ("missing value", &[], &["--scenario"], 2),
+        ("zero requests", &[], &["--requests", "0"], 2),
+        ("zero tenants", &[], &["--tenants", "0"], 2),
+        ("zero threads", &[], &["--threads", "0"], 2),
+        ("zero arrival rate", &[], &["--arrival-rate", "0"], 2),
+        ("unknown scenario", &[], &["--scenario", "nope"], 2),
+        ("AITAX_THREADS=0", &[("AITAX_THREADS", "0")], RUN, 2),
+        ("AITAX_SEED=x", &[("AITAX_SEED", "x")], RUN, 2),
+        ("help", &[], &["--help"], 0),
+        ("list", &[], &["--list"], 0),
+        (
+            "verify",
+            &[],
+            &[RUN, &["--threads", "2", "--verify-determinism"]].concat(),
+            0,
+        ),
+    ];
+    for (what, env, args, code) in cases {
+        assert_eq!(serve_exit_code(env, args), Some(*code), "{what}");
+    }
+}

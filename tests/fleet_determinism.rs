@@ -13,6 +13,7 @@
 use std::fmt::Write as _;
 
 use aitax::fleet::{artifact, FleetReport, PopulationSpec};
+use aitax::lab::cli::write_files;
 use aitax::testkit::{assert_valid_json, check_golden, Tolerance};
 
 const REQUESTS: u64 = 600;
@@ -141,15 +142,14 @@ fn fleet_smoke_cohorts_match_golden() {
 fn artifacts_round_trip_through_disk() {
     let report = smoke_report(2, 2);
     let dir = std::env::temp_dir().join(format!("aitax-fleet-test-{}", std::process::id()));
-    let paths = artifact::write_artifacts(&report, &dir).expect("write fleet artifacts");
-    assert_eq!(paths.len(), 2);
-    let on_disk = std::fs::read_to_string(&paths[0]).expect("read back");
-    assert_eq!(on_disk, artifact::fleet_json(&report));
     let bench_path = dir.join("BENCH_fleet.json");
-    artifact::write_bench_json(&report, &bench_path).expect("write BENCH_fleet.json");
-    assert_eq!(
-        std::fs::read_to_string(&bench_path).expect("read back"),
-        artifact::bench_json(&report)
-    );
+    let files = artifact::artifacts(&report).at(&dir, &bench_path);
+    write_files(&files).expect("write fleet artifacts and BENCH_fleet.json");
+    assert_eq!(files.len(), 3);
+    assert_eq!(files[0].1, artifact::fleet_json(&report));
+    assert_eq!(files[2], (bench_path, artifact::bench_json(&report)));
+    for (path, bytes) in &files {
+        assert_eq!(&std::fs::read_to_string(path).expect("read back"), bytes);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,6 +12,7 @@ use aitax::core::experiment;
 use aitax::core::pipeline::E2eConfig;
 use aitax::core::runmode::RunMode;
 use aitax::framework::Engine;
+use aitax::lab::cli::write_files;
 use aitax::lab::{artifact, chrome_trace, run_jobs, scenarios, SweepReport};
 use aitax::models::zoo::ModelId;
 use aitax::tensor::DType;
@@ -92,8 +93,11 @@ fn bench_file_round_trips_through_disk() {
     let report = smoke_report(2);
     let dir = std::env::temp_dir().join(format!("aitax-lab-test-{}", std::process::id()));
     let path = dir.join("BENCH_lab.json");
-    artifact::write_bench_json(&report, &path).expect("write BENCH_lab.json");
+    let files = artifact::artifacts(&report).at(&dir, &path);
+    write_files(&files).expect("write lab artifacts and BENCH_lab.json");
     let on_disk = std::fs::read_to_string(&path).expect("read back");
     assert_eq!(on_disk, artifact::bench_json(&report));
+    let csv = std::fs::read_to_string(dir.join("lab_smoke.csv")).expect("read back");
+    assert_eq!(csv, artifact::sweep_csv(&report));
     std::fs::remove_dir_all(&dir).ok();
 }
