@@ -18,6 +18,7 @@
 
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{SimSpan, SimTime};
+use aitax_soc::SocSpec;
 
 use crate::machine::Machine;
 use crate::task::TaskClass;
@@ -70,16 +71,24 @@ pub(crate) struct CoreGov {
     pub mult: f64,
     /// Current frequency in Hz.
     pub freq_hz: f64,
+    /// The core rail's active power at `freq_hz`, repriced whenever the
+    /// clock changes so the thermal loop never re-interpolates the rail
+    /// voltage per event.
+    pub active_w: f64,
 }
 
 impl CoreGov {
-    pub(crate) fn new(nominal_hz: f64) -> Self {
+    /// A governor for `core` at boot: idle history, nominal clock.
+    pub(crate) fn new(spec: &SocSpec, core: usize) -> Self {
+        let rail = spec.power.core_rail(core);
+        let nominal_hz = rail.nominal().freq_hz;
         CoreGov {
             util: 0.0,
             busy: false,
             last_update: SimTime::ZERO,
             mult: 1.0,
             freq_hz: nominal_hz,
+            active_w: rail.active_power_w(nominal_hz),
         }
     }
 }
@@ -137,6 +146,7 @@ impl Machine {
         }
         gov.freq_hz = opp.freq_hz;
         gov.mult = opp.freq_hz / nominal;
+        gov.active_w = rail.active_power_w(opp.freq_hz);
         let now = self.cal.now();
         self.trace.record(
             now,
@@ -215,6 +225,51 @@ mod tests {
     }
 
     #[test]
+    fn utilization_ewma_matches_its_closed_form_bit_for_bit() {
+        let mut m = machine();
+        let tau = m.dvfs.util_tau.as_secs();
+        // (busy over the stretch, stretch length in µs); the zero-length
+        // stretch re-observes an instant and must change nothing.
+        let stretches = [
+            (true, 1_500.0),
+            (false, 700.0),
+            (true, 16_000.0),
+            (true, 0.0),
+            (false, 30_000.0),
+            (true, 250.0),
+            (false, 4_000.0),
+        ];
+        let core = 3;
+        m.gov_observe(core, stretches[0].0);
+        let mut now = SimTime::ZERO;
+        let mut expected = 0.0f64;
+        for (i, &(busy, us)) in stretches.iter().enumerate() {
+            let dt = SimSpan::from_us(us);
+            now += dt;
+            m.run_until(now);
+            let busy_next = stretches.get(i + 1).is_some_and(|s| s.0);
+            m.gov_observe(core, busy_next);
+            // Exact first-order step over the stretch toward its sample.
+            if us > 0.0 {
+                let sample = if busy { 1.0 } else { 0.0 };
+                expected += (sample - expected) * (1.0 - (-dt.as_secs() / tau).exp());
+            }
+            assert_eq!(
+                m.governor[core].util.to_bits(),
+                expected.to_bits(),
+                "stretch {i}: {} vs {expected}",
+                m.governor[core].util
+            );
+        }
+        // One busy stretch from idle: util = 1 - e^(-dt/tau).
+        let mut fresh = machine();
+        fresh.gov_observe(core, true);
+        fresh.run_until(SimTime::ZERO + m.dvfs.util_tau);
+        fresh.gov_observe(core, false);
+        assert_eq!(fresh.governor[core].util, 1.0 - (-1.0f64).exp());
+    }
+
+    #[test]
     fn disabled_governor_pins_nominal() {
         let mut m = machine();
         m.set_dvfs_policy(DvfsPolicy {
@@ -249,5 +304,192 @@ mod tests {
             m.now()
         };
         assert!(run(true) > run(false));
+    }
+
+    /// Package power summed without the governor's cache: every busy
+    /// core's rail re-interpolated at its current clock, in the order
+    /// `current_power_w` sums.
+    fn uncached_power_w(m: &Machine) -> f64 {
+        let p = &m.spec().power;
+        let mut w = p.interconnect.uncore_w;
+        for (i, rail) in p.core_rails.iter().enumerate() {
+            w += if m.cores[i].running.is_some() {
+                rail.active_power_w(m.core_freq_hz(i))
+            } else {
+                rail.idle_power_w()
+            };
+        }
+        w += if m.dsp.running.is_some() {
+            p.dsp.busy_w
+        } else {
+            p.dsp.idle_power_w()
+        };
+        w += if m.gpu.running.is_some() {
+            p.gpu.busy_w
+        } else {
+            p.gpu.idle_power_w()
+        };
+        if let Some(npu) = &p.npu {
+            w += if m.npu.running.is_some() {
+                npu.busy_w
+            } else {
+                npu.idle_power_w()
+            };
+        }
+        w
+    }
+
+    /// One 64-bit FNV-1a digest per SoC, in catalog order, of what
+    /// [`pinned_run`] leaves over seeds 0..32, for the configurations
+    /// (DVFS on, no fault), (on, emergency), (off, no fault), (off,
+    /// emergency). A change to the kernel's bookkeeping (when heat is
+    /// priced, how rail watts are summed, where task and gang records
+    /// live) must leave every one unchanged; only a change to the
+    /// thermal, DVFS or scheduling model itself may re-pin them.
+    const PINNED: [[u64; 4]; 4] = [
+        [
+            0xdc3bcab9deb36d73,
+            0xecf5802563d791a0,
+            0xaa7bbd1ca83b8cd2,
+            0x8c63b078710b9de1,
+        ],
+        [
+            0xe5642dbea5fa2873,
+            0x6a64709eccdf4984,
+            0x24a7b8a75d1f89a7,
+            0x4286ebb2604fdc5c,
+        ],
+        [
+            0x35c650ac73e9ea82,
+            0xfdcb8354c4143f2a,
+            0xb4e73fd18fe89104,
+            0xd8b2a5932dfc4f05,
+        ],
+        [
+            0x16569842a9f110b0,
+            0x4f0c5c483ff79c66,
+            0x26d2208b543d0398,
+            0x5a06d239680093b2,
+        ],
+    ];
+
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Schedules eight waves of mixed work at seeded instants: fork-join
+    /// foreground gangs whose joins feed the DSP, prioritized background
+    /// work and wandering NNAPI-fallback threads.
+    fn mixed_workload(m: &mut Machine, seed: u64) {
+        let mut rng = aitax_des::SimRng::seed_from(seed);
+        for _ in 0..8 {
+            let at = SimSpan::from_us(rng.uniform(0.0, 8_000.0));
+            let width = rng.uniform_u64(1, 5) as usize;
+            let flops = rng.uniform(2e6, 4e7);
+            let cycles = rng.uniform(1e6, 2e7);
+            let dsp_us = rng.uniform(50.0, 2_000.0);
+            let priority = rng.uniform_u64(0, 3) as i8;
+            m.after(at, move |m| {
+                let specs = vec![TaskSpec::foreground("fg", Work::Fp32Flops(flops)); width];
+                m.submit_cpu_parallel(specs, move |m| {
+                    m.submit_dsp_raw("dsp", SimSpan::from_us(dsp_us), |_| {});
+                });
+                m.submit_cpu(
+                    TaskSpec::background("bg", Work::Cycles(cycles)).with_priority(priority),
+                    |_| {},
+                );
+                m.submit_cpu(TaskSpec::nnapi_fallback("nn", Work::Int8Ops(flops)), |_| {});
+            });
+        }
+    }
+
+    /// Runs the mixed workload once, checking the cached package power
+    /// against the uncached sum at every event, and folds the thermal,
+    /// governor and counter state the run leaves into `digest`.
+    fn pinned_run(
+        spec: &'static SocSpec,
+        seed: u64,
+        dvfs: bool,
+        emergency: bool,
+        digest: &mut Fnv,
+    ) {
+        use aitax_des::{FaultKind, FaultPlan};
+        let mut m = Machine::new(spec, seed);
+        m.set_dvfs_policy(DvfsPolicy {
+            enabled: dvfs,
+            ..DvfsPolicy::default()
+        });
+        if emergency {
+            let start = SimTime::from_ns(1_000_000 + seed * 97_000);
+            let end = start + SimSpan::from_ms(1.0);
+            m.install_fault_plan(FaultPlan::new(seed).window(
+                FaultKind::ThermalEmergency,
+                start,
+                end,
+            ));
+        }
+        mixed_workload(&mut m, seed);
+        while m.step() {
+            assert_eq!(
+                m.current_power_w().to_bits(),
+                uncached_power_w(&m).to_bits(),
+                "{} seed {seed} at {}",
+                spec.name,
+                m.now()
+            );
+        }
+        assert_eq!(m.degradation().thermal_emergencies, u64::from(emergency));
+
+        digest.word(m.temp_c().to_bits());
+        digest.word(m.freq_multiplier().to_bits());
+        for core in 0..spec.cores().len() {
+            digest.word(m.core_freq_hz(core).to_bits());
+        }
+        digest.word(m.now().as_ns());
+        let s = m.stats();
+        for w in [
+            s.context_switches,
+            s.migrations,
+            s.preemptions,
+            s.tasks_completed,
+            s.dsp_jobs,
+            s.dsp_busy.as_ns(),
+            s.gpu_jobs,
+            s.npu_jobs,
+            s.axi_bytes,
+            s.rpc_calls,
+        ] {
+            digest.word(w);
+        }
+    }
+
+    #[test]
+    fn thermal_and_governor_state_is_pinned_on_every_soc() {
+        let mut got = [[0u64; 4]; 4];
+        for (soc, spec) in aitax_soc::SocCatalog::all().iter().enumerate() {
+            let configs = [(true, false), (true, true), (false, false), (false, true)];
+            for (cfg, (dvfs, emergency)) in configs.into_iter().enumerate() {
+                let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+                for seed in 0..32 {
+                    pinned_run(spec, seed, dvfs, emergency, &mut digest);
+                }
+                got[soc][cfg] = digest.0;
+            }
+        }
+        let rows: Vec<String> = got
+            .iter()
+            .map(|row| {
+                let words: Vec<String> = row.iter().map(|w| format!("{w:#018x}")).collect();
+                format!("[{}]", words.join(", "))
+            })
+            .collect();
+        assert_eq!(got, PINNED, "digests now: [{}]", rows.join(", "));
     }
 }

@@ -16,11 +16,12 @@
 //! inferences using the same setup" — the amortization curve of Figure 8.
 
 use std::borrow::Cow;
+use std::fmt;
 
 use aitax_des::trace::{RpcPhase, TraceKind, TraceResource};
-use aitax_des::{FaultKind, SimSpan, SimTime};
+use aitax_des::{FaultKind, SimSpan, SimTime, Symbol, TraceBuffer};
 
-use crate::machine::Machine;
+use crate::machine::{AccelKind, Machine, OnDone};
 use crate::task::{TaskSpec, Work};
 
 /// How much a memory-pressure storm multiplies the cache-maintenance
@@ -95,6 +96,32 @@ impl RpcOutcome {
 /// Completion callback carrying the invocation outcome.
 type RpcCallback = Box<dyn FnOnce(&mut Machine, RpcOutcome)>;
 
+/// One invocation in flight through the driver's phases.
+struct RpcCall {
+    invoke: RpcInvoke,
+    /// Retries issued so far.
+    attempt: u32,
+    /// Whether tracing was on when the call was issued. An untraced call
+    /// never formatted its label, so it is marked: every phase it submits
+    /// carries [`Symbol::UNTRACED`], also once tracing turns on mid-call,
+    /// instead of a bare `ioctl:`/`cacheflush:` prefix or an empty label.
+    traced: bool,
+    on_done: RpcCallback,
+}
+
+impl RpcCall {
+    /// Trace label of one of the call's driver tasks: `args` formatted
+    /// (a static label is interned as is) for a traced call,
+    /// [`Symbol::UNTRACED`] for an untraced one.
+    fn label(&self, trace: &mut TraceBuffer, args: fmt::Arguments<'_>) -> Symbol {
+        match (self.traced, args.as_str()) {
+            (false, _) => Symbol::UNTRACED,
+            (true, Some(label)) => trace.intern(label),
+            (true, None) => trace.intern(&trace.label(args)),
+        }
+    }
+}
+
 /// Which compute block behind the FastRPC interface executes the call.
 ///
 /// The SD865's tensor accelerator (HTA) lives in the same cDSP subsystem
@@ -120,7 +147,8 @@ pub const BURST_IOCTL_FACTOR: f64 = 0.25;
 #[derive(Debug, Clone)]
 pub struct RpcInvoke {
     /// Label for traces (e.g. the delegated partition name); see
-    /// [`TaskSpec::name`] for when it is empty.
+    /// [`TaskSpec::name`] for when it is empty. A call issued while
+    /// tracing is off never uses it (see [`Machine::set_tracing`]).
     pub label: Cow<'static, str>,
     /// Bytes shared CPU→DSP (inputs, first-call weights).
     pub in_bytes: u64,
@@ -202,174 +230,199 @@ impl Machine {
                 Machine::set_dsp_session_mapped,
             );
         }
-        self.rpc_attempt(invoke, 0, Box::new(on_done));
+        let call = RpcCall {
+            invoke,
+            attempt: 0,
+            traced: self.trace.is_enabled(),
+            on_done: Box::new(on_done),
+        };
+        self.rpc_attempt(call);
     }
 
-    fn rpc_attempt(&mut self, invoke: RpcInvoke, attempt: u32, on_done: RpcCallback) {
+    /// Submits one driver-side kernel task of a call, at the call's
+    /// priority, under its already interned `label`.
+    fn rpc_kernel_task(
+        &mut self,
+        label: Symbol,
+        work: Work,
+        priority: i8,
+        on_done: impl FnOnce(&mut Machine) + 'static,
+    ) {
+        let spec = TaskSpec::kernel("", work).with_priority(priority);
+        self.submit_task(spec, label, OnDone::Callback(Box::new(on_done)));
+    }
+
+    fn rpc_attempt(&mut self, call: RpcCall) {
         self.rpc_phase(RpcPhase::IoctlEntry);
         let mut cycles = self.rpc_costs.ioctl_entry_cycles;
-        if invoke.burst {
+        if call.invoke.burst {
             cycles *= BURST_IOCTL_FACTOR;
         }
-        let label = self.trace.label(format_args!("ioctl:{}", invoke.label));
-        let entry = TaskSpec::kernel(label, Work::Cycles(cycles)).with_priority(invoke.priority);
-        self.submit_cpu(entry, move |m| {
+        let label = call.label(&mut self.trace, format_args!("ioctl:{}", call.invoke.label));
+        let prio = call.invoke.priority;
+        self.rpc_kernel_task(label, Work::Cycles(cycles), prio, move |m| {
             // Decision point: the driver can reject the call right at the
             // user→kernel boundary.
             if m.fault_active(FaultKind::RpcIoctlError) {
                 let d = m.degradation_mut();
                 d.rpc_io_errors += 1;
                 d.faults_injected += 1;
-                m.rpc_fail(invoke, attempt, RpcError::IoctlError, on_done);
+                m.rpc_fail(call, RpcError::IoctlError);
             } else {
-                m.rpc_cache_flush(invoke, attempt, on_done);
+                m.rpc_cache_flush(call);
             }
         });
     }
 
-    fn rpc_cache_flush(&mut self, invoke: RpcInvoke, attempt: u32, on_done: RpcCallback) {
+    fn rpc_cache_flush(&mut self, call: RpcCall) {
         self.rpc_phase(RpcPhase::CacheFlush);
         let now = self.now();
+        let in_bytes = call.invoke.in_bytes;
         self.trace.record(
             now,
             TraceResource::Axi,
-            TraceKind::AxiBurst {
-                bytes: invoke.in_bytes,
-            },
+            TraceKind::AxiBurst { bytes: in_bytes },
         );
-        self.stats_mut().axi_bytes += invoke.in_bytes;
-        let mut flush = self.spec().memory.cache_flush_span(invoke.in_bytes);
+        self.stats_mut().axi_bytes += in_bytes;
+        let mut flush = self.spec().memory.cache_flush_span(in_bytes);
         if self.fault_active(FaultKind::CacheFlushStorm) {
             flush = flush * CACHE_STORM_MULTIPLIER;
             let d = self.degradation_mut();
             d.cache_storm_flushes += 1;
             d.faults_injected += 1;
         }
-        let label = self
-            .trace
-            .label(format_args!("cacheflush:{}", invoke.label));
-        let task = TaskSpec::kernel(label, Work::Span(flush)).with_priority(invoke.priority);
-        self.submit_cpu(task, move |m| m.rpc_doorbell(invoke, attempt, on_done));
+        let label = call.label(
+            &mut self.trace,
+            format_args!("cacheflush:{}", call.invoke.label),
+        );
+        let prio = call.invoke.priority;
+        self.rpc_kernel_task(label, Work::Span(flush), prio, move |m| {
+            m.rpc_doorbell(call)
+        });
     }
 
-    fn rpc_doorbell(&mut self, invoke: RpcInvoke, attempt: u32, on_done: RpcCallback) {
+    fn rpc_doorbell(&mut self, call: RpcCall) {
         self.rpc_phase(RpcPhase::DoorbellRing);
         let delay = self.rpc_costs.doorbell;
-        self.after(delay, move |m| m.rpc_execute(invoke, attempt, on_done));
+        self.after(delay, move |m| m.rpc_execute(call));
     }
 
-    fn rpc_execute(&mut self, invoke: RpcInvoke, attempt: u32, on_done: RpcCallback) {
+    fn rpc_execute(&mut self, call: RpcCall) {
         self.rpc_phase(RpcPhase::DspExecute);
         // Decision point: does the DSP-side signal path work right now?
         if self.fault_active(FaultKind::DspSignalTimeout) {
             // The doorbell rings into silence: nothing executes and the
             // caller blocks until its timeout expires.
-            self.rpc_timeout_then_fail(invoke, attempt, on_done);
+            self.rpc_timeout_then_fail(call);
             return;
         }
         let dropped = self.fault_active(FaultKind::DspResponseDropped);
         let mem = self.spec().memory;
-        let overhead = match invoke.device {
-            RpcDevice::Dsp => self.spec().dsp.invoke_overhead,
+        let invoke = &call.invoke;
+        let (kind, overhead) = match invoke.device {
+            RpcDevice::Dsp => (AccelKind::Dsp, self.spec().dsp.invoke_overhead),
             #[expect(
                 clippy::expect_used,
                 reason = "NPU invokes are only issued on chipsets that declare an NPU"
             )]
-            RpcDevice::Npu => {
+            RpcDevice::Npu => (
+                AccelKind::Npu,
                 self.spec()
                     .npu
                     .expect("NPU invoke on a chipset without an NPU")
-                    .invoke_overhead
-            }
+                    .invoke_overhead,
+            ),
         };
         let exec = overhead
             + mem.transfer_span(invoke.in_bytes)
             + invoke.dsp_work
             + mem.transfer_span(invoke.out_bytes);
-        let label = invoke.label.clone();
+        let label = if call.traced {
+            self.trace.intern(&invoke.label)
+        } else {
+            Symbol::UNTRACED
+        };
         let prio = invoke.priority;
         if dropped {
             // The job runs (and is visible in the trace) but its
             // completion response is lost: the caller still times out.
-            match invoke.device {
-                RpcDevice::Dsp => self.submit_dsp_prio(label, exec, prio, |_| {}),
-                RpcDevice::Npu => self.submit_npu_prio(label, exec, prio, |_| {}),
-            }
-            self.rpc_timeout_then_fail(invoke, attempt, on_done);
+            self.submit_accel(kind, label, exec, prio, Box::new(|_| {}));
+            self.rpc_timeout_then_fail(call);
             return;
         }
-        match invoke.device {
-            RpcDevice::Dsp => self.submit_dsp_prio(label, exec, prio, move |m| {
-                m.rpc_complete(invoke, attempt, on_done)
-            }),
-            RpcDevice::Npu => self.submit_npu_prio(label, exec, prio, move |m| {
-                m.rpc_complete(invoke, attempt, on_done)
-            }),
-        }
+        self.submit_accel(
+            kind,
+            label,
+            exec,
+            prio,
+            Box::new(move |m| m.rpc_complete(call)),
+        );
     }
 
     /// The caller's watchdog: wait out the RPC timeout, then treat the
     /// invocation as lost.
-    fn rpc_timeout_then_fail(&mut self, invoke: RpcInvoke, attempt: u32, on_done: RpcCallback) {
+    fn rpc_timeout_then_fail(&mut self, call: RpcCall) {
         let timeout = self.rpc_costs.rpc_timeout;
         self.after(timeout, move |m| {
             let d = m.degradation_mut();
             d.rpc_timeouts += 1;
             d.faults_injected += 1;
             d.rpc_stall += timeout;
-            m.rpc_fail(invoke, attempt, RpcError::SignalTimeout, on_done);
+            m.rpc_fail(call, RpcError::SignalTimeout);
         });
     }
 
     /// Retry with exponential backoff, or surface the error once the
     /// retry budget is spent.
-    fn rpc_fail(&mut self, invoke: RpcInvoke, attempt: u32, err: RpcError, on_done: RpcCallback) {
+    fn rpc_fail(&mut self, mut call: RpcCall, err: RpcError) {
         let costs = self.rpc_costs;
+        let attempt = call.attempt;
         if attempt < costs.max_retries {
             let backoff =
                 (costs.backoff_base * f64::from(1u32 << attempt.min(16))).min(costs.backoff_cap);
             let d = self.degradation_mut();
             d.rpc_retries += 1;
             d.rpc_stall += backoff;
-            self.after(backoff, move |m| {
-                m.rpc_attempt(invoke, attempt + 1, on_done)
-            });
+            call.attempt += 1;
+            self.after(backoff, move |m| m.rpc_attempt(call));
         } else {
             self.degradation_mut().rpc_giveups += 1;
-            on_done(self, RpcOutcome::Failed(err));
+            (call.on_done)(self, RpcOutcome::Failed(err));
         }
     }
 
-    fn rpc_complete(&mut self, invoke: RpcInvoke, attempt: u32, on_done: RpcCallback) {
+    fn rpc_complete(&mut self, call: RpcCall) {
         self.rpc_phase(RpcPhase::CompletionSignal);
         let delay = self.rpc_costs.completion_signal;
-        self.after(delay, move |m| m.rpc_return(invoke, attempt, on_done));
+        self.after(delay, move |m| m.rpc_return(call));
     }
 
-    fn rpc_return(&mut self, invoke: RpcInvoke, _attempt: u32, on_done: RpcCallback) {
+    fn rpc_return(&mut self, call: RpcCall) {
         self.rpc_phase(RpcPhase::IoctlReturn);
         let now = self.now();
+        let out_bytes = call.invoke.out_bytes;
         self.trace.record(
             now,
             TraceResource::Axi,
-            TraceKind::AxiBurst {
-                bytes: invoke.out_bytes,
-            },
+            TraceKind::AxiBurst { bytes: out_bytes },
         );
-        self.stats_mut().axi_bytes += invoke.out_bytes;
+        self.stats_mut().axi_bytes += out_bytes;
         // Return path: invalidate output buffer caches + unmarshal.
-        let invalidate = self.spec().memory.cache_flush_span(invoke.out_bytes);
+        let invalidate = self.spec().memory.cache_flush_span(out_bytes);
         let mut cycles = self.rpc_costs.ioctl_return_cycles;
-        if invoke.burst {
+        if call.invoke.burst {
             cycles *= BURST_IOCTL_FACTOR;
         }
-        let prio = invoke.priority;
-        let label = self.trace.label(format_args!("ioctl-ret:{}", invoke.label));
-        let task = TaskSpec::kernel(label, Work::Cycles(cycles)).with_priority(prio);
-        self.submit_cpu(task, move |m| {
-            let t =
-                TaskSpec::kernel("cache-invalidate", Work::Span(invalidate)).with_priority(prio);
-            m.submit_cpu(t, move |m| on_done(m, RpcOutcome::Ok));
+        let label = call.label(
+            &mut self.trace,
+            format_args!("ioctl-ret:{}", call.invoke.label),
+        );
+        let prio = call.invoke.priority;
+        self.rpc_kernel_task(label, Work::Cycles(cycles), prio, move |m| {
+            let label = call.label(&mut m.trace, format_args!("cache-invalidate"));
+            m.rpc_kernel_task(label, Work::Span(invalidate), prio, move |m| {
+                (call.on_done)(m, RpcOutcome::Ok)
+            });
         });
     }
 

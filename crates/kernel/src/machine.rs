@@ -85,6 +85,9 @@ impl DegradationStats {
 }
 
 pub(crate) struct Task {
+    /// Object id: what traces and the context-switch check know the task
+    /// by. The slot the record lives in is recycled; the id never is.
+    pub id: TaskId,
     /// Trace label, interned at submission time so slice dispatch never
     /// touches the heap; [`Symbol::UNTRACED`] when submitted untraced.
     pub label: Symbol,
@@ -96,15 +99,108 @@ pub(crate) struct Task {
     /// QoS priority band (zero = legacy default; see
     /// [`TaskSpec::priority`](crate::TaskSpec::priority)).
     pub priority: i8,
-    pub on_done: Option<Callback>,
+    pub on_done: OnDone,
     /// Extra delay to pay before the next slice (migration penalty).
     pub pending_penalty: SimSpan,
-    pub last_core: Option<usize>,
-    pub cpu_time: SimSpan,
+}
+
+/// What a task's completion fires.
+pub(crate) enum OnDone {
+    /// The submitter's own callback.
+    Callback(Callback),
+    /// Membership in a fork-join gang: the join's slot in
+    /// [`Machine::gangs`].
+    Gang(usize),
+}
+
+/// The join of a fork-join gang: members still running, and the callback
+/// the last of them fires.
+pub(crate) struct Gang {
+    pub remaining: usize,
+    pub on_done: Callback,
+}
+
+/// A table whose slots are recycled through a free list, so it grows with
+/// the peak number of live entries rather than with every insert.
+pub(crate) struct Slab<T> {
+    entries: Vec<Option<T>>,
+    free: Vec<usize>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Stores `value` in a vacant slot (the most recently freed first)
+    /// and returns the slot.
+    pub fn insert(&mut self, value: T) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot] = Some(value);
+                slot
+            }
+            None => {
+                self.entries.push(Some(value));
+                self.entries.len() - 1
+            }
+        }
+    }
+
+    /// Vacates `slot` for reuse and returns what it held.
+    #[expect(
+        clippy::expect_used,
+        reason = "a slot is removed once, by the owner that inserted it"
+    )]
+    pub fn remove(&mut self, slot: usize) -> T {
+        let value = self.entries[slot].take().expect("removing a vacant slot");
+        self.free.push(slot);
+        value
+    }
+
+    /// Vacates every slot, keeping the storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.free.clear();
+    }
+
+    /// Slots ever in use at once: the table's length, live or vacant.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Slab<T> {
+    type Output = T;
+
+    #[expect(
+        clippy::expect_used,
+        reason = "callers index only slots they inserted and have not removed"
+    )]
+    fn index(&self, slot: usize) -> &T {
+        self.entries[slot].as_ref().expect("vacant slot")
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Slab<T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "callers index only slots they inserted and have not removed"
+    )]
+    fn index_mut(&mut self, slot: usize) -> &mut T {
+        self.entries[slot].as_mut().expect("vacant slot")
+    }
 }
 
 pub(crate) struct Running {
-    pub task: TaskId,
+    /// Slot of the running task in [`Machine::tasks`].
+    pub task: usize,
     /// When useful work starts (after switch cost + penalties).
     pub work_start: SimTime,
     /// Work units retired per second during this slice.
@@ -117,7 +213,10 @@ pub(crate) struct Running {
 #[derive(Default)]
 pub(crate) struct CoreState {
     pub running: Option<Running>,
-    pub runq: VecDeque<TaskId>,
+    /// Slots of the waiting tasks in [`Machine::tasks`].
+    pub runq: VecDeque<usize>,
+    /// Object id (not slot) of the task that last ran here, so a task
+    /// that reuses a finished task's slot still pays a context switch.
     pub last_task: Option<TaskId>,
 }
 
@@ -182,7 +281,10 @@ pub struct Machine {
     /// Structured trace buffer (disabled by default; enable for profiling).
     pub trace: TraceBuffer,
     pub(crate) cores: Vec<CoreState>,
-    pub(crate) tasks: Vec<Option<Task>>,
+    /// Live CPU tasks, in slots recycled as tasks complete.
+    pub(crate) tasks: Slab<Task>,
+    /// Joins of the live fork-join gangs.
+    pub(crate) gangs: Slab<Gang>,
     /// Pending calendar payloads, indexed by [`Token::slot`]. The calendar
     /// recycles slots only after their heap entry pops, so a slot holds at
     /// most one live payload at a time and the table stays dense.
@@ -223,11 +325,8 @@ impl Machine {
             spec.name
         );
         let cores = core_specs.iter().map(|_| CoreState::default()).collect();
-        let governor = spec
-            .power
-            .core_rails
-            .iter()
-            .map(|r| CoreGov::new(r.nominal().freq_hz))
+        let governor = (0..core_specs.len())
+            .map(|core| CoreGov::new(spec, core))
             .collect();
         let thermal = ThermalState::new(spec.thermal);
         Machine {
@@ -241,7 +340,8 @@ impl Machine {
             cal: Calendar::new(),
             rng: SimRng::seed_from(seed),
             trace: TraceBuffer::disabled(),
-            tasks: Vec::new(),
+            tasks: Slab::default(),
+            gangs: Slab::default(),
             events: Vec::new(),
             dsp: AccelState::default(),
             dsp_session_mapped: false,
@@ -277,6 +377,7 @@ impl Machine {
             core.last_task = None;
         }
         self.tasks.clear();
+        self.gangs.clear();
         self.events.clear();
         for accel in [&mut self.dsp, &mut self.gpu, &mut self.npu] {
             accel.queue.clear();
@@ -284,12 +385,8 @@ impl Machine {
         }
         self.dsp_session_mapped = false;
         self.thermal = ThermalState::new(self.spec.thermal);
-        for (gov, rail) in self
-            .governor
-            .iter_mut()
-            .zip(self.spec.power.core_rails.iter())
-        {
-            *gov = CoreGov::new(rail.nominal().freq_hz);
+        for (core, gov) in self.governor.iter_mut().enumerate() {
+            *gov = CoreGov::new(self.spec, core);
         }
         self.dvfs = DvfsPolicy::default();
         self.rpc_costs = FastRpcCosts::default();
@@ -428,9 +525,9 @@ impl Machine {
     /// Labels exist only for work submitted after tracing turns on: work
     /// submitted while it was off carries [`Symbol::UNTRACED`] and shows
     /// up as `"<untraced>"` in a trace that starts while it is queued or
-    /// running. A FastRPC call built while tracing was off has an empty
-    /// label, so its phases submitted after the switch carry only their
-    /// prefix (`cacheflush:`, `ioctl-ret:`, and an empty DSP job label).
+    /// running. A FastRPC call issued while tracing was off is marked
+    /// untraced as a whole, so the driver tasks and DSP job it submits
+    /// after the switch show up as `"<untraced>"` too.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.trace.set_enabled(enabled);
     }
@@ -550,14 +647,15 @@ impl Machine {
     // ------------------------------------------------- thermal and power
 
     /// Instantaneous package power in watts: every core rail at its
-    /// governor-chosen operating point (active) or leakage floor (idle),
-    /// accelerator rails busy or collapsed, plus the uncore floor.
+    /// governor-chosen operating point (active, priced when the governor
+    /// set the clock) or leakage floor (idle), accelerator rails busy or
+    /// collapsed, plus the uncore floor.
     pub fn current_power_w(&self) -> f64 {
         let p = &self.spec.power;
         let mut w = p.interconnect.uncore_w;
         for (i, rail) in p.core_rails.iter().enumerate() {
             w += if self.cores[i].running.is_some() {
-                rail.active_power_w(self.governor[i].freq_hz)
+                self.governor[i].active_w
             } else {
                 rail.idle_power_w()
             };
@@ -585,9 +683,16 @@ impl Machine {
     /// Advances the thermal state to now, heating from the power drawn
     /// since the last update. Call *before* changing busy state so the
     /// elapsed stretch is priced at the state it actually ran in.
+    ///
+    /// Heat is priced once per instant: an advance over zero elapsed time
+    /// changes nothing, so a second touch at an instant already
+    /// integrated returns before summing the rails.
     pub(crate) fn touch_thermal(&mut self) {
-        let watts = self.current_power_w();
         let now = self.cal.now();
+        if self.thermal.last_update() == now {
+            return;
+        }
+        let watts = self.current_power_w();
         self.thermal.advance(now, watts);
     }
 
@@ -619,16 +724,38 @@ impl Machine {
         priority: i8,
         on_done: impl FnOnce(&mut Machine) + 'static,
     ) {
+        let label = self.trace.intern(label.as_ref());
+        self.submit_accel(AccelKind::Dsp, label, exec, priority, Box::new(on_done));
+    }
+
+    /// Queues a job, labelled `label`, on an accelerator under a fresh
+    /// object id, starting it if the block is idle.
+    pub(crate) fn submit_accel(
+        &mut self,
+        kind: AccelKind,
+        label: Symbol,
+        exec: SimSpan,
+        priority: i8,
+        on_done: Callback,
+    ) {
         let trace_id = self.fresh_obj_id();
         let job = AccelJob {
-            label: self.trace.intern(label.as_ref()),
+            label,
             exec,
-            on_done: Box::new(on_done),
+            on_done,
             trace_id,
             priority,
         };
-        Self::accel_enqueue(&mut self.dsp, job);
-        self.maybe_start_accel(AccelKind::Dsp);
+        Self::accel_enqueue(self.accel_mut(kind), job);
+        self.maybe_start_accel(kind);
+    }
+
+    fn accel_mut(&mut self, kind: AccelKind) -> &mut AccelState {
+        match kind {
+            AccelKind::Dsp => &mut self.dsp,
+            AccelKind::Gpu => &mut self.gpu,
+            AccelKind::Npu => &mut self.npu,
+        }
     }
 
     /// Priority-ordered insertion into an accelerator wait queue: ahead
@@ -653,15 +780,8 @@ impl Machine {
     /// Submits a job to the GPU queue, charging the launch overhead.
     pub fn submit_gpu(&mut self, job: GpuJob, on_done: impl FnOnce(&mut Machine) + 'static) {
         let exec = self.spec.gpu.launch_overhead + job.exec;
-        let trace_id = self.fresh_obj_id();
-        self.gpu.queue.push_back(AccelJob {
-            label: self.trace.intern(&job.label),
-            exec,
-            on_done: Box::new(on_done),
-            trace_id,
-            priority: 0,
-        });
-        self.maybe_start_accel(AccelKind::Gpu);
+        let label = self.trace.intern(&job.label);
+        self.submit_accel(AccelKind::Gpu, label, exec, 0, Box::new(on_done));
     }
 
     fn accel_resource(kind: AccelKind) -> TraceResource {
@@ -704,24 +824,12 @@ impl Machine {
             "{} has no NPU block",
             self.spec.name
         );
-        let trace_id = self.fresh_obj_id();
-        let job = AccelJob {
-            label: self.trace.intern(label.as_ref()),
-            exec,
-            on_done: Box::new(on_done),
-            trace_id,
-            priority,
-        };
-        Self::accel_enqueue(&mut self.npu, job);
-        self.maybe_start_accel(AccelKind::Npu);
+        let label = self.trace.intern(label.as_ref());
+        self.submit_accel(AccelKind::Npu, label, exec, priority, Box::new(on_done));
     }
 
     fn maybe_start_accel(&mut self, kind: AccelKind) {
-        let state = match kind {
-            AccelKind::Dsp => &mut self.dsp,
-            AccelKind::Gpu => &mut self.gpu,
-            AccelKind::Npu => &mut self.npu,
-        };
+        let state = self.accel_mut(kind);
         if state.running.is_some() {
             return;
         }
@@ -731,11 +839,7 @@ impl Machine {
         // The accelerator flips to busy: integrate heat up to this instant
         // at the old power level first.
         self.touch_thermal();
-        let state = match kind {
-            AccelKind::Dsp => &mut self.dsp,
-            AccelKind::Gpu => &mut self.gpu,
-            AccelKind::Npu => &mut self.npu,
-        };
+        let state = self.accel_mut(kind);
         let Some(job) = state.queue.pop_front() else {
             return;
         };
@@ -766,11 +870,7 @@ impl Machine {
     fn on_accel_done(&mut self, kind: AccelKind) {
         // Price the elapsed busy stretch before the block goes idle.
         self.touch_thermal();
-        let state = match kind {
-            AccelKind::Dsp => &mut self.dsp,
-            AccelKind::Gpu => &mut self.gpu,
-            AccelKind::Npu => &mut self.npu,
-        };
+        let state = self.accel_mut(kind);
         #[expect(
             clippy::expect_used,
             reason = "accelerator completion events are only scheduled while a job is running"

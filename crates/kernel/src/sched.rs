@@ -6,13 +6,10 @@
 //! CPU-fallback threads that Figure 6 of the paper captures (annotation 4:
 //! "frequent CPU migrations ... and the core utilization pattern").
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use aitax_des::trace::{TraceKind, TraceResource};
-use aitax_des::SimSpan;
+use aitax_des::{SimSpan, Symbol};
 
-use crate::machine::{Ev, Machine, Running, Task};
+use crate::machine::{Ev, Gang, Machine, OnDone, Running, Task};
 use crate::task::{CoreMask, TaskClass, TaskId, TaskSpec};
 
 /// Base scheduling quantum; actual slices scale with task weight.
@@ -37,33 +34,15 @@ impl Machine {
     /// Submits one CPU task; `on_done` fires when it completes.
     ///
     /// Foreground tasks default to big-core affinity; other classes may run
-    /// anywhere. Returns the task id (also used in traces).
+    /// anywhere. Returns the task's object id, which its trace records
+    /// carry.
     pub fn submit_cpu(
         &mut self,
         spec: TaskSpec,
         on_done: impl FnOnce(&mut Machine) + 'static,
     ) -> TaskId {
-        let affinity = spec
-            .affinity
-            .unwrap_or_else(|| self.default_affinity(spec.class));
-        let id = TaskId(self.fresh_obj_id());
-        let idx = self.task_slot(id);
         let label = self.trace.intern(&spec.name);
-        self.tasks[idx] = Some(Task {
-            label,
-            work_kind: spec.work,
-            remaining: spec.work.amount().max(0.0),
-            class: spec.class,
-            affinity,
-            priority: spec.priority,
-            on_done: Some(Box::new(on_done)),
-            pending_penalty: SimSpan::ZERO,
-            last_core: None,
-            cpu_time: SimSpan::ZERO,
-        });
-        let core = self.place(affinity);
-        self.enqueue(core, id);
-        id
+        self.submit_task(spec, label, OnDone::Callback(Box::new(on_done)))
     }
 
     /// Submits a gang of CPU tasks; `on_all_done` fires when the last one
@@ -81,28 +60,56 @@ impl Machine {
             !specs.is_empty(),
             "parallel submission needs at least one task"
         );
-        type JoinSlot = Rc<RefCell<(usize, Option<Box<dyn FnOnce(&mut Machine)>>)>>;
-        let join: JoinSlot = Rc::new(RefCell::new((specs.len(), Some(Box::new(on_all_done)))));
+        let gang = self.gangs.insert(Gang {
+            remaining: specs.len(),
+            on_done: Box::new(on_all_done),
+        });
         specs
             .into_iter()
             .map(|spec| {
-                let join = join.clone();
-                self.submit_cpu(spec, move |m| {
-                    let cb = {
-                        let mut j = join.borrow_mut();
-                        j.0 -= 1;
-                        if j.0 == 0 {
-                            j.1.take()
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(cb) = cb {
-                        cb(m);
-                    }
-                })
+                let label = self.trace.intern(&spec.name);
+                self.submit_task(spec, label, OnDone::Gang(gang))
             })
             .collect()
+    }
+
+    /// Records a task under a fresh object id in a recycled slot, labelled
+    /// `label`, and queues it on the least-loaded eligible core.
+    pub(crate) fn submit_task(&mut self, spec: TaskSpec, label: Symbol, on_done: OnDone) -> TaskId {
+        let affinity = spec
+            .affinity
+            .unwrap_or_else(|| self.default_affinity(spec.class));
+        let id = TaskId(self.fresh_obj_id());
+        let slot = self.tasks.insert(Task {
+            id,
+            label,
+            work_kind: spec.work,
+            remaining: spec.work.amount().max(0.0),
+            class: spec.class,
+            affinity,
+            priority: spec.priority,
+            on_done,
+            pending_penalty: SimSpan::ZERO,
+        });
+        let core = self.place(affinity);
+        self.enqueue(core, slot);
+        id
+    }
+
+    /// Fires a completed task's callback, or counts a gang member in and
+    /// fires the join once the last member is done.
+    fn complete(&mut self, on_done: OnDone) {
+        match on_done {
+            OnDone::Callback(cb) => cb(self),
+            OnDone::Gang(gang) => {
+                let join = &mut self.gangs[gang];
+                join.remaining -= 1;
+                if join.remaining == 0 {
+                    let join = self.gangs.remove(gang);
+                    (join.on_done)(self);
+                }
+            }
+        }
     }
 
     /// Total runnable + running CPU tasks.
@@ -115,14 +122,6 @@ impl Machine {
             TaskClass::Foreground => self.big_cores,
             _ => self.all_cores,
         }
-    }
-
-    fn task_slot(&mut self, id: TaskId) -> usize {
-        let idx = id.0 as usize;
-        if self.tasks.len() <= idx {
-            self.tasks.resize_with(idx + 1, || None);
-        }
-        idx
     }
 
     /// Least-loaded eligible core, lowest index on ties.
@@ -146,62 +145,47 @@ impl Machine {
         best.expect("affinity mask excludes every core on this SoC")
     }
 
-    /// Priority of a task, zero once its record is gone.
-    fn task_priority(&self, id: TaskId) -> i8 {
-        self.tasks[id.0 as usize]
-            .as_ref()
-            .map(|t| t.priority)
-            .unwrap_or(0)
-    }
-
-    /// Inserts `id` into a core's run queue honoring QoS priority: ahead
-    /// of the first strictly-lower-priority waiter, FIFO within a band.
-    /// A zero-priority task on an all-zero queue lands at the back — the
-    /// legacy order byte-for-byte.
-    fn runq_insert(&mut self, core: usize, id: TaskId) {
-        let prio = self.task_priority(id);
+    /// Inserts the task in `slot` into a core's run queue honoring QoS
+    /// priority: ahead of the first strictly-lower-priority waiter, FIFO
+    /// within a band. A zero-priority task on an all-zero queue lands at
+    /// the back — the legacy order byte-for-byte.
+    fn runq_insert(&mut self, core: usize, slot: usize) {
+        let prio = self.tasks[slot].priority;
         if prio != 0 {
             let pos = self.cores[core]
                 .runq
                 .iter()
-                .position(|&q| self.task_priority(q) < prio);
+                .position(|&q| self.tasks[q].priority < prio);
             if let Some(pos) = pos {
-                self.cores[core].runq.insert(pos, id);
+                self.cores[core].runq.insert(pos, slot);
                 return;
             }
         }
-        self.cores[core].runq.push_back(id);
+        self.cores[core].runq.push_back(slot);
     }
 
-    fn enqueue(&mut self, core: usize, id: TaskId) {
+    fn enqueue(&mut self, core: usize, slot: usize) {
         // Kernel/driver work (ioctl handling, cache maintenance) jumps the
         // queue, as softirq-style work does on a real kernel — this keeps
         // offload round trips responsive even under CPU contention.
         // Within the driver path a QoS priority orders the queue-jumpers
         // among themselves.
-        let (is_kernel_work, prio) = self.tasks[id.0 as usize]
-            .as_ref()
-            .map(|t| (t.class == TaskClass::KernelWork, t.priority))
-            .unwrap_or((false, 0));
-        if is_kernel_work {
-            self.cores[core].runq.push_front(id);
+        let task = &self.tasks[slot];
+        let prio = task.priority;
+        if task.class == TaskClass::KernelWork {
+            self.cores[core].runq.push_front(slot);
         } else {
-            self.runq_insert(core, id);
+            self.runq_insert(core, slot);
         }
-        if self.cores[core].running.is_none() {
-            self.dispatch_next(core);
-        } else if prio > 0 {
+        match &self.cores[core].running {
+            None => self.dispatch_next(core),
             // A strictly-higher-priority arrival displaces the running
             // task mid-slice; equal priority waits out the slice.
-            let victim_prio = self.cores[core]
-                .running
-                .as_ref()
-                .map(|r| self.task_priority(r.task))
-                .unwrap_or(i8::MAX);
-            if prio > victim_prio {
+            Some(running) if prio > self.tasks[running.task].priority => {
                 self.preempt_running(core);
                 self.dispatch_next(core);
             }
+            Some(_) => {}
         }
     }
 
@@ -225,40 +209,34 @@ impl Machine {
         debug_assert!(cancelled, "running task must have a live slice end");
         self.take_event(running.slice_token);
         let now = self.cal.now();
-        let id = running.task;
+        let slot = running.task;
+        let task = &mut self.tasks[slot];
+        // The preemption may land inside the switch-cost/penalty window,
+        // before useful work resumed.
+        if now > running.work_start {
+            task.remaining -= now.since(running.work_start).as_secs() * running.rate;
+        }
+        let id = task.id;
         self.trace.record(
             now,
             TraceResource::CpuCore(core as u8),
             TraceKind::ExecEnd { task: id.0 },
         );
-        if let Some(task) = self.tasks[id.0 as usize].as_mut() {
-            // The preemption may land inside the switch-cost/penalty
-            // window, before useful work resumed.
-            if now > running.work_start {
-                let ran = now.since(running.work_start);
-                task.cpu_time += ran;
-                task.remaining -= ran.as_secs() * running.rate;
-            }
-        }
         self.stats_mut().preemptions += 1;
-        self.runq_insert(core, id);
+        self.runq_insert(core, slot);
     }
 
     pub(crate) fn dispatch_next(&mut self, core: usize) {
         debug_assert!(self.cores[core].running.is_none());
-        let Some(id) = self.cores[core].runq.pop_front() else {
+        let Some(slot) = self.cores[core].runq.pop_front() else {
             return;
         };
         let now = self.cal.now();
         self.touch_thermal();
-        #[expect(
-            clippy::expect_used,
-            reason = "task records outlive their scheduled events by construction"
-        )]
-        let class = self.tasks[id.0 as usize]
-            .as_ref()
-            .expect("dispatching a completed task")
-            .class;
+        let (id, class) = {
+            let task = &self.tasks[slot];
+            (task.id, task.class)
+        };
         // The core flips busy: fold the elapsed idle stretch into its
         // utilization estimate, then let the governor pick the clock this
         // slice will run (and be energy-priced) at.
@@ -266,7 +244,8 @@ impl Machine {
         self.gov_retarget(core, class);
         let speed = self.cpu_speed(core);
 
-        // Costs before useful work resumes.
+        // Costs before useful work resumes. The check compares object ids:
+        // a task that took over a finished task's slot is still a switch.
         let mut overhead = SimSpan::ZERO;
         let switching = self.cores[core].last_task != Some(id);
         if switching {
@@ -280,13 +259,7 @@ impl Machine {
         }
 
         let (rate, slice, label, penalty) = {
-            #[expect(
-                clippy::expect_used,
-                reason = "task records outlive their scheduled events by construction"
-            )]
-            let task = self.tasks[id.0 as usize]
-                .as_mut()
-                .expect("dispatching a completed task");
+            let task = &mut self.tasks[slot];
             let penalty = std::mem::replace(&mut task.pending_penalty, SimSpan::ZERO);
             let spec = &self.core_specs[core];
             // Small per-slice rate jitter: DVFS settling, cache state,
@@ -296,7 +269,6 @@ impl Machine {
             let quantum = BASE_QUANTUM * task.class.weight();
             let run_secs = (task.remaining / rate).max(0.0);
             let slice = SimSpan::from_secs(run_secs).min(quantum).max(MIN_SLICE);
-            task.last_core = Some(core);
             (rate, slice, task.label, penalty)
         };
         overhead += penalty;
@@ -305,7 +277,7 @@ impl Machine {
         let token = self.cal.schedule_at(work_start + slice);
         self.set_event(token, Ev::SliceEnd { core });
         self.cores[core].running = Some(Running {
-            task: id,
+            task: slot,
             work_start,
             rate,
             slice_token: token,
@@ -332,41 +304,26 @@ impl Machine {
             .take()
             .expect("slice end on an idle core");
         let now = self.cal.now();
-        let id = running.task;
+        let slot = running.task;
+        let task = &mut self.tasks[slot];
+        task.remaining -= now.since(running.work_start).as_secs() * running.rate;
+        let (id, finished, wanders) = (
+            task.id,
+            task.remaining <= WORK_EPSILON,
+            task.class.wanders(),
+        );
         self.trace.record(
             now,
             TraceResource::CpuCore(core as u8),
             TraceKind::ExecEnd { task: id.0 },
         );
 
-        let finished = {
-            #[expect(
-                clippy::expect_used,
-                reason = "task records outlive their scheduled events by construction"
-            )]
-            let task = self.tasks[id.0 as usize]
-                .as_mut()
-                .expect("running task has no record");
-            let ran = now.since(running.work_start);
-            task.cpu_time += ran;
-            task.remaining -= ran.as_secs() * running.rate;
-            task.remaining <= WORK_EPSILON
-        };
-
         if finished {
-            let cb = {
-                #[expect(
-                    clippy::unwrap_used,
-                    reason = "task records outlive their scheduled events by construction"
-                )]
-                let task = self.tasks[id.0 as usize].as_mut().unwrap();
-                task.on_done.take()
-            };
-            self.tasks[id.0 as usize] = None;
+            // Free the slot before the callback runs, so work it submits
+            // can take it over.
+            let task = self.tasks.remove(slot);
             self.stats_mut().tasks_completed += 1;
-            if let Some(cb) = cb {
-                cb(self);
-            }
+            self.complete(task.on_done);
             if self.cores[core].running.is_none() {
                 self.dispatch_next(core);
             }
@@ -375,30 +332,23 @@ impl Machine {
         }
 
         // Not finished: wander, yield to waiting work, or keep running.
-        let wanders = self.tasks[id.0 as usize]
-            .as_ref()
-            .map(|t| t.class.wanders())
-            .unwrap_or(false);
-        if wanders && self.try_wander(core, id) {
+        if wanders && self.try_wander(core, slot) {
             if self.cores[core].running.is_none() {
                 self.dispatch_next(core);
             }
             return;
         }
-        self.runq_insert(core, id);
+        self.runq_insert(core, slot);
         self.dispatch_next(core);
     }
 
     /// Rebalances a wandering task to a random other eligible core.
-    fn try_wander(&mut self, from: usize, id: TaskId) -> bool {
+    fn try_wander(&mut self, from: usize, slot: usize) -> bool {
         let p = self.wander_probability;
         if p <= 0.0 || !self.rng.chance(p) {
             return false;
         }
-        let affinity = match &self.tasks[id.0 as usize] {
-            Some(t) => t.affinity,
-            None => return false,
-        };
+        let affinity = self.tasks[slot].affinity;
         let n = self.cores.len();
         let eligible = |c: usize| c != from && affinity.allows(c);
         let count = (0..n).filter(|&c| eligible(c)).count();
@@ -417,15 +367,14 @@ impl Machine {
             .filter(|&c| eligible(c))
             .nth(k)
             .expect("k-th eligible core exists");
-        self.migrate(id, from, to);
+        self.migrate(slot, from, to);
         true
     }
 
-    fn migrate(&mut self, id: TaskId, from: usize, to: usize) {
-        let penalty = self.core_specs[to].migration_penalty;
-        if let Some(task) = self.tasks[id.0 as usize].as_mut() {
-            task.pending_penalty += penalty;
-        }
+    fn migrate(&mut self, slot: usize, from: usize, to: usize) {
+        let task = &mut self.tasks[slot];
+        task.pending_penalty += self.core_specs[to].migration_penalty;
+        let id = task.id;
         self.stats_mut().migrations += 1;
         let now = self.cal.now();
         self.trace.record(
@@ -437,7 +386,7 @@ impl Machine {
                 to: to as u8,
             },
         );
-        self.runq_insert(to, id);
+        self.runq_insert(to, slot);
         if self.cores[to].running.is_none() {
             self.dispatch_next(to);
         }
@@ -455,12 +404,11 @@ impl Machine {
                 continue;
             }
             // Steal the first queued task whose affinity allows this core.
-            if let Some(pos) = state.runq.iter().position(|tid| {
-                self.tasks[tid.0 as usize]
-                    .as_ref()
-                    .map(|t| t.affinity.allows(core))
-                    .unwrap_or(false)
-            }) {
+            if let Some(pos) = state
+                .runq
+                .iter()
+                .position(|&slot| self.tasks[slot].affinity.allows(core))
+            {
                 victim = Some((vc, pos));
                 victim_qlen = state.runq.len();
             }
@@ -470,11 +418,11 @@ impl Machine {
                 clippy::expect_used,
                 reason = "the victim position was computed from the same runq this event"
             )]
-            let id = self.cores[vc]
+            let slot = self.cores[vc]
                 .runq
                 .remove(pos)
                 .expect("victim position valid");
-            self.migrate(id, vc, core);
+            self.migrate(slot, vc, core);
         }
     }
 }
@@ -562,6 +510,77 @@ mod tests {
         m.submit_cpu_parallel(specs, move |_| j.set(j.get() + 1));
         m.run_until_idle();
         assert_eq!(joined.get(), 1);
+    }
+
+    /// Submits the successor of a finishing task from its completion
+    /// callback, pinned to the core it ran on.
+    fn successor(m: &mut Machine) {
+        m.submit_cpu(
+            TaskSpec::foreground("b", Work::Fp32Flops(1e6)).with_affinity(CoreMask::of(&[0])),
+            |_| {},
+        );
+    }
+
+    #[test]
+    fn reused_slot_is_a_new_task_to_the_scheduler() {
+        let mut m = machine();
+        m.set_tracing(true);
+        let a = m.submit_cpu(
+            TaskSpec::foreground("a", Work::Fp32Flops(1e6)).with_affinity(CoreMask::of(&[0])),
+            successor,
+        );
+        m.run_until_idle();
+        // "b" took over the slot "a" freed, on the core "a" ran on.
+        assert_eq!(m.tasks.len(), 1, "the successor reuses the freed slot");
+        assert_eq!(m.stats().tasks_completed, 2);
+        assert_eq!(
+            m.stats().context_switches,
+            2,
+            "a task in a reused slot must still be charged a context switch"
+        );
+        let mut ids: Vec<u64> = m
+            .trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::ExecStart { task, .. } | TraceKind::ExecEnd { task } => Some(task),
+                _ => None,
+            })
+            .collect();
+        ids.dedup();
+        assert_eq!(ids.len(), 2, "one id per task: {ids:?}");
+        assert_eq!(ids[0], a.raw());
+        assert!(ids[1] > a.raw(), "the successor's records carry a new id");
+    }
+
+    /// Submits a 4-wide gang whose join submits the next one, until
+    /// `GANGS_LEFT` runs out.
+    fn gang_chain(m: &mut Machine) {
+        thread_local! {
+            static GANGS_LEFT: Cell<u32> = const { Cell::new(1_000) };
+        }
+        if GANGS_LEFT.with(|n| n.replace(n.get().saturating_sub(1))) == 0 {
+            return;
+        }
+        let specs = vec![TaskSpec::foreground("gang", Work::Fp32Flops(1e6)); 4];
+        m.submit_cpu_parallel(specs, gang_chain);
+    }
+
+    #[test]
+    fn task_table_is_sized_to_live_tasks() {
+        let mut m = machine();
+        gang_chain(&mut m);
+        let mut peak_live = m.cpu_load();
+        while m.step() {
+            peak_live = peak_live.max(m.cpu_load());
+        }
+        assert_eq!(m.stats().tasks_completed, 4_000);
+        assert_eq!(peak_live, 4, "one gang of four is alive at a time");
+        assert!(
+            m.tasks.len() <= peak_live,
+            "{} task slots for at most {peak_live} live tasks",
+            m.tasks.len()
+        );
+        assert_eq!(m.gangs.len(), 1, "one join slot serves every gang");
     }
 
     #[test]

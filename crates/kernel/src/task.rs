@@ -4,12 +4,16 @@ use std::borrow::Cow;
 
 use aitax_soc::CpuCoreSpec;
 
-/// Identifier of a submitted CPU task.
+/// Identifier of a submitted CPU task: its object id, the number trace
+/// records carry. Object ids are never reused within a run (until
+/// [`Machine::reset`](crate::Machine::reset)); the slot the task's record
+/// occupies while it is alive is recycled and is not the id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) u64);
 
 impl TaskId {
-    /// Raw id (stable for the lifetime of the [`Machine`](crate::Machine)).
+    /// Raw object id (unique within a run of the
+    /// [`Machine`](crate::Machine)).
     pub fn raw(self) -> u64 {
         self.0
     }

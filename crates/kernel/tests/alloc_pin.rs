@@ -12,12 +12,13 @@
 //! queue (priority-ordered enqueue, dispatch, completion) and for timers
 //! that are armed and cancelled every event.
 //!
-//! Scenarios that complete and resubmit tasks grow the per-task table
-//! with every fresh task id, so they are pinned on a *warm* machine: one
-//! full pass sizes every table, `Machine::reset` keeps that storage, and
-//! the identical second pass must not allocate. Two such pins cover the
+//! Scenarios that complete and resubmit tasks are pinned on a *warm*
+//! machine: one full pass sizes every table (task and gang slots grow to
+//! the peak number alive at once), `Machine::reset` keeps that storage, and
+//! the identical second pass must not allocate. Such pins cover the
 //! untraced submit path (a static label is neither formatted nor
-//! interned) and QoS preemption (`preempt_running`).
+//! interned), QoS preemption (`preempt_running`) and fork-join gangs
+//! (`submit_cpu_parallel`, whose join lives in a recycled slot).
 //!
 //! The simulator is single-threaded, so the counter is per thread: the
 //! test harness and sibling tests allocate on other threads and cannot
@@ -269,5 +270,55 @@ fn steady_state_preemption_never_allocates() {
         m.stats().preemptions > 1_000,
         "every urgent arrival must preempt a hog, got {}",
         m.stats().preemptions
+    );
+}
+
+thread_local! {
+    /// Gangs submitted on this thread: each brings one caller-built
+    /// `specs` vector, the only allocation a gang may cost.
+    static GANGS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn gangs() -> u64 {
+    GANGS.with(Cell::get)
+}
+
+/// A 4-wide fork-join gang whose join (a zero-sized fn item) submits the
+/// next gang, as a multi-threaded TFLite op chain does.
+fn gang_chain(m: &mut Machine) {
+    GANGS.with(|n| n.set(n.get() + 1));
+    let specs = vec![TaskSpec::foreground("gang", Work::Cycles(2e6)); 4];
+    m.submit_cpu_parallel(specs, gang_chain);
+}
+
+fn two_gang_chains(m: &mut Machine) {
+    gang_chain(m);
+    gang_chain(m);
+}
+
+#[test]
+fn steady_state_gangs_allocate_only_their_specs() {
+    const EVENTS: u64 = 20_000;
+    let steps = |m: &mut Machine| {
+        for _ in 0..EVENTS {
+            assert!(m.step(), "gang chains drained");
+        }
+    };
+    // Warm pass, then an identical measured pass on the reset machine.
+    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 42);
+    two_gang_chains(&mut m);
+    steps(&mut m);
+    m.reset(42);
+    two_gang_chains(&mut m);
+    let (allocs_before, gangs_before) = (allocs(), gangs());
+    steps(&mut m);
+    let during = allocs() - allocs_before;
+    let measured_gangs = gangs() - gangs_before;
+
+    assert!(measured_gangs > 1_000, "gangs must keep completing");
+    assert_eq!(
+        during, measured_gangs,
+        "{measured_gangs} steady-state gangs allocated {during} time(s); \
+         only each gang's caller-built `specs` vector may allocate"
     );
 }

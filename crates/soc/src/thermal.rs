@@ -91,6 +91,12 @@ impl ThermalState {
         self.last_update = now;
     }
 
+    /// The instant the state was last integrated to (by
+    /// [`ThermalState::advance`] or [`ThermalState::force_temp`]).
+    pub fn last_update(&self) -> SimTime {
+        self.last_update
+    }
+
     /// Current frequency multiplier.
     pub fn freq_multiplier(&self) -> f64 {
         self.model.freq_multiplier(self.temp_c)
@@ -203,6 +209,7 @@ mod tests {
         st.advance(SimTime::ZERO + SimSpan::from_secs(10.0), 0.0);
         st.force_temp(SimTime::ZERO + SimSpan::from_secs(10.0), 85.0);
         assert_eq!(st.temp_c(), 85.0);
+        assert_eq!(st.last_update(), SimTime::ZERO + SimSpan::from_secs(10.0));
         assert_eq!(st.freq_multiplier(), 0.7);
         // A zero-length advance must not relax the forced temperature.
         st.advance(SimTime::ZERO + SimSpan::from_secs(10.0), 0.0);

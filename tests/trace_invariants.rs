@@ -100,11 +100,13 @@ fn fig7_bare_fastrpc_trace_is_well_formed() {
 
 /// Tracing switched on while untraced work is still queued: that work
 /// carries no label, so it must export as `<untraced>` and pass through
-/// the invariant checks without a panic. A FastRPC call whose label was
-/// formatted untraced is empty, so its phases submitted after the switch
-/// carry only their prefix (`ioctl-ret:`). (The tasks already running at
-/// the switch close without a recorded start, which the pairing check
-/// may report; only a panic fails this test.)
+/// the invariant checks without a panic. A FastRPC call issued untraced
+/// is marked untraced whatever its label (static or formatted), so the
+/// phases it submits after the switch export as `<untraced>` too, never
+/// as a bare `ioctl-ret:`/`cacheflush:` prefix or an empty DSP label; a
+/// call issued after the switch is labelled in full. (The tasks already
+/// running at the switch close without a recorded start, which the
+/// pairing check may report; only a panic fails this test.)
 #[test]
 fn tracing_turned_on_mid_queue_exports_untraced_labels() {
     let soc = SocCatalog::get(SocId::Sd845);
@@ -136,6 +138,16 @@ fn tracing_turned_on_mid_queue_exports_untraced_labels() {
     }
     m.set_tracing(true);
     m.submit_cpu(TaskSpec::foreground("traced", Work::Cycles(1e6)), |_| {});
+    m.fastrpc_invoke(
+        RpcInvoke {
+            label: m.trace.label(format_args!("rpc-{}", "traced")),
+            in_bytes: 4096,
+            out_bytes: 64,
+            dsp_work: SimSpan::from_ms(1.0),
+            ..Default::default()
+        },
+        |_| {},
+    );
     m.run_until_idle();
     assert!(
         !m.trace.symbols().is_empty(),
@@ -148,8 +160,19 @@ fn tracing_turned_on_mid_queue_exports_untraced_labels() {
     assert_valid_json("mid_queue_trace", &json);
     assert!(json.contains("\"name\":\"<untraced>\""), "{json}");
     assert!(json.contains("\"name\":\"traced\""), "{json}");
-    assert!(json.contains("\"name\":\"ioctl-ret:rpc\""), "{json}");
-    assert!(json.contains("\"name\":\"ioctl-ret:\""), "{json}");
+    for prefix in ["ioctl:", "cacheflush:", "ioctl-ret:"] {
+        // The untraced calls' phases carry no bare or partial label ...
+        for untraced in ["", "rpc", "rpc-1"] {
+            let name = format!("\"name\":\"{prefix}{untraced}\"");
+            assert!(!json.contains(&name), "{name} in {json}");
+        }
+        // ... while the call issued after the switch is labelled in full.
+        let name = format!("\"name\":\"{prefix}rpc-traced\"");
+        assert!(json.contains(&name), "{name} missing from {json}");
+    }
+    assert!(!json.contains("\"name\":\"\""), "empty label in {json}");
+    assert!(!json.contains("\"name\":\"rpc\""), "{json}");
+    assert!(json.contains("\"name\":\"rpc-traced\""), "{json}");
 }
 
 /// Fig. 8 scenario: offload amortization sweep on the Hexagon delegate.
