@@ -11,9 +11,9 @@
 //!
 //! * `calendar-churn` — schedule/fire/cancel churn through [`Calendar`]
 //!   with a rolling population of pending events,
-//! * `wheel-churn`   — the same churn with ~10% far-future timers, so
-//!   events land at high timing-wheel levels and cascade down as the
-//!   clock crosses slot boundaries (the wheel's worst case),
+//! * `wheel-churn`   — the same churn with ~10% far-future timers, which
+//!   wait in the heap behind many later-scheduled near ones (the key
+//!   is named for the timing wheel the calendar once was),
 //! * `trace-record`  — [`TraceBuffer`] append throughput plus one
 //!   `exec_intervals` extraction,
 //! * `trace-stream`  — the same append loop through a bounded ring
@@ -218,10 +218,9 @@ fn calendar_churn(iters: u64) -> ScenarioResult {
     }
 }
 
-/// Calendar churn with ~10% far-future timers: the wheel's worst case.
-/// Far events land at levels 2-4 of the hierarchy and cascade down slot
-/// by slot as near-term fires drag the clock across level boundaries;
-/// cancels hit the far population too, retiring tombstones mid-cascade.
+/// Calendar churn with ~10% far-future timers. Far events sit deep in the
+/// heap while near-term fires drag the clock toward them; cancels hit the
+/// far population too, leaving tombstones that wait for the head.
 fn wheel_churn(iters: u64) -> ScenarioResult {
     let mut cal = Calendar::new();
     let mut rng = SimRng::seed_from(0x57EE_1CDA);
@@ -231,7 +230,7 @@ fn wheel_churn(iters: u64) -> ScenarioResult {
     let mut cancelled = 0u64;
     let pick = |rng: &mut SimRng| {
         if rng.chance(0.1) {
-            // Far future: high wheel levels, fires only after cascading.
+            // Far future: fires only after many near-term events.
             SimSpan::from_ns(rng.uniform_u64(1 << 16, 1 << 28))
         } else {
             SimSpan::from_ns(rng.uniform_u64(1, 5_000))

@@ -7,8 +7,8 @@
 //! pays a setup tax — machine/calendar/trace allocation, graph build,
 //! session compile — before simulating a single event. A [`SimContext`]
 //! holds the machine across runs so that tax is paid once: repeated
-//! runs reset the machine in place (retaining the timing-wheel slab,
-//! run-queue and trace-column heap capacity) and resolve graphs and
+//! runs reset the machine in place (retaining the calendar's heap and
+//! slab, run-queue and trace-column capacity) and resolve graphs and
 //! plans through the process-wide compiled-artifact caches.
 //!
 //! Reuse is strictly invisible to results: a reset machine matches a

@@ -223,7 +223,11 @@ impl E2eConfig {
             // recording never reallocates mid-run; capacity is reused
             // across iterations because the buffer is never dropped.
             // (A bounded ring never reserves past its capacity.)
-            m.trace.reserve_events(8192 * self.iterations.max(1));
+            m.trace.reserve_events(presize(
+                self.iterations.max(1),
+                TRACE_EVENTS_PER_ITERATION,
+                TRACE_PRESIZE_CAP,
+            ));
         }
         if let Some(plan) = &self.fault_plan {
             if !plan.is_empty() {
@@ -254,7 +258,7 @@ impl E2eConfig {
         }
 
         let state = Rc::new(RefCell::new(RunState {
-            breakdowns: Vec::with_capacity(self.iterations),
+            breakdowns: Vec::with_capacity(presize(self.iterations, 1, BREAKDOWN_PRESIZE_CAP)),
             current: StageBreakdown::default(),
             stage_start: SimTime::ZERO,
             iteration: 0,
@@ -609,6 +613,24 @@ impl Driver {
     }
 }
 
+/// Trace events reserved per pipeline iteration of a traced run.
+const TRACE_EVENTS_PER_ITERATION: usize = 8192;
+
+/// Most trace events a run reserves up front (the fleet energy probe's
+/// ring bound); a longer unbounded trace grows amortized.
+const TRACE_PRESIZE_CAP: usize = 1 << 20;
+
+/// Most per-iteration breakdowns a run reserves up front.
+const BREAKDOWN_PRESIZE_CAP: usize = 64 * 1024;
+
+/// Up-front capacity for `count` items of `per_item` slots each: their
+/// product, saturated and capped at `cap`. A run trusts its iteration
+/// count for pre-sizing only up to the cap and grows amortized past it,
+/// so no count can overflow a reservation.
+fn presize(count: usize, per_item: usize, cap: usize) -> usize {
+    count.saturating_mul(per_item).min(cap)
+}
+
 /// An endless background inference loop (the paper's "inference
 /// benchmarks [scheduled] in the background").
 fn spawn_background_loop(m: &mut Machine, session: Session) {
@@ -664,6 +686,16 @@ mod tests {
 
     fn quick(model: ModelId, dtype: DType) -> E2eConfig {
         E2eConfig::new(model, dtype).iterations(15).seed(42)
+    }
+
+    #[test]
+    fn presize_saturates_and_caps() {
+        assert_eq!(presize(0, 1, BREAKDOWN_PRESIZE_CAP), 0);
+        assert_eq!(presize(0, 8192, TRACE_PRESIZE_CAP), 0);
+        assert_eq!(presize(500, 1, BREAKDOWN_PRESIZE_CAP), 500);
+        assert_eq!(presize(30, 8192, TRACE_PRESIZE_CAP), 30 * 8192);
+        assert_eq!(presize(usize::MAX, 1, BREAKDOWN_PRESIZE_CAP), 64 * 1024);
+        assert_eq!(presize(usize::MAX, 8192, TRACE_PRESIZE_CAP), 1 << 20);
     }
 
     #[test]

@@ -8,60 +8,25 @@
 //!    order they were scheduled (FIFO tie-breaking via a sequence number),
 //!    so a simulation with a fixed seed is exactly reproducible.
 //!
-//! # Hierarchical timing wheel
+//! # Binary heap over a tombstone slab
 //!
-//! Internally the calendar is a hierarchical timing wheel — the classic
-//! kernel timer design — rather than a binary heap: [`LEVELS`] levels of
-//! [`SLOTS`] buckets each, where a level-`L` slot spans `64^L` nanoseconds
-//! and one level's 64 slots exactly tile one slot of the level above. An
-//! event lands at the level of the highest bit in which its fire time
-//! differs from `now` (`level = floor(log64(time XOR now))`), making
-//! schedule and cancel O(1) and pop O(levels) worst case with no
-//! comparison sorting anywhere.
+//! Pending events sit in a [`BinaryHeap`] keyed by `(time, seq)`, where
+//! `seq` is a per-calendar schedule counter. The sequence number is
+//! globally unique, so it alone breaks every time tie: the pop order *is*
+//! `(time, seq)` order by construction, with no invariant to maintain.
 //!
-//! Buckets are intrusive FIFO lists threaded through a dense slab; a
-//! 64-bit occupancy word per level finds the next non-empty bucket with a
-//! single `trailing_zeros`. When the clock advances, the newly entered
-//! slot at each level is *cascaded*: its entries are re-placed relative to
-//! the new `now`, where they land at strictly lower levels (placement
-//! relative to `now` can never target the slot containing `now`).
-//!
-//! **Determinism argument.** Within any bucket, live entries always sit in
-//! increasing sequence order: direct schedules append in call order; a
-//! bucket receives at most one cascade batch per epoch (all events bound
-//! for one destination bucket share the same highest-differing-bit versus
-//! the clock, so they travel down the levels together, in list order);
-//! and any direct schedule that can target a bucket happens only after the
-//! clock advance that delivered that bucket's cascade batch, so it carries
-//! a larger sequence number. Level-0 buckets hold exactly one nanosecond
-//! of simulated time, so popping bucket heads in slot order reproduces the
-//! old binary heap's `(time, seq)` order exactly — a claim the
-//! differential fuzzer in `tests/calendar_differential.rs` replays
-//! millions of mixed operations against [`legacy::LegacyCalendar`] to
-//! enforce.
-//!
-//! Cancellation is a tombstone: the slab entry's live bit is cleared and
-//! the entry is reclaimed when its bucket is next drained or cascaded —
-//! the slot generation then advances, invalidating stale [`Token`]s.
+//! Each heap entry also names a slot in a dense slab that carries the
+//! event's live bit and a generation counter. Cancellation is a
+//! tombstone: the slot's live bit is cleared in O(1) and the heap entry
+//! is discarded when it reaches the head. Only then is the slot recycled
+//! and its generation advanced, which invalidates stale [`Token`]s. Once
+//! the heap, slab and free list have reached the run's high-water mark,
+//! scheduling, cancelling and popping allocate nothing.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::{SimSpan, SimTime};
-
-#[cfg(any(test, feature = "legacy-oracle"))]
-pub mod legacy;
-
-/// Number of wheel levels. Level 10 spans bits 60..64, so the wheel
-/// covers the entire `u64` nanosecond timeline (584 years of simulated
-/// time) without overflow.
-pub const LEVELS: usize = 11;
-
-/// Buckets per level (one 6-bit digit of the fire time).
-pub const SLOTS: usize = 64;
-
-/// Bits per level digit.
-const LEVEL_BITS: u32 = 6;
-
-/// Sentinel for "no entry" in the intrusive bucket lists.
-const NIL: u32 = u32::MAX;
 
 /// An opaque handle identifying a scheduled event.
 ///
@@ -77,20 +42,21 @@ impl Token {
         self.0
     }
 
-    /// The slab slot this token occupies. Slots are dense and recycled
-    /// after their event fires, so at most [`Calendar::pending`] + the
-    /// in-flight tombstone backlog distinct values exist at once —
-    /// callers can use the slot as a small dense index for per-event
-    /// side tables.
+    /// The slab slot this token occupies. A slot is recycled when its
+    /// heap entry leaves the heap: when the event fires, or, for a
+    /// cancelled event, when its tombstone reaches the head. So at most
+    /// [`Calendar::pending`] + the outstanding tombstones distinct values
+    /// exist at once, and callers can use the slot as a small dense index
+    /// for per-event side tables.
     pub fn slot(self) -> u32 {
         self.0 as u32
     }
 
-    pub(crate) fn generation(self) -> u32 {
+    fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
 
-    pub(crate) fn pack(generation: u32, slot: u32) -> Token {
+    fn pack(generation: u32, slot: u32) -> Token {
         Token((u64::from(generation) << 32) | u64::from(slot))
     }
 
@@ -100,50 +66,12 @@ impl Token {
     }
 }
 
-/// One slab entry: the event payload plus the intrusive list link.
-/// `generation` advances each time the slot is recycled, invalidating any
-/// stale [`Token`] still pointing at it.
+/// One slab entry. `generation` advances each time the slot is recycled,
+/// invalidating any stale [`Token`] still pointing at it.
 #[derive(Debug, Clone, Copy)]
-struct Ent {
-    /// Absolute fire time in nanoseconds.
-    time: u64,
-    /// Global schedule sequence number (FIFO tie-break witness).
-    seq: u64,
-    /// Next entry in the same bucket, or [`NIL`].
-    next: u32,
+struct Slot {
     generation: u32,
     live: bool,
-}
-
-/// An intrusive FIFO list of slab entries (one wheel bucket).
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-impl Bucket {
-    const EMPTY: Bucket = Bucket {
-        head: NIL,
-        tail: NIL,
-    };
-}
-
-/// The wheel level an event `diff = time XOR now` nanoseconds "away"
-/// belongs to: the level containing the highest differing bit.
-#[inline]
-fn level_of(diff: u64) -> usize {
-    if diff == 0 {
-        0
-    } else {
-        ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize
-    }
-}
-
-/// The bucket index of absolute time `t` at `level`.
-#[inline]
-fn slot_of(t: u64, level: usize) -> usize {
-    ((t >> (LEVEL_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
 }
 
 /// A cancellable, deterministically ordered event calendar.
@@ -160,35 +88,18 @@ fn slot_of(t: u64, level: usize) -> usize {
 /// assert_eq!(cal.next().map(|(_, tok)| tok), Some(early));
 /// assert!(cal.next().is_none());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Calendar {
     now: SimTime,
     next_seq: u64,
-    ents: Vec<Ent>,
+    // Ordered by (time, seq); the trailing slot index is payload only —
+    // seq is globally unique, so it alone breaks every time tie (FIFO).
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
-    buckets: [[Bucket; SLOTS]; LEVELS],
-    /// One occupancy bit per bucket; `trailing_zeros` finds the next
-    /// non-empty slot without scanning.
-    occ: [u64; LEVELS],
     scheduled_total: u64,
     fired_total: u64,
     cancelled_total: u64,
-}
-
-impl Default for Calendar {
-    fn default() -> Self {
-        Calendar {
-            now: SimTime::ZERO,
-            next_seq: 0,
-            ents: Vec::new(),
-            free: Vec::new(),
-            buckets: [[Bucket::EMPTY; SLOTS]; LEVELS],
-            occ: [0; LEVELS],
-            scheduled_total: 0,
-            fired_total: 0,
-            cancelled_total: 0,
-        }
-    }
 }
 
 impl Calendar {
@@ -199,8 +110,8 @@ impl Calendar {
 
     /// Resets the calendar to its just-constructed state — clock at
     /// [`SimTime::ZERO`], no pending events, zeroed counters, sequence
-    /// and generation numbering restarted — while keeping the slab and
-    /// free-list heap capacity, so a reused calendar schedules its next
+    /// and generation numbering restarted — while keeping the heap, slab
+    /// and free-list capacity, so a reused calendar schedules its next
     /// run without reallocating. Tokens minted by a reset calendar are
     /// identical to those a fresh calendar would mint (the slab refills
     /// from index 0 at generation 0), which is what makes a reset run
@@ -213,10 +124,9 @@ impl Calendar {
     pub fn reset(&mut self) {
         self.now = SimTime::ZERO;
         self.next_seq = 0;
-        self.ents.clear();
+        self.heap.clear();
+        self.slots.clear();
         self.free.clear();
-        self.buckets = [[Bucket::EMPTY; SLOTS]; LEVELS];
-        self.occ = [0; LEVELS];
         self.scheduled_total = 0;
         self.fired_total = 0;
         self.cancelled_total = 0;
@@ -274,80 +184,32 @@ impl Calendar {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
-                let e = &mut self.ents[slot as usize];
-                e.time = at.as_ns();
-                e.seq = seq;
-                e.live = true;
-                e.next = NIL;
+                self.slots[slot as usize].live = true;
                 slot
             }
             None => {
-                let slot = self.ents.len() as u32;
-                self.ents.push(Ent {
-                    time: at.as_ns(),
-                    seq,
-                    next: NIL,
+                let slot = self.slots.len() as u32;
+                self.slots.push(Slot {
                     generation: 0,
                     live: true,
                 });
                 slot
             }
         };
-        self.place(slot, at.as_ns());
+        self.heap.push(Reverse((at, seq, slot)));
         self.scheduled_total += 1;
-        Token::pack(self.ents[slot as usize].generation, slot)
-    }
-
-    /// Appends entry `idx` (fire time `t`) to the bucket it belongs to,
-    /// relative to the current clock. Placement relative to `now` can
-    /// never target the slot containing `now` at levels ≥ 1, which is
-    /// what keeps current slots cascaded-empty between clock advances.
-    #[inline]
-    fn place(&mut self, idx: u32, t: u64) {
-        let lvl = level_of(t ^ self.now.as_ns());
-        let s = slot_of(t, lvl);
-        self.push_bucket(lvl, s, idx);
-    }
-
-    /// FIFO-appends entry `idx` to bucket (`lvl`, `s`).
-    #[inline]
-    fn push_bucket(&mut self, lvl: usize, s: usize, idx: u32) {
-        let b = &mut self.buckets[lvl][s];
-        if b.tail == NIL {
-            b.head = idx;
-        } else {
-            self.ents[b.tail as usize].next = idx;
-        }
-        b.tail = idx;
-        self.ents[idx as usize].next = NIL;
-        self.occ[lvl] |= 1u64 << s;
-    }
-
-    /// Pops the head entry of bucket (`lvl`, `s`), clearing the occupancy
-    /// bit when the bucket empties. Returns [`NIL`]-free entry index.
-    #[inline]
-    fn take_head(&mut self, lvl: usize, s: usize) -> u32 {
-        let b = &mut self.buckets[lvl][s];
-        let idx = b.head;
-        debug_assert_ne!(idx, NIL, "take_head on empty bucket");
-        let next = self.ents[idx as usize].next;
-        b.head = next;
-        if next == NIL {
-            b.tail = NIL;
-            self.occ[lvl] &= !(1u64 << s);
-        }
-        idx
+        Token::pack(self.slots[slot as usize].generation, slot)
     }
 
     /// Cancels a pending event.
     ///
     /// Returns `true` if the event was still pending, `false` if it already
-    /// fired or was already cancelled. O(1): the wheel entry stays behind as
-    /// a tombstone and is reclaimed when its bucket is drained or cascaded.
+    /// fired or was already cancelled. O(1): the heap entry stays behind as
+    /// a tombstone and is discarded when it reaches the head.
     pub fn cancel(&mut self, token: Token) -> bool {
-        match self.ents.get_mut(token.slot() as usize) {
-            Some(e) if e.live && e.generation == token.generation() => {
-                e.live = false;
+        match self.slots.get_mut(token.slot() as usize) {
+            Some(s) if s.live && s.generation == token.generation() => {
+                s.live = false;
                 self.cancelled_total += 1;
                 true
             }
@@ -355,165 +217,51 @@ impl Calendar {
         }
     }
 
-    /// Recycles a slab slot whose wheel entry just left its bucket: the
-    /// generation bump invalidates every outstanding token for it, and
-    /// only now — with no bucket referencing it — may the slot be handed
-    /// out again.
+    /// Recycles a slot whose heap entry just popped: the generation bump
+    /// invalidates every outstanding token for it, and only now — with no
+    /// heap entry referencing it — may the slot be handed out again.
     fn retire(&mut self, slot: u32) -> (u32, bool) {
-        let e = &mut self.ents[slot as usize];
-        let generation = e.generation;
-        let was_live = e.live;
-        e.live = false;
-        e.generation = e.generation.wrapping_add(1);
+        let s = &mut self.slots[slot as usize];
+        let generation = s.generation;
+        let was_live = s.live;
+        s.live = false;
+        s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
         (generation, was_live)
-    }
-
-    /// Advances the clock to `to`, cascading the newly entered slot at
-    /// every level whose digit changed: live entries re-place relative to
-    /// the new `now` (landing at strictly lower levels), tombstones are
-    /// retired on the spot.
-    ///
-    /// Correctness relies on `to` never being beyond the earliest live
-    /// event — callers (`next`, `advance_to`) guarantee it.
-    fn advance_clock(&mut self, to: u64) {
-        let from = self.now.as_ns();
-        debug_assert!(to >= from, "clock may only move forward");
-        self.now = SimTime::from_ns(to);
-        if to == from {
-            return;
-        }
-        let top = level_of(from ^ to);
-        for lvl in (1..=top).rev() {
-            let s = slot_of(to, lvl);
-            if self.occ[lvl] & (1u64 << s) == 0 {
-                continue;
-            }
-            while self.buckets[lvl][s].head != NIL {
-                let idx = self.take_head(lvl, s);
-                let e = self.ents[idx as usize];
-                if e.live {
-                    debug_assert!(e.time >= to, "cascade found a live event in the past");
-                    self.place(idx, e.time);
-                } else {
-                    self.retire(idx);
-                }
-            }
-        }
-    }
-
-    /// Finds the first candidate bucket holding the earliest event: the
-    /// lowest occupied level-0 slot at or after `now`'s digit, else the
-    /// lowest occupied slot (at or after the current digit) of the lowest
-    /// such level. Returns `(level, slot)`.
-    #[inline]
-    fn first_due(&self) -> Option<(usize, usize)> {
-        let now = self.now.as_ns();
-        for lvl in 0..LEVELS {
-            let idx = slot_of(now, lvl);
-            let masked = self.occ[lvl] & (u64::MAX << idx);
-            if masked != 0 {
-                return Some((lvl, masked.trailing_zeros() as usize));
-            }
-        }
-        None
-    }
-
-    /// Absolute start of the range bucket (`lvl`, `s`) covers in the
-    /// current rotation: `now` with the level digit replaced by `s` and
-    /// all lower digits cleared.
-    #[inline]
-    fn bucket_start(&self, lvl: usize, s: usize) -> u64 {
-        let shift = LEVEL_BITS as usize * lvl;
-        let above = shift + LEVEL_BITS as usize;
-        let high = if above >= 64 {
-            0
-        } else {
-            self.now.as_ns() & !((1u64 << above) - 1)
-        };
-        high | ((s as u64) << shift)
-    }
-
-    /// Whether any entry in bucket (`lvl`, `s`) is still live.
-    fn bucket_has_live(&self, lvl: usize, s: usize) -> bool {
-        let mut idx = self.buckets[lvl][s].head;
-        while idx != NIL {
-            let e = &self.ents[idx as usize];
-            if e.live {
-                return true;
-            }
-            idx = e.next;
-        }
-        false
-    }
-
-    /// Drains a bucket known to hold only tombstones, retiring them.
-    fn drain_dead(&mut self, lvl: usize, s: usize) {
-        while self.buckets[lvl][s].head != NIL {
-            let idx = self.take_head(lvl, s);
-            debug_assert!(!self.ents[idx as usize].live);
-            self.retire(idx);
-        }
     }
 
     /// Pops the next live event, advancing the clock to its fire time.
     ///
     /// Returns `None` when the calendar is empty. Cancelled events are
-    /// silently skipped (and their slab slots recycled).
+    /// silently skipped (and their slots recycled).
     #[expect(
         clippy::should_implement_trait,
         reason = "`next` advances the simulation clock; the calendar is deliberately not an Iterator"
     )]
     pub fn next(&mut self) -> Option<(SimTime, Token)> {
-        loop {
-            let (lvl, s) = self.first_due()?;
-            if lvl == 0 {
-                // Level-0 buckets span one nanosecond: every live entry in
-                // them shares one fire time, and the list is live-FIFO by
-                // the cascade invariant — the head is the next event.
-                let idx = self.take_head(0, s);
-                let e = self.ents[idx as usize];
-                let (generation, was_live) = self.retire(idx);
-                if !was_live {
-                    continue;
-                }
-                debug_assert!(e.time >= self.now.as_ns(), "event fired in the past");
-                self.advance_clock(e.time);
-                self.fired_total += 1;
-                return Some((SimTime::from_ns(e.time), Token::pack(generation, idx)));
+        while let Some(Reverse((at, _seq, slot))) = self.heap.pop() {
+            let (generation, was_live) = self.retire(slot);
+            if !was_live {
+                continue;
             }
-            // A higher-level bucket: enter it only if it still holds a
-            // live event (committing the clock to its range start, which
-            // cascades it); otherwise clean out the tombstones in place.
-            if self.bucket_has_live(lvl, s) {
-                let start = self.bucket_start(lvl, s).max(self.now.as_ns());
-                self.advance_clock(start);
-            } else {
-                self.drain_dead(lvl, s);
-            }
+            debug_assert!(at >= self.now, "heap returned an event in the past");
+            self.now = at;
+            self.fired_total += 1;
+            return Some((at, Token::pack(generation, slot)));
         }
+        None
     }
 
     /// The fire time of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let (lvl, s) = self.first_due()?;
-            let mut min: Option<u64> = None;
-            let mut idx = self.buckets[lvl][s].head;
-            while idx != NIL {
-                let e = &self.ents[idx as usize];
-                if e.live && min.is_none_or(|m| e.time < m) {
-                    min = Some(e.time);
-                }
-                idx = e.next;
+        while let Some(&Reverse((at, _seq, slot))) = self.heap.peek() {
+            if self.slots[slot as usize].live {
+                return Some(at);
             }
-            match min {
-                // Candidate buckets are visited in range order, so the
-                // first bucket with a live entry holds the minimum.
-                Some(t) => return Some(SimTime::from_ns(t)),
-                None => self.drain_dead(lvl, s),
-            }
+            self.heap.pop();
+            self.retire(slot);
         }
+        None
     }
 
     /// Advances the clock to `at` without firing anything.
@@ -533,7 +281,7 @@ impl Calendar {
                 "advance_to({at}) would step over a pending event at {head}"
             );
         }
-        self.advance_clock(at.as_ns());
+        self.now = at;
     }
 }
 
@@ -623,12 +371,27 @@ mod tests {
         let mut cal = Calendar::new();
         let a = cal.schedule_after(SimSpan::from_ns(50));
         cal.cancel(a);
-        // The tombstone still sits in its bucket, so a new event must get
+        // The tombstone still sits in the heap, so a new event must get
         // a different slot — otherwise the stale entry would alias it.
         let b = cal.schedule_after(SimSpan::from_ns(60));
         assert_ne!(a.slot(), b.slot());
         let (_, tok) = cal.next().unwrap();
         assert_eq!(tok, b);
+    }
+
+    #[test]
+    fn tombstone_slot_recycles_once_it_leaves_the_heap() {
+        let mut cal = Calendar::new();
+        let a = cal.schedule_after(SimSpan::from_ns(5));
+        let _b = cal.schedule_after(SimSpan::from_ns(9));
+        cal.cancel(a);
+        // Peeking past the cancelled head discards its tombstone, which
+        // frees the slot under a new generation.
+        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(9)));
+        let c = cal.schedule_after(SimSpan::from_ns(7));
+        assert_eq!(c.slot(), a.slot(), "the tombstone's slot is reused");
+        assert!(!cal.cancel(a), "the stale token stays rejected");
+        assert_eq!(cal.next(), Some((SimTime::from_ns(7), c)));
     }
 
     #[test]
@@ -690,11 +453,12 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_cascade_boundaries() {
-        // One event per wheel level, so every cascade path runs.
+    fn far_future_horizons_fire_in_order() {
+        // Eleven horizons, one per power of 64 up to the end of the `u64`
+        // nanosecond timeline, each offset so no two coincide.
         let mut cal = Calendar::new();
-        let delays: Vec<u64> = (0..LEVELS)
-            .map(|l| 64u64.saturating_pow(l as u32).saturating_add(l as u64))
+        let delays: Vec<u64> = (0..11u32)
+            .map(|l| 64u64.saturating_pow(l).saturating_add(u64::from(l)))
             .collect();
         let toks: Vec<Token> = delays
             .iter()
@@ -787,12 +551,11 @@ mod tests {
 
     #[test]
     fn advance_into_a_live_slot_keeps_order() {
-        // advance_to can move the clock into the wheel slot that holds a
-        // pending event without cascading it first; the next schedule at
-        // a *nearer* time must still fire first.
+        // advance_to moves the clock close to a pending event; the next
+        // schedule at a *nearer* time must still fire first.
         let mut cal = Calendar::new();
-        let far = cal.schedule_at(SimTime::from_ns(100)); // level 1 at now=0
-        cal.advance_to(SimTime::from_ns(90)); // enters far's level-1 slot
+        let far = cal.schedule_at(SimTime::from_ns(100));
+        cal.advance_to(SimTime::from_ns(90));
         let near = cal.schedule_at(SimTime::from_ns(95));
         assert_eq!(cal.peek_time(), Some(SimTime::from_ns(95)));
         assert_eq!(cal.next(), Some((SimTime::from_ns(95), near)));

@@ -39,8 +39,6 @@ pub mod time;
 pub mod trace;
 
 pub use arbiter::{Acquired, Arbiter, ArbiterEvent, HoldId, Ticket};
-#[cfg(any(test, feature = "legacy-oracle"))]
-pub use calendar::legacy::LegacyCalendar;
 pub use calendar::{Calendar, Token};
 pub use fault::{FaultKind, FaultPlan, FaultWindow};
 pub use rng::SimRng;

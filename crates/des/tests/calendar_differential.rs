@@ -1,20 +1,20 @@
-//! Differential oracle for the timing-wheel calendar.
+//! Differential test of the event calendar against a naive reference.
 //!
-//! The wheel in `calendar.rs` earns its determinism claim here: seeded
-//! scripts of mixed schedule / cancel / pop / peek / advance operations
-//! are replayed, operation by operation, against both the wheel
-//! [`Calendar`] and the retired binary-heap [`LegacyCalendar`] (whose
-//! `(time, seq)` ordering is correct by construction), asserting after
-//! every step that the two agree on:
+//! Seeded scripts of mixed schedule / cancel / pop / peek / advance
+//! operations are replayed, operation by operation, against both the
+//! heap [`Calendar`] and [`Reference`], a model defined here that keeps
+//! its pending events in a plain `Vec` of `(time, seq, id)` and pops the
+//! minimum by linear scan — `(time, seq)` order with nothing to get
+//! wrong. After every step the harness asserts that the two agree on:
 //!
 //! * the **pop sequence** — which logical event fires, and when,
 //! * the **clock** (`now`) and the peeked head time,
 //! * the **pending count** and the scheduled/fired/cancelled totals,
-//! * **token-reuse safety** — spent tokens are rejected by both forever.
+//! * **token-reuse safety** — spent tokens are rejected forever.
 //!
-//! Token *values* are implementation detail (the two reclaim tombstone
-//! slots at different moments, so slot numbers diverge); equality is
-//! checked through caller-side logical event ids, never raw tokens.
+//! Token *values* are the calendar's own business (slots recycle as
+//! tombstones leave the heap); equality is checked through caller-side
+//! logical event ids, never raw tokens.
 //!
 //! The full run replays ≥1M operations (seconds, even unoptimized). CI
 //! smoke can shrink it via `AITAX_DIFF_OPS=<total>`; any failure names
@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use aitax_des::{Calendar, LegacyCalendar, SimRng, SimSpan, SimTime, Token};
+use aitax_des::{Calendar, SimRng, SimSpan, SimTime, Token};
 
 /// Script seeds: one independent operation stream each.
 const SCRIPT_SEEDS: [u64; 6] = [
@@ -39,7 +39,7 @@ const DEFAULT_TOTAL_OPS: u64 = 1_200_000;
 
 #[expect(
     clippy::disallowed_methods,
-    reason = "AITAX_DIFF_OPS only sizes the run; both calendars replay the same scripts"
+    reason = "AITAX_DIFF_OPS only sizes the run; calendar and reference replay the same scripts"
 )]
 #[expect(clippy::panic, reason = "a malformed knob fails the test")]
 fn total_ops() -> u64 {
@@ -51,41 +51,90 @@ fn total_ops() -> u64 {
     }
 }
 
-/// One live logical event, tracked per implementation.
+/// The reference calendar: pending events in schedule order, the next
+/// one found by a linear scan for the least `(time, seq)`.
+#[derive(Default)]
+struct Reference {
+    now: SimTime,
+    next_seq: u64,
+    /// `(time, seq, id)` of every pending event.
+    pending: Vec<(SimTime, u64, u64)>,
+    scheduled_total: u64,
+    fired_total: u64,
+    cancelled_total: u64,
+}
+
+impl Reference {
+    fn schedule_after(&mut self, delay: SimSpan, id: u64) {
+        self.pending.push((self.now + delay, self.next_seq, id));
+        self.next_seq += 1;
+        self.scheduled_total += 1;
+    }
+
+    /// Index of the pending event with the least `(time, seq)`.
+    fn head(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn next(&mut self) -> Option<(SimTime, u64)> {
+        let i = self.head()?;
+        let (at, _, id) = self.pending.remove(i);
+        self.now = at;
+        self.fired_total += 1;
+        Some((at, id))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.head().map(|i| self.pending[i].0)
+    }
+
+    fn cancel(&mut self, id: u64) -> bool {
+        match self.pending.iter().position(|e| e.2 == id) {
+            Some(i) => {
+                self.pending.remove(i);
+                self.cancelled_total += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        assert!(at >= self.now, "reference clock rewound");
+        if let Some(head) = self.peek_time() {
+            assert!(at <= head, "reference clock stepped over {head}");
+        }
+        self.now = at;
+    }
+}
+
+/// One live logical event and the calendar token that names it.
 struct LiveEvent {
     id: u64,
-    wheel: Token,
-    legacy: Token,
+    token: Token,
 }
 
-/// A spent (fired or cancelled) token pair, kept to prove staleness.
-struct SpentPair {
-    wheel: Token,
-    legacy: Token,
-}
-
-/// Both calendars plus the caller-side identity maps that translate
-/// implementation tokens back to logical event ids.
+/// The calendar, the reference, and the caller-side identity maps that
+/// translate calendar tokens back to logical event ids.
 struct Harness {
-    wheel: Calendar,
-    legacy: LegacyCalendar,
+    cal: Calendar,
+    reference: Reference,
     live: Vec<LiveEvent>,
-    /// wheel-token raw value → logical id (raw includes the generation,
-    /// so it is unique even across slot recycling).
-    by_wheel: BTreeMap<u64, u64>,
-    by_legacy: BTreeMap<u64, u64>,
-    spent: Vec<SpentPair>,
+    /// Token raw value → logical id (raw includes the generation, so it
+    /// is unique even across slot recycling).
+    by_token: BTreeMap<u64, u64>,
+    /// Fired or cancelled events, kept to prove their tokens stay stale.
+    spent: Vec<LiveEvent>,
     next_id: u64,
 }
 
 impl Harness {
     fn new() -> Self {
         Harness {
-            wheel: Calendar::new(),
-            legacy: LegacyCalendar::new(),
+            cal: Calendar::new(),
+            reference: Reference::default(),
             live: Vec::new(),
-            by_wheel: BTreeMap::new(),
-            by_legacy: BTreeMap::new(),
+            by_token: BTreeMap::new(),
             spent: Vec::new(),
             next_id: 0,
         }
@@ -93,61 +142,46 @@ impl Harness {
 
     fn schedule(&mut self, delay: u64, ctx: &str) {
         let span = SimSpan::from_ns(delay);
-        let w = self.wheel.schedule_after(span);
-        let l = self.legacy.schedule_after(span);
+        let token = self.cal.schedule_after(span);
         let id = self.next_id;
         self.next_id += 1;
+        self.reference.schedule_after(span, id);
         assert!(
-            self.by_wheel.insert(w.raw(), id).is_none(),
-            "{ctx}: wheel handed out a live token twice"
+            self.by_token.insert(token.raw(), id).is_none(),
+            "{ctx}: calendar handed out a live token twice"
         );
-        assert!(
-            self.by_legacy.insert(l.raw(), id).is_none(),
-            "{ctx}: legacy handed out a live token twice"
-        );
-        self.live.push(LiveEvent {
-            id,
-            wheel: w,
-            legacy: l,
-        });
+        self.live.push(LiveEvent { id, token });
     }
 
-    /// Pops both calendars and asserts they fire the same logical event
-    /// at the same instant. Returns whether anything fired.
+    /// Pops both and asserts they fire the same logical event at the
+    /// same instant. Returns whether anything fired.
     #[expect(
         clippy::panic,
-        reason = "a divergence between the calendars fails the test"
+        reason = "a divergence from the reference fails the test"
     )]
     fn pop(&mut self, ctx: &str) -> bool {
-        let w = self.wheel.next();
-        let l = self.legacy.next();
-        match (w, l) {
+        let got = self.cal.next();
+        let want = self.reference.next();
+        match (got, want) {
             (None, None) => false,
-            (Some((wt, wtok)), Some((lt, ltok))) => {
-                assert_eq!(wt, lt, "{ctx}: fire times diverged");
-                let wid = self
-                    .by_wheel
-                    .remove(&wtok.raw())
-                    .unwrap_or_else(|| panic!("{ctx}: wheel fired an unknown token"));
-                let lid = self
-                    .by_legacy
-                    .remove(&ltok.raw())
-                    .unwrap_or_else(|| panic!("{ctx}: legacy fired an unknown token"));
-                assert_eq!(wid, lid, "{ctx}: pop order diverged (event {wid} vs {lid})");
+            (Some((t, token)), Some((rt, rid))) => {
+                assert_eq!(t, rt, "{ctx}: fire times diverged");
+                let id = self
+                    .by_token
+                    .remove(&token.raw())
+                    .unwrap_or_else(|| panic!("{ctx}: calendar fired an unknown token"));
+                assert_eq!(id, rid, "{ctx}: pop order diverged (event {id} vs {rid})");
                 let pos = self
                     .live
                     .iter()
-                    .position(|e| e.id == wid)
-                    .unwrap_or_else(|| panic!("{ctx}: fired event {wid} was not live"));
+                    .position(|e| e.id == id)
+                    .unwrap_or_else(|| panic!("{ctx}: fired event {id} was not live"));
                 let ev = self.live.swap_remove(pos);
-                self.spent.push(SpentPair {
-                    wheel: ev.wheel,
-                    legacy: ev.legacy,
-                });
+                self.spent.push(ev);
                 true
             }
-            (w, l) => {
-                panic!("{ctx}: one calendar fired and the other did not (wheel={w:?} legacy={l:?})")
+            (got, want) => {
+                panic!("{ctx}: one side fired and the other did not (calendar={got:?} reference={want:?})")
             }
         }
     }
@@ -155,60 +189,57 @@ impl Harness {
     fn cancel_live(&mut self, i: usize, ctx: &str) {
         let ev = self.live.swap_remove(i);
         assert!(
-            self.wheel.cancel(ev.wheel),
-            "{ctx}: wheel refused a live cancel"
+            self.cal.cancel(ev.token),
+            "{ctx}: calendar refused a live cancel"
         );
         assert!(
-            self.legacy.cancel(ev.legacy),
-            "{ctx}: legacy refused a live cancel"
+            self.reference.cancel(ev.id),
+            "{ctx}: reference refused a live cancel"
         );
-        self.by_wheel.remove(&ev.wheel.raw());
-        self.by_legacy.remove(&ev.legacy.raw());
-        self.spent.push(SpentPair {
-            wheel: ev.wheel,
-            legacy: ev.legacy,
-        });
+        self.by_token.remove(&ev.token.raw());
+        self.spent.push(ev);
     }
 
     fn assert_spent_rejected(&mut self, i: usize, ctx: &str) {
-        let p = &self.spent[i];
+        let ev = &self.spent[i];
         assert!(
-            !self.wheel.cancel(p.wheel),
-            "{ctx}: wheel accepted a spent token"
+            !self.cal.cancel(ev.token),
+            "{ctx}: calendar accepted a spent token"
         );
         assert!(
-            !self.legacy.cancel(p.legacy),
-            "{ctx}: legacy accepted a spent token"
+            !self.reference.cancel(ev.id),
+            "{ctx}: reference accepted a spent event"
         );
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        self.cal.advance_to(at);
+        self.reference.advance_to(at);
     }
 
     /// The step-invariant checks run after every operation.
     fn check_agreement(&mut self, ctx: &str) {
+        assert_eq!(self.cal.now(), self.reference.now, "{ctx}: clocks diverged");
         assert_eq!(
-            self.wheel.now(),
-            self.legacy.now(),
-            "{ctx}: clocks diverged"
-        );
-        assert_eq!(
-            self.wheel.pending(),
-            self.legacy.pending(),
+            self.cal.pending(),
+            self.reference.pending.len(),
             "{ctx}: pending diverged"
         );
         assert_eq!(
-            self.wheel.pending(),
+            self.cal.pending(),
             self.live.len(),
             "{ctx}: pending drifted"
         );
         assert_eq!(
             (
-                self.wheel.scheduled_total(),
-                self.wheel.fired_total(),
-                self.wheel.cancelled_total()
+                self.cal.scheduled_total(),
+                self.cal.fired_total(),
+                self.cal.cancelled_total()
             ),
             (
-                self.legacy.scheduled_total(),
-                self.legacy.fired_total(),
-                self.legacy.cancelled_total()
+                self.reference.scheduled_total,
+                self.reference.fired_total,
+                self.reference.cancelled_total
             ),
             "{ctx}: counters diverged"
         );
@@ -216,26 +247,26 @@ impl Harness {
 
     fn check_peek(&mut self, ctx: &str) {
         assert_eq!(
-            self.wheel.peek_time(),
-            self.legacy.peek_time(),
+            self.cal.peek_time(),
+            self.reference.peek_time(),
             "{ctx}: peeked head diverged"
         );
     }
 }
 
-/// Delay distribution mixing the regimes the wheel must get right:
-/// mostly near-term timers, ~10% far-future events that land at high
-/// wheel levels and cross multiple cascade boundaries on their way down,
-/// and a slice of exact ties (zero delay and round numbers).
+/// Delay distribution mixing the regimes a calendar must order right:
+/// mostly near-term timers, ~10% far-future events that wait behind many
+/// later-scheduled nearer ones, and a slice of exact ties (zero and
+/// near-zero delays).
 fn pick_delay(rng: &mut SimRng) -> u64 {
     match rng.uniform_u64(0, 100) {
-        // Same-instant and same-slot ties.
+        // Same-instant and adjacent-instant ties.
         0..=9 => rng.uniform_u64(0, 4),
-        // Near-term: level 0-1 territory.
+        // Near-term: up to 50 µs.
         10..=69 => rng.uniform_u64(0, 50_000),
-        // Mid-range: a few cascade levels.
+        // Mid-range: up to 50 ms.
         70..=89 => rng.uniform_u64(50_000, 50_000_000),
-        // Far future: up to ~64^8 ns, traversing most of the wheel.
+        // Far future: up to 2^48 ns (~3.3 days).
         90..=97 => rng.uniform_u64(50_000_000, 1 << 48),
         // Extreme horizon.
         _ => rng.uniform_u64(1 << 48, 1 << 60),
@@ -273,8 +304,8 @@ fn run_script(seed: u64, ops: u64) {
             _ => {
                 h.check_peek(&ctx);
                 if rng.chance(0.25) {
-                    let now = h.wheel.now();
-                    let target = match h.wheel.peek_time() {
+                    let now = h.cal.now();
+                    let target = match h.cal.peek_time() {
                         Some(head) => {
                             let gap = head.as_ns() - now.as_ns();
                             SimTime::from_ns(now.as_ns() + gap / 2 + (gap % 2) * (op % 2))
@@ -283,8 +314,7 @@ fn run_script(seed: u64, ops: u64) {
                             now.as_ns().saturating_add(rng.uniform_u64(0, 1 << 30)),
                         ),
                     };
-                    h.wheel.advance_to(target);
-                    h.legacy.advance_to(target);
+                    h.advance_to(target);
                 }
             }
         }
@@ -296,14 +326,15 @@ fn run_script(seed: u64, ops: u64) {
         h.check_agreement(&ctx);
     }
     assert!(h.live.is_empty(), "{ctx}: live events lost");
-    assert_eq!(h.wheel.pending(), 0, "{ctx}");
+    assert_eq!(h.cal.pending(), 0, "{ctx}");
     h.check_peek(&ctx);
 }
 
-/// The headline gate: ≥1M mixed operations replayed against the oracle
-/// with identical pop sequences, clocks, counters, and token semantics.
+/// The headline gate: ≥1M mixed operations replayed against the
+/// reference with identical pop sequences, clocks, counters, and token
+/// semantics.
 #[test]
-fn wheel_matches_legacy_heap_under_churn() {
+fn calendar_matches_reference_under_churn() {
     let total = total_ops();
     let per_script = total.div_ceil(SCRIPT_SEEDS.len() as u64);
     for &seed in &SCRIPT_SEEDS {
@@ -311,18 +342,18 @@ fn wheel_matches_legacy_heap_under_churn() {
     }
 }
 
-/// Far-future-only stress: every event crosses multiple cascade
-/// boundaries before firing, with cancels landing mid-cascade.
+/// Far-future-only stress: horizons from 4 µs to ~2.3 years of simulated
+/// time, with cancels landing between pops.
 #[test]
-fn far_future_cascades_match_legacy_heap() {
+fn far_future_events_match_reference() {
     let mut rng = SimRng::seed_from(0xD1FF_CA5C);
     let mut h = Harness::new();
     let ops = (total_ops() / 20).max(2_000);
     for op in 0..ops {
-        let ctx = format!("cascade op {op}");
+        let ctx = format!("far op {op}");
         match rng.uniform_u64(0, 8) {
             0..=3 => {
-                // Bias hard toward high wheel levels (level 2 and above).
+                // Bias hard toward long horizons.
                 let delay = rng.uniform_u64(1 << 12, 1 << 56);
                 h.schedule(delay, &ctx);
             }
@@ -339,9 +370,9 @@ fn far_future_cascades_match_legacy_heap() {
         }
         h.check_agreement(&ctx);
     }
-    let ctx = "cascade drain";
+    let ctx = "far drain";
     while h.pop(ctx) {
         h.check_agreement(ctx);
     }
-    assert_eq!(h.wheel.pending(), 0, "{ctx}");
+    assert_eq!(h.cal.pending(), 0, "{ctx}");
 }

@@ -20,6 +20,10 @@
 //! interned), QoS preemption (`preempt_running`) and fork-join gangs
 //! (`submit_cpu_parallel`, whose join lives in a recycled slot).
 //!
+//! The calendar is pinned on its own as well: on a warm calendar that
+//! `Calendar::reset` has cleared, a schedule/cancel/`next` churn at the
+//! warm pass's high-water mark must not allocate.
+//!
 //! The simulator is single-threaded, so the counter is per thread: the
 //! test harness and sibling tests allocate on other threads and cannot
 //! bleed into a measured window.
@@ -27,7 +31,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use aitax_des::SimSpan;
+use aitax_des::{Calendar, SimRng, SimSpan, Token};
 use aitax_kernel::{CoreMask, Machine, TaskSpec, Work};
 use aitax_soc::{SocCatalog, SocId};
 
@@ -320,5 +324,54 @@ fn steady_state_gangs_allocate_only_their_specs() {
         during, measured_gangs,
         "{measured_gangs} steady-state gangs allocated {during} time(s); \
          only each gang's caller-built `specs` vector may allocate"
+    );
+}
+
+/// One deterministic calendar script: every cycle schedules a near and a
+/// far event, cancels one of the last `RECENT` tokens (already fired or
+/// cancelled ones are refused) and pops the next event. Recent tokens
+/// live in a fixed array, so the script itself never allocates.
+fn calendar_churn(cal: &mut Calendar, cycles: u64) -> u64 {
+    const RECENT: usize = 32;
+    let mut rng = SimRng::seed_from(0xCA1E_A110);
+    let mut recent = [None::<Token>; RECENT];
+    let mut fired = 0;
+    for i in 0..cycles as usize {
+        let near = cal.schedule_after(SimSpan::from_ns(rng.uniform_u64(0, 2_000)));
+        let far = cal.schedule_after(SimSpan::from_ns(rng.uniform_u64(0, 1 << 40)));
+        recent[(2 * i) % RECENT] = Some(near);
+        recent[(2 * i + 1) % RECENT] = Some(far);
+        if let Some(tok) = recent[rng.uniform_u64(0, RECENT as u64) as usize] {
+            cal.cancel(tok);
+        }
+        if cal.next().is_some() {
+            fired += 1;
+        }
+    }
+    fired
+}
+
+#[test]
+fn warm_calendar_churn_never_allocates() {
+    const CYCLES: u64 = 10_000;
+    // The warm pass grows the heap, slot slab and free list to the
+    // script's high-water mark; `reset` must keep all three.
+    let mut cal = Calendar::new();
+    calendar_churn(&mut cal, CYCLES);
+    cal.reset();
+
+    let before = allocs();
+    let fired = calendar_churn(&mut cal, CYCLES);
+    let during = allocs() - before;
+
+    assert_eq!(
+        during, 0,
+        "{CYCLES} schedule/cancel/next cycles on a warm, reset calendar \
+         allocated {during} time(s)"
+    );
+    assert_eq!(fired, CYCLES, "every cycle must fire an event");
+    assert!(
+        cal.cancelled_total() > CYCLES / 4,
+        "the script must cancel live events"
     );
 }
