@@ -1,9 +1,10 @@
 //! Pins the steady-state event loop at **zero heap allocations per
 //! event** with a counting global allocator — the probe-effect guarantee
-//! `BENCH_sim.json` tracks (`steady_allocs`) — and pins
-//! [`Machine::reset`], the context-reuse path, at zero allocations too.
+//! that `crates/bench/tests/sim_counters.rs` also pins as `steady_allocs`
+//! — and pins [`Machine::reset`], the context-reuse path, at zero
+//! allocations too.
 //!
-//! The step scenario mirrors the benchmark's `machine-hot`: long
+//! The step scenario mirrors that test's `machine-hot`: long
 //! foreground tasks time-slicing over the big cores with tracing enabled.
 //! After warmup every structure has reached steady capacity — the
 //! calendar's slot slab and heap, the per-slot event table, the

@@ -21,6 +21,7 @@ use std::process::ExitCode;
 
 use aitax_core::QosClass;
 use aitax_lab::cli::{self, Args, CliError};
+use aitax_serve::arrival::check_horizon;
 use aitax_serve::{artifact, attribution, scenarios, AdmissionPolicy, ServeReport};
 
 const USAGE: &str = "usage: serve [--scenario NAME] [--list] [--tenants N] [--qos CLASS[,CLASS...]]\n\
@@ -192,6 +193,10 @@ fn serve(mut args: Args) -> Result<(), CliError> {
         cfg = cfg.admission(admission);
     }
     let cfg = cfg.seed(cli::seed_or_env(seed)?);
+    for (k, t) in cfg.tenants.iter().enumerate() {
+        check_horizon(cfg.seed, k as u64, t.rate_hz, t.requests)
+            .map_err(|e| format!("tenant '{}': {e}", t.label))?;
+    }
     let threads = cli::threads_or_env(threads)?;
 
     let (report, secs) = cli::run_product(

@@ -1,7 +1,8 @@
 //! Exit codes of the `serve` binary: 2 for any usage error — an unknown
-//! flag, a missing value, a zero count, an out-of-range rate, a bad
-//! `AITAX_*` default or an unknown scenario — and 0 for `--help`,
-//! `--list` and a clean run.
+//! flag, a missing value, a zero count, a zero rate, a rate or request
+//! count under which some tenant's arrivals do not fit the simulated
+//! clock, a bad `AITAX_*` default or an unknown scenario — and 0 for
+//! `--help`, `--list` and a clean run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -45,6 +46,36 @@ fn exit_codes_follow_the_shared_rule() {
         ("zero tenants", &[], &["--tenants", "0"], 2),
         ("zero threads", &[], &["--threads", "0"], 2),
         ("zero arrival rate", &[], &["--arrival-rate", "0"], 2),
+        (
+            "infinite mean gap",
+            &[],
+            &[RUN, &["--arrival-rate", "1e-310"]].concat(),
+            2,
+        ),
+        (
+            "expected arrivals past the clock",
+            &[],
+            &[RUN, &["--arrival-rate", "1e-11"]].concat(),
+            2,
+        ),
+        (
+            "drawn arrivals past the horizon",
+            &[],
+            &[RUN, &["--arrival-rate", "1.5e-11"]].concat(),
+            2,
+        ),
+        (
+            "request count past the clock",
+            &[],
+            &["--requests", "18446744073709551615"],
+            2,
+        ),
+        (
+            "sparse arrivals within the horizon",
+            &[],
+            &[RUN, &["--arrival-rate", "1e-10"]].concat(),
+            0,
+        ),
         ("unknown scenario", &[], &["--scenario", "nope"], 2),
         ("AITAX_THREADS=0", &[("AITAX_THREADS", "0")], RUN, 2),
         ("AITAX_SEED=x", &[("AITAX_SEED", "x")], RUN, 2),
