@@ -5,15 +5,16 @@
 //! standard C++ library that this benchmark happened to be compiled
 //! against (libc++) generates real numbers significantly faster than
 //! integers. Using a different standard library (libstdc++), we observed
-//! the exact opposite behavior."* We reproduce that: the generator emits
-//! real random tensors and reports a per-element cycle cost whose
-//! float-vs-int ratio flips with the standard-library flavor.
+//! the exact opposite behavior."* We reproduce that with a per-element
+//! cycle cost whose float-vs-int ratio flips with the standard-library
+//! flavor.
 //!
 //! The cost is one function, [`StdlibFlavor::input_cycles`]. The
-//! end-to-end driver prices benchmark capture through it directly and
-//! never materialises the tensor — the simulated phone pays for the
-//! bytes, the simulator does not. [`RandomTensorGen`] is for callers
-//! that want the real tensor as well.
+//! end-to-end driver prices benchmark capture through it and never
+//! materialises the tensor — the simulated phone pays for the bytes, the
+//! simulator does not. [`RandomTensorGen`] builds the tensors too; it is
+//! the reference the price is checked against, bit for bit
+//! (`tests/input_cycles.rs`).
 
 use aitax_des::SimRng;
 use aitax_tensor::{DType, QuantParams, Tensor};
@@ -85,11 +86,6 @@ impl RandomTensorGen {
             flavor,
             rng: SimRng::seed_from(seed),
         }
-    }
-
-    /// The flavor this generator models.
-    pub fn flavor(&self) -> StdlibFlavor {
-        self.flavor
     }
 
     /// Generates a random F32 tensor, returning it and the CPU cycles the

@@ -1,13 +1,14 @@
 //! Calibrated cost model for pre-/post-processing work.
 //!
-//! The algorithms in this crate run for real, but experiment latencies are
-//! measured on the *simulated* timeline, so each invocation also reports
-//! how many CPU cycles it represents on the modelled chipset. Costs are
-//! per-element cycle counts for optimized native (NEON) code, with a
-//! multiplier for the managed Java/Bitmap/JNI path production Android apps
-//! actually take — the reason the same model "encapsulated inside a real
-//! application spends a significant amount of time ... pre-processing"
-//! (paper Fig. 4) while the native command-line benchmark does not.
+//! Experiment latencies are measured on the *simulated* timeline, and the
+//! pre-/post-processing stages reach it only through this price: each
+//! stage is charged the CPU cycles its work represents on the modelled
+//! chipset. Costs are per-element cycle counts for optimized native
+//! (NEON) code, with a multiplier for the managed Java/Bitmap/JNI path
+//! production Android apps actually take — the reason the same model
+//! "encapsulated inside a real application spends a significant amount
+//! of time ... pre-processing" (paper Fig. 4) while the native
+//! command-line benchmark does not.
 
 /// Which implementation path executes an algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,8 +59,6 @@ pub enum PixelOp {
     DecodeBoxesNms,
     /// WordPiece tokenization (per input character).
     Tokenize,
-    /// Bulk memory copy (per byte).
-    MemCopy,
     /// Camera frame extraction: plane-walking an `Image` into app-owned
     /// byte arrays (per frame byte). Disproportionately expensive on the
     /// managed path — per-byte `ByteBuffer` accessors dominate, which is
@@ -83,7 +82,6 @@ impl PixelOp {
             PixelOp::DecodeKeypoints => 3.0,
             PixelOp::DecodeBoxesNms => 90.0,
             PixelOp::Tokenize => 220.0,
-            PixelOp::MemCopy => 0.4,
             PixelOp::FrameExtract => 8.0,
         }
     }
@@ -109,11 +107,6 @@ impl CostModel {
     /// Creates a cost model for a runtime path.
     pub fn new(runtime: RuntimeKind) -> Self {
         CostModel { runtime }
-    }
-
-    /// The runtime path this model represents.
-    pub fn runtime(&self) -> RuntimeKind {
-        self.runtime
     }
 
     /// CPU cycles for applying `op` to `elements` elements.

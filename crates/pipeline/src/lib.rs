@@ -1,35 +1,30 @@
-//! Real pre-/post-processing algorithms for mobile ML pipelines.
+//! Prices of the pre- and post-processing stages of mobile ML pipelines.
 //!
 //! Section II of the paper walks through every algorithmic stage that wraps
 //! model execution: bitmap formatting (YUV NV21 → ARGB8888), scale/crop,
 //! normalization, rotation, type conversion, and the task-specific
 //! post-processing (topK, dequantization, mask flattening, keypoint
-//! decoding, box decoding, tokenization). This crate implements each of
-//! them **for real**, operating on actual pixel buffers — they are the code
-//! paths the paper's "AI tax: Algorithms" category measures — plus a
-//! calibrated [`cost`] model that maps the work they perform onto the
-//! simulated timeline (native code vs. the managed Java/JNI path real
-//! Android apps take).
+//! decoding, box decoding, tokenization). The simulator does not run
+//! these algorithms on pixels; it charges their work to the simulated
+//! CPU. The [`cost`] model maps each stage and its element count onto
+//! CPU cycles, on the native path or on the managed Java/JNI path real
+//! Android apps take — the paper's "AI tax: Algorithms" category.
 //!
-//! # Example: the classification pre-processing chain
+//! # Example: pricing the classification pre-processing chain
 //!
 //! ```
-//! use aitax_pipeline::image::YuvNv21Image;
-//! use aitax_pipeline::preprocess;
+//! use aitax_pipeline::{CostModel, PixelOp, RuntimeKind};
 //!
-//! // A 64×48 camera frame (any content).
-//! let frame = YuvNv21Image::synthetic(64, 48, 7);
-//! let argb = preprocess::nv21_to_argb(&frame);
-//! let cropped = preprocess::center_crop(&argb, 40, 40);
-//! let scaled = preprocess::resize_bilinear(&cropped, 24, 24);
-//! let tensor = preprocess::normalize_to_tensor(&scaled, 127.5, 127.5);
-//! assert_eq!(tensor.shape().dims(), &[1, 24, 24, 3]);
+//! // A 640×480 camera frame into a 224×224 model on the app path.
+//! let cycles = CostModel::new(RuntimeKind::Managed).chain_cycles(&[
+//!     (PixelOp::Nv21ToArgb, 640 * 480),
+//!     (PixelOp::CenterCrop, 224 * 224),
+//!     (PixelOp::ResizeBilinear, 224 * 224),
+//!     (PixelOp::Normalize, 224 * 224 * 3),
+//! ]);
+//! assert!(cycles > 0.0);
 //! ```
 
 pub mod cost;
-pub mod image;
-pub mod post;
-pub mod preprocess;
 
 pub use cost::{CostModel, PixelOp, RuntimeKind};
-pub use image::{ArgbImage, YuvNv21Image};

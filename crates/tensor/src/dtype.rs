@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Element type of a [`Tensor`](crate::Tensor).
+/// Element type of a model's tensors.
 ///
 /// Matches the numerical formats the paper evaluates (§III-A): 32-bit floats
 /// and 8-bit quantized integers, plus the auxiliary types that show up in
@@ -41,18 +41,10 @@ impl DType {
         }
     }
 
-    /// Whether this is one of the floating-point types.
-    pub const fn is_float(self) -> bool {
-        matches!(self, DType::F32 | DType::F16)
-    }
-
     /// Whether this is an 8-bit quantized type.
     pub const fn is_quantized(self) -> bool {
         matches!(self, DType::U8 | DType::I8)
     }
-
-    /// All element types, in declaration order.
-    pub const ALL: [DType; 5] = [DType::F32, DType::F16, DType::U8, DType::I8, DType::I32];
 }
 
 impl fmt::Display for DType {
@@ -83,9 +75,7 @@ mod tests {
 
     #[test]
     fn classification_predicates() {
-        assert!(DType::F32.is_float());
-        assert!(DType::F16.is_float());
-        assert!(!DType::I8.is_float());
+        assert!(!DType::F32.is_quantized());
         assert!(DType::I8.is_quantized());
         assert!(DType::U8.is_quantized());
         assert!(!DType::I32.is_quantized());
@@ -95,14 +85,5 @@ mod tests {
     fn display_uses_paper_spelling() {
         assert_eq!(DType::F32.to_string(), "fp32");
         assert_eq!(DType::I8.to_string(), "int8");
-    }
-
-    #[test]
-    fn all_lists_every_variant_once() {
-        let mut seen = std::collections::BTreeSet::new();
-        for d in DType::ALL {
-            assert!(seen.insert(d));
-        }
-        assert_eq!(seen.len(), 5);
     }
 }

@@ -1,38 +1,30 @@
-//! Tensors, element types and affine quantization for the `aitax` simulator.
+//! Element types, and the random-input tensors, of the `aitax` simulator.
 //!
 //! Mobile inference pipelines shuttle data between *raw sensor bytes*,
 //! *float tensors* and *8-bit quantized tensors* (paper §II-B, "Type
-//! conversion"). This crate provides the small, dependency-free tensor
-//! machinery the pre-/post-processing implementations (`aitax-pipeline`)
-//! and the model IR (`aitax-models`) are built on:
+//! conversion"). The simulator prices that data by element type and count
+//! rather than holding it, so this crate is small:
 //!
 //! * [`DType`] — the element types that appear in Table I (FP32, FP16,
-//!   INT8/UINT8, INT32),
-//! * [`Shape`] — NHWC-oriented shape arithmetic with overflow-checked
-//!   element counts,
-//! * [`QuantParams`] — affine (scale, zero-point) quantization exactly as
-//!   TFLite defines it,
-//! * [`Tensor`] — an owned, dynamically-typed buffer.
+//!   INT8/UINT8, INT32), which key the model zoo, the runtimes and the
+//!   prices of every stage,
+//! * [`Tensor`] and [`QuantParams`] — an owned F32 or affine-quantized
+//!   I8 buffer, what `aitax-capture`'s random-input generator returns.
 //!
 //! # Example
 //!
 //! ```
-//! use aitax_tensor::{QuantParams, Tensor};
+//! use aitax_tensor::DType;
 //!
-//! let q = QuantParams::new(0.5, 10);
-//! let t = Tensor::from_f32(&[2, 2], vec![1.0, -0.5, 3.0, 0.0]);
-//! let quantized = t.quantize(q)?;
-//! let restored = quantized.dequantize()?;
-//! assert!((restored.as_f32()?[0] - 1.0).abs() <= 0.5);
-//! # Ok::<(), aitax_tensor::TensorError>(())
+//! assert_eq!(DType::F32.size_bytes(), 4);
+//! assert!(DType::I8.is_quantized());
+//! assert_eq!(DType::I8.to_string(), "int8");
 //! ```
 
 pub mod dtype;
 pub mod quant;
-pub mod shape;
 pub mod tensor;
 
 pub use dtype::DType;
 pub use quant::QuantParams;
-pub use shape::Shape;
-pub use tensor::{Tensor, TensorError};
+pub use tensor::Tensor;

@@ -1,10 +1,10 @@
-//! Affine quantization, TFLite-style.
+//! Affine quantization parameters, TFLite-style.
 //!
 //! A real value `r` maps to a quantized value `q` via
-//! `q = round(r / scale) + zero_point`, clamped to the i8 range; the reverse
-//! is `r = (q - zero_point) * scale`. The paper's INT8 model configurations
-//! use exactly this scheme, and its §II-B "Type conversion" stage is the
-//! pre-processing step that applies it to camera bytes.
+//! `q = round(r / scale) + zero_point`, clamped to the i8 range. The
+//! paper's INT8 model configurations use exactly this scheme; here the
+//! parameters only label the quantized tensors the random-input generator
+//! builds.
 
 /// Affine quantization parameters (scale and zero point).
 ///
@@ -12,9 +12,7 @@
 ///
 /// ```
 /// use aitax_tensor::QuantParams;
-/// let q = QuantParams::new(0.1, 0);
-/// assert_eq!(q.quantize(1.25), 13);
-/// assert!((q.dequantize(13) - 1.3).abs() < 1e-6);
+/// assert_eq!(QuantParams::from_range(0.0, 1.0), QuantParams::new(1.0 / 255.0, -128));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
@@ -53,94 +51,22 @@ impl QuantParams {
         let zero_point = (-128.0 - lo / scale).round().clamp(-128.0, 127.0) as i32;
         QuantParams::new(scale, zero_point)
     }
-
-    /// The scale (real units per quantized step).
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The zero point (quantized value representing real 0.0).
-    pub fn zero_point(&self) -> i32 {
-        self.zero_point
-    }
-
-    /// Quantizes one real value, saturating to the i8 range.
-    pub fn quantize(&self, real: f32) -> i8 {
-        let q = (real / self.scale).round() as i64 + self.zero_point as i64;
-        q.clamp(i8::MIN as i64, i8::MAX as i64) as i8
-    }
-
-    /// Dequantizes one value back to real units.
-    pub fn dequantize(&self, q: i8) -> f32 {
-        (q as i32 - self.zero_point) as f32 * self.scale
-    }
-
-    /// The largest absolute round-trip error this parameterization can
-    /// introduce for in-range values (half a quantization step).
-    pub fn max_round_trip_error(&self) -> f32 {
-        self.scale / 2.0
-    }
-}
-
-impl Default for QuantParams {
-    /// Identity-ish parameters mapping `[-128, 127]` one-to-one.
-    fn default() -> Self {
-        QuantParams::new(1.0, 0)
-    }
 }
 
 #[cfg(test)]
-#[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_within_half_step() {
-        let q = QuantParams::new(0.02, -3);
-        for r in [-1.0f32, -0.37, 0.0, 0.5, 1.99] {
-            let rt = q.dequantize(q.quantize(r));
-            assert!(
-                (rt - r).abs() <= q.max_round_trip_error() + 1e-6,
-                "r={r} rt={rt}"
-            );
-        }
-    }
-
-    #[test]
-    fn saturates_at_extremes() {
-        let q = QuantParams::new(0.01, 0);
-        assert_eq!(q.quantize(100.0), i8::MAX);
-        assert_eq!(q.quantize(-100.0), i8::MIN);
-    }
-
-    #[test]
-    fn zero_point_maps_zero() {
-        let q = QuantParams::new(0.5, 7);
-        assert_eq!(q.quantize(0.0), 7);
-        assert_eq!(q.dequantize(7), 0.0);
-    }
-
-    #[test]
-    fn from_range_covers_the_range() {
-        let q = QuantParams::from_range(0.0, 1.0);
-        // 0.0 should land near -128, 1.0 near 127.
-        assert!(q.quantize(0.0) <= -126);
-        assert!(q.quantize(1.0) >= 125);
-        // Mid-range should round-trip within one step.
-        let rt = q.dequantize(q.quantize(0.5));
-        assert!((rt - 0.5).abs() <= q.scale());
+    fn from_range_nudges_the_range_to_include_zero() {
+        assert_eq!(QuantParams::from_range(0.0, 1.0).zero_point, -128);
+        // [-2, -1] widens to [-2, 0]: real zero is the top of the range.
+        assert_eq!(QuantParams::from_range(-2.0, -1.0).zero_point, 127);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_scale_panics() {
         QuantParams::new(0.0, 0);
-    }
-
-    #[test]
-    fn default_is_identity_like() {
-        let q = QuantParams::default();
-        assert_eq!(q.quantize(42.0), 42);
-        assert_eq!(q.dequantize(42), 42.0);
     }
 }

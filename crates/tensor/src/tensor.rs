@@ -1,60 +1,11 @@
 //! The owned, dynamically-typed tensor.
 
-use std::error::Error;
-use std::fmt;
-
-use crate::dtype::DType;
 use crate::quant::QuantParams;
-use crate::shape::Shape;
 
-/// Errors returned by tensor operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TensorError {
-    /// The buffer length does not match the shape's element count.
-    LengthMismatch {
-        /// Elements implied by the shape.
-        expected: usize,
-        /// Elements actually provided.
-        actual: usize,
-    },
-    /// The tensor's dtype does not support the requested view/operation.
-    DTypeMismatch {
-        /// DType required by the operation.
-        expected: DType,
-        /// DType the tensor actually has.
-        actual: DType,
-    },
-    /// Quantization parameters were required but absent.
-    MissingQuantParams,
-}
-
-impl fmt::Display for TensorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TensorError::LengthMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "buffer has {actual} elements but shape implies {expected}"
-                )
-            }
-            TensorError::DTypeMismatch { expected, actual } => {
-                write!(f, "operation requires {expected} tensor but found {actual}")
-            }
-            TensorError::MissingQuantParams => {
-                write!(f, "quantized tensor is missing quantization parameters")
-            }
-        }
-    }
-}
-
-impl Error for TensorError {}
-
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 enum Storage {
     F32(Vec<f32>),
-    U8(Vec<u8>),
-    I8(Vec<i8>),
-    I32(Vec<i32>),
+    I8(Vec<i8>, QuantParams),
 }
 
 /// An owned, dynamically-typed tensor.
@@ -62,36 +13,25 @@ enum Storage {
 /// # Example
 ///
 /// ```
-/// use aitax_tensor::{DType, Tensor};
-/// let t = Tensor::zeros(&[1, 2, 2, 3], DType::F32);
-/// assert_eq!(t.byte_len(), 48);
+/// use aitax_tensor::Tensor;
+/// let t = Tensor::from_f32(&[1, 2, 2, 3], vec![0.0; 12]);
+/// assert_eq!(t.elements(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
-    shape: Shape,
-    dtype: DType,
-    quant: Option<QuantParams>,
+    dims: Vec<usize>,
     storage: Storage,
 }
 
 impl Tensor {
-    /// An all-zero tensor of the given shape and dtype.
-    ///
-    /// F16 tensors are stored as f32 internally (the simulator never needs
-    /// true half-precision arithmetic, only half-precision *sizes*).
-    pub fn zeros(dims: &[usize], dtype: DType) -> Self {
-        let shape = Shape::new(dims);
-        let n = shape.elements();
-        let storage = match dtype {
-            DType::F32 | DType::F16 => Storage::F32(vec![0.0; n]),
-            DType::U8 => Storage::U8(vec![0; n]),
-            DType::I8 => Storage::I8(vec![0; n]),
-            DType::I32 => Storage::I32(vec![0; n]),
-        };
+    fn new(dims: &[usize], len: usize, storage: Storage) -> Self {
+        assert_eq!(
+            dims.iter().product::<usize>(),
+            len,
+            "data length must match shape elements"
+        );
         Tensor {
-            shape,
-            dtype,
-            quant: None,
+            dims: dims.to_vec(),
             storage,
         }
     }
@@ -102,38 +42,7 @@ impl Tensor {
     ///
     /// Panics if `data.len()` disagrees with the shape.
     pub fn from_f32(dims: &[usize], data: Vec<f32>) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.elements(),
-            data.len(),
-            "data length must match shape elements"
-        );
-        Tensor {
-            shape,
-            dtype: DType::F32,
-            quant: None,
-            storage: Storage::F32(data),
-        }
-    }
-
-    /// Builds a U8 tensor from raw bytes (camera frames, bitmaps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` disagrees with the shape.
-    pub fn from_u8(dims: &[usize], data: Vec<u8>) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.elements(),
-            data.len(),
-            "data length must match shape elements"
-        );
-        Tensor {
-            shape,
-            dtype: DType::U8,
-            quant: None,
-            storage: Storage::U8(data),
-        }
+        Tensor::new(dims, data.len(), Storage::F32(data))
     }
 
     /// Builds an I8 tensor with quantization parameters.
@@ -142,157 +51,20 @@ impl Tensor {
     ///
     /// Panics if `data.len()` disagrees with the shape.
     pub fn from_i8(dims: &[usize], data: Vec<i8>, quant: QuantParams) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.elements(),
-            data.len(),
-            "data length must match shape elements"
-        );
-        Tensor {
-            shape,
-            dtype: DType::I8,
-            quant: Some(quant),
-            storage: Storage::I8(data),
-        }
-    }
-
-    /// The tensor's shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// The tensor's element type.
-    pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
-    /// Quantization parameters, if this tensor is quantized.
-    pub fn quant_params(&self) -> Option<QuantParams> {
-        self.quant
+        Tensor::new(dims, data.len(), Storage::I8(data, quant))
     }
 
     /// Number of elements.
     pub fn elements(&self) -> usize {
-        self.shape.elements()
+        self.dims.iter().product()
     }
 
-    /// Size of the tensor payload in bytes (respecting dtype width).
-    pub fn byte_len(&self) -> usize {
-        self.elements() * self.dtype.size_bytes()
-    }
-
-    /// Borrows the data as `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is F32/F16.
-    pub fn as_f32(&self) -> Result<&[f32], TensorError> {
+    /// Borrows the data as `f32`, or `None` for an I8 tensor.
+    pub fn as_f32(&self) -> Option<&[f32]> {
         match &self.storage {
-            Storage::F32(v) => Ok(v),
-            _ => Err(TensorError::DTypeMismatch {
-                expected: DType::F32,
-                actual: self.dtype,
-            }),
+            Storage::F32(v) => Some(v),
+            Storage::I8(..) => None,
         }
-    }
-
-    /// Mutably borrows the data as `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is F32/F16.
-    pub fn as_f32_mut(&mut self) -> Result<&mut [f32], TensorError> {
-        let dtype = self.dtype;
-        match &mut self.storage {
-            Storage::F32(v) => Ok(v),
-            _ => Err(TensorError::DTypeMismatch {
-                expected: DType::F32,
-                actual: dtype,
-            }),
-        }
-    }
-
-    /// Borrows the data as `u8`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is U8.
-    pub fn as_u8(&self) -> Result<&[u8], TensorError> {
-        match &self.storage {
-            Storage::U8(v) => Ok(v),
-            _ => Err(TensorError::DTypeMismatch {
-                expected: DType::U8,
-                actual: self.dtype,
-            }),
-        }
-    }
-
-    /// Borrows the data as `i8`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is I8.
-    pub fn as_i8(&self) -> Result<&[i8], TensorError> {
-        match &self.storage {
-            Storage::I8(v) => Ok(v),
-            _ => Err(TensorError::DTypeMismatch {
-                expected: DType::I8,
-                actual: self.dtype,
-            }),
-        }
-    }
-
-    /// Borrows the data as `i32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is I32.
-    pub fn as_i32(&self) -> Result<&[i32], TensorError> {
-        match &self.storage {
-            Storage::I32(v) => Ok(v),
-            _ => Err(TensorError::DTypeMismatch {
-                expected: DType::I32,
-                actual: self.dtype,
-            }),
-        }
-    }
-
-    /// Quantizes an F32 tensor to I8 with the given parameters.
-    ///
-    /// This is the real "type conversion" pre-processing step of §II-B: it
-    /// touches every element once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] if the tensor is not F32.
-    pub fn quantize(&self, params: QuantParams) -> Result<Tensor, TensorError> {
-        let data = self.as_f32()?;
-        let q: Vec<i8> = data.iter().map(|&r| params.quantize(r)).collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            dtype: DType::I8,
-            quant: Some(params),
-            storage: Storage::I8(q),
-        })
-    }
-
-    /// Dequantizes an I8 tensor back to F32 (post-processing step marked
-    /// "*" in Table I).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] if the tensor is not I8, or
-    /// [`TensorError::MissingQuantParams`] if it carries no parameters.
-    pub fn dequantize(&self) -> Result<Tensor, TensorError> {
-        let data = self.as_i8()?;
-        let params = self.quant.ok_or(TensorError::MissingQuantParams)?;
-        let f: Vec<f32> = data.iter().map(|&q| params.dequantize(q)).collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            dtype: DType::F32,
-            quant: None,
-            storage: Storage::F32(f),
-        })
     }
 }
 
@@ -301,70 +73,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_has_right_size() {
-        let t = Tensor::zeros(&[2, 3], DType::I32);
+    fn i8_tensor_has_no_f32_view() {
+        let t = Tensor::from_i8(&[2, 3], vec![0; 6], QuantParams::from_range(-1.0, 1.0));
         assert_eq!(t.elements(), 6);
-        assert_eq!(t.byte_len(), 24);
-        assert!(t.as_i32().unwrap().iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn f16_counts_two_bytes_per_element() {
-        let t = Tensor::zeros(&[10], DType::F16);
-        assert_eq!(t.byte_len(), 20);
-        // Stored as f32 internally but sized as f16.
-        assert!(t.as_f32().is_ok());
-    }
-
-    #[test]
-    fn wrong_view_errors() {
-        let t = Tensor::zeros(&[4], DType::F32);
-        let err = t.as_u8().unwrap_err();
-        assert_eq!(
-            err,
-            TensorError::DTypeMismatch {
-                expected: DType::U8,
-                actual: DType::F32
-            }
-        );
-        assert!(!err.to_string().is_empty());
-    }
-
-    #[test]
-    fn quantize_dequantize_round_trip() {
-        let params = QuantParams::new(0.05, 3);
-        let data = vec![0.0f32, 1.0, -1.0, 2.5, -2.5];
-        let t = Tensor::from_f32(&[5], data.clone());
-        let q = t.quantize(params).unwrap();
-        assert_eq!(q.dtype(), DType::I8);
-        assert_eq!(q.quant_params(), Some(params));
-        let back = q.dequantize().unwrap();
-        for (orig, rt) in data.iter().zip(back.as_f32().unwrap()) {
-            assert!((orig - rt).abs() <= params.max_round_trip_error() + 1e-6);
-        }
-    }
-
-    #[test]
-    fn dequantize_without_params_errors() {
-        let t = Tensor {
-            shape: Shape::new(&[1]),
-            dtype: DType::I8,
-            quant: None,
-            storage: Storage::I8(vec![5]),
-        };
-        assert_eq!(t.dequantize().unwrap_err(), TensorError::MissingQuantParams);
+        assert!(t.as_f32().is_none());
     }
 
     #[test]
     #[should_panic(expected = "match shape")]
     fn mismatched_data_length_panics() {
         Tensor::from_f32(&[3], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn mutation_through_view() {
-        let mut t = Tensor::zeros(&[2], DType::F32);
-        t.as_f32_mut().unwrap()[1] = 9.0;
-        assert_eq!(t.as_f32().unwrap(), &[0.0, 9.0]);
     }
 }

@@ -3,9 +3,9 @@
 //! A full reproduction of *"AI Tax in Mobile SoCs: End-to-end Performance
 //! Analysis of Machine Learning in Smartphones"* (ISPASS 2021) as a Rust
 //! library: a discrete-event simulated Snapdragon-class phone, TFLite-/
-//! NNAPI-/SNPE-like inference runtimes, real pre-/post-processing
-//! algorithm implementations, and an end-to-end measurement harness that
-//! decomposes ML pipeline latency into the **AI tax** — everything a
+//! NNAPI-/SNPE-like inference runtimes, calibrated prices for data
+//! capture and pre-/post-processing, and an end-to-end measurement harness
+//! that decomposes ML pipeline latency into the **AI tax** — everything a
 //! system does around the model itself.
 //!
 //! This crate is a facade re-exporting the workspace members:
@@ -13,12 +13,12 @@
 //! | module | crate | provides |
 //! |---|---|---|
 //! | [`des`] | `aitax-des` | discrete-event simulation kernel |
-//! | [`tensor`] | `aitax-tensor` | tensors, dtypes, quantization |
+//! | [`tensor`] | `aitax-tensor` | element types, random-input tensors |
 //! | [`soc`] | `aitax-soc` | CPU/GPU/DSP/memory/thermal models, Table II catalog |
 //! | [`kernel`] | `aitax-kernel` | scheduler, FastRPC offload, noise |
 //! | [`models`] | `aitax-models` | operator IR + the Table I model zoo |
-//! | [`pipeline`] | `aitax-pipeline` | real pre-/post-processing + cost models |
-//! | [`capture`] | `aitax-capture` | camera simulation, random input generators |
+//! | [`pipeline`] | `aitax-pipeline` | pre-/post-processing cost models |
+//! | [`capture`] | `aitax-capture` | camera cadence, random-input capture cost |
 //! | [`framework`] | `aitax-framework` | TFLite/NNAPI/SNPE-like runtimes |
 //! | [`core`] | `aitax-core` | AI-tax taxonomy, E2E runner, experiments |
 //! | [`profiler`] | `aitax-profiler` | utilization timelines, Fig. 6 profiles |
