@@ -6,6 +6,6 @@
 //! `AITAX_TSV=1` (TSV tables instead of aligned text). A set but invalid
 //! value is a usage error, exactly as for the `lab` flag it mirrors.
 
-pub mod exhibits;
+mod exhibits;
 
 pub use exhibits::{Exhibit, Knobs, EXHIBITS};

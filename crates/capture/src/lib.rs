@@ -8,15 +8,15 @@
 //! simulator charges capture to the simulated phone without producing
 //! the bytes. This crate provides:
 //!
-//! * [`camera`] — the camera stream's frame rate, sensor readout latency
+//! * `camera` — the camera stream's frame rate, sensor readout latency
 //!   and frame size, which the end-to-end driver turns into capture time
 //!   and frame-extraction cycles,
-//! * [`randgen`] — the cost of the random-tensor inputs benchmarks use
+//! * `randgen` — the cost of the random-tensor inputs benchmarks use
 //!   instead of real capture, including the libc++/libstdc++ cost
 //!   inversion the paper calls out as a benchmarking fallacy.
 
-pub mod camera;
-pub mod randgen;
+mod camera;
+mod randgen;
 
 pub use camera::CameraConfig;
 pub use randgen::{RandomTensorGen, StdlibFlavor};

@@ -33,9 +33,9 @@ impl StdlibFlavor {
     ///
     /// Calibrated so that under libc++ "the data capture ... is
     /// negligible" for float models, while integer generation
-    /// "approximate[s] real applications to some extent" (§IV-A) —
+    /// "approximate\[s\] real applications to some extent" (§IV-A) —
     /// i.e. approaches the quantized models' inference latency.
-    pub fn float_cycles_per_element(self) -> f64 {
+    pub(crate) fn float_cycles_per_element(self) -> f64 {
         match self {
             StdlibFlavor::LibCxx => 30.0,
             StdlibFlavor::LibStdCxx => 150.0,
@@ -43,7 +43,7 @@ impl StdlibFlavor {
     }
 
     /// Cycles per generated element for integer tensors.
-    pub fn int_cycles_per_element(self) -> f64 {
+    pub(crate) fn int_cycles_per_element(self) -> f64 {
         match self {
             StdlibFlavor::LibCxx => 180.0,
             StdlibFlavor::LibStdCxx => 40.0,

@@ -29,7 +29,7 @@ use aitax_soc::{SocCatalog, SocId};
 /// # Example
 ///
 /// ```
-/// use aitax_core::context::SimContext;
+/// use aitax_core::SimContext;
 /// use aitax_core::pipeline::E2eConfig;
 /// use aitax_models::zoo::ModelId;
 /// use aitax_tensor::DType;
@@ -72,7 +72,8 @@ impl SimContext {
     }
 
     /// Whether a machine is currently cached (and for which chipset).
-    pub fn cached_soc(&self) -> Option<SocId> {
+    #[cfg(test)]
+    fn cached_soc(&self) -> Option<SocId> {
         self.machine.as_ref().map(|(soc, _)| *soc)
     }
 

@@ -28,7 +28,7 @@ pub struct DegradationReport {
 impl DegradationReport {
     /// Builds a report from kernel counters, pricing the added tax at
     /// `mean_power_w` when available.
-    pub fn new(stats: DegradationStats, mean_power_w: Option<f64>) -> Self {
+    pub(crate) fn new(stats: DegradationStats, mean_power_w: Option<f64>) -> Self {
         let added_tax_ms = stats.rpc_stall.as_ms() + stats.fallback_added.as_ms();
         let added_energy_mj = mean_power_w.map(|w| added_tax_ms * w);
         DegradationReport {

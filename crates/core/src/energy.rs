@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use aitax_des::{SimSpan, SimTime, TraceBuffer};
-use aitax_power::{energy_delay_product, MeterIndex, PowerSpec, RailEnergy};
+use aitax_power::{MeterIndex, PowerSpec, RailEnergy};
 
 use crate::stage::Stage;
 
@@ -62,11 +62,6 @@ impl EnergyReport {
             iterations,
             wall: end - SimTime::ZERO,
         }
-    }
-
-    /// Number of iterations the run completed.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Per-rail energy attributed to one stage across all iterations.
@@ -127,12 +122,6 @@ impl EnergyReport {
         self.total_j() / secs
     }
 
-    /// Energy–delay product per inference (J·s) for a given mean
-    /// end-to-end latency.
-    pub fn edp_per_inference(&self, mean_e2e: SimSpan) -> f64 {
-        energy_delay_product(self.energy_per_inference_j(), mean_e2e.as_secs())
-    }
-
     /// Deterministic TSV rendering: one row per stage plus totals. Two
     /// runs with the same seed produce byte-identical output.
     pub fn render_tsv(&self) -> String {
@@ -173,7 +162,7 @@ mod tests {
     fn energy_report_is_populated_and_consistent() {
         let r = traced_run(11);
         let e = r.energy.as_ref().expect("tracing enables energy");
-        assert_eq!(e.iterations(), 8);
+        assert_eq!(e.iterations, 8);
         // Non-negative per-stage cells, and staged energy within total.
         for stage in Stage::ALL {
             assert!(e.stage_j(stage) >= 0.0, "{stage}");
@@ -208,15 +197,5 @@ mod tests {
             .iterations(3)
             .run();
         assert!(r.energy.is_none());
-    }
-
-    #[test]
-    fn edp_scales_with_latency() {
-        let r = traced_run(9);
-        let e = r.energy.as_ref().unwrap();
-        let l = r.e2e_summary().mean_ms();
-        let edp1 = e.edp_per_inference(SimSpan::from_ms(l));
-        let edp2 = e.edp_per_inference(SimSpan::from_ms(l * 2.0));
-        assert!((edp2 / edp1 - 2.0).abs() < 1e-9);
     }
 }

@@ -41,16 +41,9 @@ impl Default for ExperimentOpts {
 }
 
 impl ExperimentOpts {
-    /// The paper's full methodology: 500 iterations.
-    pub fn paper() -> Self {
-        ExperimentOpts {
-            iterations: 500,
-            seed: 1,
-        }
-    }
-
     /// A quick variant for tests.
-    pub fn quick() -> Self {
+    #[cfg(test)]
+    fn quick() -> Self {
         ExperimentOpts {
             iterations: 25,
             seed: 1,
@@ -419,62 +412,6 @@ fn multitenancy(opts: ExperimentOpts, background_engine: Engine) -> Table {
 /// the single DSP; pre-processing stays flat).
 pub fn fig9(opts: ExperimentOpts) -> Table {
     multitenancy(opts, Engine::TfLiteHexagon { threads: 4 })
-}
-
-/// **Figure 10** — same with background inferences on the **CPU**
-/// (pre-processing and capture inflate; inference stays flat).
-pub fn fig10(opts: ExperimentOpts) -> Table {
-    multitenancy(opts, Engine::tflite_cpu(2))
-}
-
-/// Result of the Fig. 11 experiment.
-#[derive(Debug)]
-pub struct Fig11Result {
-    /// Distribution statistics per mode.
-    pub table: Table,
-    /// Worst relative deviation from the median, benchmark mode.
-    pub benchmark_deviation: f64,
-    /// Worst relative deviation from the median, app mode.
-    pub app_deviation: f64,
-}
-
-/// **Figure 11** — run-to-run latency distribution of MobileNet v1 on the
-/// CPU: tight for the benchmark, up to ~30% from the median in an app.
-pub fn fig11(opts: ExperimentOpts) -> Fig11Result {
-    let mut t = Table::new(vec![
-        "mode",
-        "median_ms",
-        "mean_ms",
-        "p5_ms",
-        "p95_ms",
-        "stddev_ms",
-        "max_dev_from_median",
-    ]);
-    let mut devs = Vec::new();
-    for mode in [RunMode::CliBenchmark, RunMode::AndroidApp] {
-        let r = E2eConfig::new(ModelId::MobileNetV1, DType::F32)
-            .engine(Engine::tflite_cpu(4))
-            .run_mode(mode)
-            .iterations(opts.iterations)
-            .seed(opts.seed)
-            .run();
-        let s = r.e2e_summary();
-        devs.push(s.max_deviation_from_median());
-        t.row(vec![
-            mode.to_string(),
-            fmt_ms(s.median_ms()),
-            fmt_ms(s.mean_ms()),
-            fmt_ms(s.percentile_ms(5.0)),
-            fmt_ms(s.percentile_ms(95.0)),
-            fmt_ms(s.stddev_ms()),
-            fmt_pct(s.max_deviation_from_median()),
-        ]);
-    }
-    Fig11Result {
-        table: t,
-        benchmark_deviation: devs[0],
-        app_deviation: devs[1],
-    }
 }
 
 /// The libc++/libstdc++ random-input-generation asymmetry (§IV-A) — an

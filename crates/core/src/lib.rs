@@ -13,7 +13,7 @@
 //!   Hardware),
 //! * [`stats`] — distribution summaries (the paper's Fig. 11 argues a
 //!   single number misrepresents mobile AI performance) plus mergeable
-//!   streaming accumulators ([`StreamDist`], [`LogHistogram`]) for
+//!   streaming accumulators ([`StreamDist`], `LogHistogram`) for
 //!   population-scale aggregation,
 //! * [`artifact`] — canonical JSON rendering primitives shared by every
 //!   artifact writer in the workspace,
@@ -52,8 +52,8 @@
 //! ```
 
 pub mod artifact;
-pub mod context;
-pub mod degradation;
+mod context;
+mod degradation;
 pub mod energy;
 pub mod experiment;
 pub mod extras;
@@ -66,10 +66,9 @@ pub mod taxonomy;
 pub mod tenant;
 
 pub use context::SimContext;
-pub use degradation::DegradationReport;
 pub use energy::EnergyReport;
-pub use pipeline::{E2eConfig, E2eReport};
+pub use pipeline::E2eReport;
 pub use runmode::RunMode;
-pub use stage::{Stage, TaxonomyCategory};
-pub use stats::{DistStats, LogHistogram, StreamDist, Summary, Welford, CDF_BUCKETS};
-pub use tenant::{QosClass, TenantTax};
+pub use stage::Stage;
+pub use stats::{StreamDist, Welford};
+pub use tenant::QosClass;

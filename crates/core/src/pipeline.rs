@@ -40,7 +40,6 @@ pub struct E2eConfig {
     tracing: bool,
     trace_bound: Option<usize>,
     stdlib: StdlibFlavor,
-    camera: CameraConfig,
     initial_temp_c: Option<f64>,
     wander_probability: Option<f64>,
     preproc_on_dsp: bool,
@@ -64,7 +63,6 @@ impl E2eConfig {
             tracing: false,
             trace_bound: None,
             stdlib: StdlibFlavor::LibCxx,
-            camera: CameraConfig::vga_preview(),
             initial_temp_c: None,
             wander_probability: None,
             preproc_on_dsp: false,
@@ -134,12 +132,6 @@ impl E2eConfig {
         self
     }
 
-    /// Overrides the camera stream used in app mode.
-    pub fn camera(mut self, camera: CameraConfig) -> Self {
-        self.camera = camera;
-        self
-    }
-
     /// Starts the chip at a given temperature instead of the cooled-down
     /// idle temperature (the §III-D methodology study).
     pub fn initial_temp(mut self, temp_c: f64) -> Self {
@@ -149,7 +141,7 @@ impl E2eConfig {
 
     /// Overrides the scheduler's wander probability for NNAPI-fallback
     /// threads (ablation: set 0 to pin the fallback thread).
-    pub fn wander_probability(mut self, p: f64) -> Self {
+    pub(crate) fn wander_probability(mut self, p: f64) -> Self {
         self.wander_probability = Some(p);
         self
     }
@@ -382,8 +374,9 @@ impl Driver {
             // jitter); otherwise the app blocks until the next sensor
             // boundary. Extraction (plane-walking the Image into app
             // byte arrays) is the expensive managed-code part.
-            let interval = self.config.camera.frame_interval().as_ns().max(1);
-            let readout = self.config.camera.readout;
+            let camera = CameraConfig::vga_preview();
+            let interval = camera.frame_interval().as_ns().max(1);
+            let readout = camera.readout;
             let now = m.now();
             let latest = if now > SimTime::ZERO + readout {
                 let k = now.since(SimTime::ZERO + readout).as_ns() / interval;
@@ -407,7 +400,7 @@ impl Driver {
             }
             let jitter = m.sample_irq_jitter(&self.noise);
             let d = self.clone();
-            let frame_bytes = self.config.camera.frame_bytes();
+            let frame_bytes = camera.frame_bytes();
             let cost = CostModel::new(self.config.run_mode.runtime_kind());
             m.after(deliver_at + jitter - now, move |m| {
                 let cycles = cost.cycles(PixelOp::FrameExtract, frame_bytes);
@@ -440,7 +433,8 @@ impl Driver {
         if let Some((h, w)) = self.entry.resolution {
             let (out_px, elems) = ((h * w) as u64, (h * w * 3) as u64);
             if self.config.run_mode.uses_camera() {
-                let cam_px = (self.config.camera.width * self.config.camera.height) as u64;
+                let camera = CameraConfig::vga_preview();
+                let cam_px = (camera.width * camera.height) as u64;
                 steps.push((PixelOp::Nv21ToArgb, cam_px));
                 for task in self.entry.preprocess {
                     match task {
@@ -484,7 +478,7 @@ impl Driver {
             let native_cycles = cycles / self.config.run_mode.runtime_kind().multiplier();
             let span = aitax_des::SimSpan::from_secs(native_cycles / (2.8e9 * dsp_speedup));
             let frame_bytes = if self.config.run_mode.uses_camera() {
-                self.config.camera.frame_bytes()
+                CameraConfig::vga_preview().frame_bytes()
             } else {
                 self.graph.input_bytes()
             };

@@ -1,6 +1,6 @@
 //! Run modes: the three ways the paper packages the same model.
 //!
-//! §IV compares models run "(1) [as] pure benchmarks from the command
+//! §IV compares models run "(1) \[as\] pure benchmarks from the command
 //! line; (2) packaged into benchmark apps with a user interface ...; and
 //! (3) executed as part of a real application" — Fig. 3 shows the real
 //! app is consistently slower end-to-end because of capture and
@@ -33,12 +33,12 @@ impl RunMode {
     ];
 
     /// Whether input comes from the camera (vs. random generation).
-    pub fn uses_camera(self) -> bool {
+    pub(crate) fn uses_camera(self) -> bool {
         matches!(self, RunMode::AndroidApp)
     }
 
     /// Which implementation path runs the pre-/post-processing.
-    pub fn runtime_kind(self) -> RuntimeKind {
+    pub(crate) fn runtime_kind(self) -> RuntimeKind {
         match self {
             RunMode::CliBenchmark | RunMode::BenchmarkApp => RuntimeKind::Native,
             RunMode::AndroidApp => RuntimeKind::Managed,
@@ -46,7 +46,7 @@ impl RunMode {
     }
 
     /// Ambient background activity for this mode.
-    pub fn noise(self) -> NoiseConfig {
+    pub(crate) fn noise(self) -> NoiseConfig {
         match self {
             RunMode::CliBenchmark => NoiseConfig::benchmark_quiet(),
             RunMode::BenchmarkApp => NoiseConfig {
@@ -74,7 +74,7 @@ impl RunMode {
     }
 
     /// Short label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RunMode::CliBenchmark => "cli-benchmark",
             RunMode::BenchmarkApp => "benchmark-app",

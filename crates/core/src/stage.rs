@@ -31,19 +31,8 @@ impl Stage {
 
     /// Whether the stage counts toward the AI tax (everything except the
     /// model itself — the paper's definition in §IV).
-    pub fn is_tax(self) -> bool {
+    pub(crate) fn is_tax(self) -> bool {
         self != Stage::Inference
-    }
-
-    /// Which Fig. 1 taxonomy category the stage's overheads belong to.
-    pub fn category(self) -> TaxonomyCategory {
-        match self {
-            Stage::DataCapture | Stage::PreProcessing | Stage::PostProcessing => {
-                TaxonomyCategory::Algorithms
-            }
-            Stage::Inference => TaxonomyCategory::Frameworks,
-            Stage::UiOverhead => TaxonomyCategory::Algorithms,
-        }
     }
 }
 
@@ -55,28 +44,6 @@ impl std::fmt::Display for Stage {
             Stage::Inference => "inference",
             Stage::PostProcessing => "post-processing",
             Stage::UiOverhead => "ui-overhead",
-        };
-        f.write_str(s)
-    }
-}
-
-/// The Fig. 1 top-level overhead categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaxonomyCategory {
-    /// Data capture, pre-processing, post-processing code.
-    Algorithms,
-    /// Drivers, offload scheduling, runtime dispatch.
-    Frameworks,
-    /// Offload costs, run-to-run variability, multi-tenancy.
-    Hardware,
-}
-
-impl std::fmt::Display for TaxonomyCategory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            TaxonomyCategory::Algorithms => "Algorithms",
-            TaxonomyCategory::Frameworks => "Frameworks",
-            TaxonomyCategory::Hardware => "Hardware",
         };
         f.write_str(s)
     }
@@ -110,7 +77,7 @@ impl StageBreakdown {
     }
 
     /// Mutable access for the runner.
-    pub fn stage_mut(&mut self, stage: Stage) -> &mut SimSpan {
+    pub(crate) fn stage_mut(&mut self, stage: Stage) -> &mut SimSpan {
         match stage {
             Stage::DataCapture => &mut self.data_capture,
             Stage::PreProcessing => &mut self.pre_processing,
@@ -126,7 +93,7 @@ impl StageBreakdown {
     }
 
     /// The AI tax of the iteration (everything but inference).
-    pub fn tax(&self) -> SimSpan {
+    pub(crate) fn tax(&self) -> SimSpan {
         Stage::ALL
             .iter()
             .filter(|s| s.is_tax())
@@ -168,12 +135,12 @@ impl TaxReport {
     }
 
     /// Distribution of one stage across iterations.
-    pub fn summary(&self, stage: Stage) -> Summary {
+    pub(crate) fn summary(&self, stage: Stage) -> Summary {
         Summary::from_spans(self.breakdowns.iter().map(|b| b.stage(stage)))
     }
 
     /// Distribution of end-to-end latency.
-    pub fn e2e_summary(&self) -> Summary {
+    pub(crate) fn e2e_summary(&self) -> Summary {
         Summary::from_spans(self.breakdowns.iter().map(|b| b.e2e()))
     }
 
@@ -253,13 +220,6 @@ mod tests {
         assert!(b.e2e().is_zero());
         assert_eq!(b.tax_fraction(), 0.0);
         assert_eq!(TaxReport::new(vec![]).ai_tax_fraction(), 0.0);
-    }
-
-    #[test]
-    fn categories_cover_taxonomy() {
-        assert_eq!(Stage::DataCapture.category(), TaxonomyCategory::Algorithms);
-        assert_eq!(Stage::Inference.category(), TaxonomyCategory::Frameworks);
-        assert_eq!(TaxonomyCategory::Hardware.to_string(), "Hardware");
     }
 
     #[test]

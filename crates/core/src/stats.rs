@@ -16,12 +16,12 @@ pub struct Summary {
 
 impl Summary {
     /// Builds a summary from spans.
-    pub fn from_spans(spans: impl IntoIterator<Item = SimSpan>) -> Self {
+    pub(crate) fn from_spans(spans: impl IntoIterator<Item = SimSpan>) -> Self {
         Self::from_ms(spans.into_iter().map(|s| s.as_ms()))
     }
 
     /// Builds a summary from millisecond samples.
-    pub fn from_ms(samples: impl IntoIterator<Item = f64>) -> Self {
+    pub(crate) fn from_ms(samples: impl IntoIterator<Item = f64>) -> Self {
         let samples_ms: Vec<f64> = samples.into_iter().collect();
         let mut sorted_ms = samples_ms.clone();
         sorted_ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -32,12 +32,12 @@ impl Summary {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples_ms.len()
     }
 
     /// Whether there are no samples.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples_ms.is_empty()
     }
 
@@ -95,28 +95,28 @@ impl Summary {
     }
 
     /// 50th percentile in ms (alias for [`Summary::median_ms`]).
-    pub fn p50_ms(&self) -> f64 {
+    pub(crate) fn p50_ms(&self) -> f64 {
         self.percentile_ms(50.0)
     }
 
     /// 95th percentile in ms.
-    pub fn p95_ms(&self) -> f64 {
+    pub(crate) fn p95_ms(&self) -> f64 {
         self.percentile_ms(95.0)
     }
 
     /// 99th percentile in ms — the tail the paper argues single-number
     /// reporting hides.
-    pub fn p99_ms(&self) -> f64 {
+    pub(crate) fn p99_ms(&self) -> f64 {
         self.percentile_ms(99.0)
     }
 
     /// Sum of all samples in ms.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.samples_ms.iter().sum()
     }
 
     /// Coefficient of variation (stddev / mean; 0 when the mean is 0).
-    pub fn cv(&self) -> f64 {
+    pub(crate) fn cv(&self) -> f64 {
         let mean = self.mean_ms();
         if mean == 0.0 {
             0.0
@@ -133,7 +133,7 @@ impl Summary {
     /// # Panics
     ///
     /// Panics if `buckets` is zero.
-    pub fn cdf(&self, buckets: usize) -> Vec<(f64, f64)> {
+    pub(crate) fn cdf(&self, buckets: usize) -> Vec<(f64, f64)> {
         assert!(buckets > 0, "need at least one CDF bucket");
         if self.sorted_ms.is_empty() {
             return Vec::new();
@@ -164,23 +164,13 @@ impl Summary {
     }
 
     /// Smallest sample in ms.
-    pub fn min_ms(&self) -> f64 {
+    pub(crate) fn min_ms(&self) -> f64 {
         self.sorted_ms.first().copied().unwrap_or(0.0)
     }
 
     /// Largest sample in ms.
-    pub fn max_ms(&self) -> f64 {
+    pub(crate) fn max_ms(&self) -> f64 {
         self.sorted_ms.last().copied().unwrap_or(0.0)
-    }
-
-    /// Median absolute deviation in ms (robust spread).
-    pub fn mad_ms(&self) -> f64 {
-        if self.sorted_ms.is_empty() {
-            return 0.0;
-        }
-        let med = self.median_ms();
-        let devs: Vec<f64> = self.sorted_ms.iter().map(|x| (x - med).abs()).collect();
-        Summary::from_ms(devs).median_ms()
     }
 
     /// The Fig. 11 metric: worst-case relative deviation from the median
@@ -294,16 +284,16 @@ impl DistStats {
 }
 
 /// Number of histogram bins per decade in a [`LogHistogram`].
-pub const LOG_HIST_BINS_PER_DECADE: usize = 16;
+pub(crate) const LOG_HIST_BINS_PER_DECADE: usize = 16;
 
 /// Lower edge of the first [`LogHistogram`] bin, in milliseconds (1 µs).
-pub const LOG_HIST_LO_MS: f64 = 1e-3;
+pub(crate) const LOG_HIST_LO_MS: f64 = 1e-3;
 
 /// Number of decades a [`LogHistogram`] spans (1 µs .. 100 s).
-pub const LOG_HIST_DECADES: usize = 8;
+pub(crate) const LOG_HIST_DECADES: usize = 8;
 
 /// Total bin count of a [`LogHistogram`].
-pub const LOG_HIST_BINS: usize = LOG_HIST_BINS_PER_DECADE * LOG_HIST_DECADES;
+pub(crate) const LOG_HIST_BINS: usize = LOG_HIST_BINS_PER_DECADE * LOG_HIST_DECADES;
 
 /// Fixed-bin log-latency histogram with an exactly mergeable
 /// representation.
@@ -322,7 +312,7 @@ pub const LOG_HIST_BINS: usize = LOG_HIST_BINS_PER_DECADE * LOG_HIST_DECADES;
 /// decade the bin ratio is `10^(1/16) ≈ 1.155`, bounding the estimate
 /// error at ~7% of the true value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHistogram {
+pub(crate) struct LogHistogram {
     counts: Vec<u64>,
     n: u64,
 }
@@ -335,7 +325,7 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogHistogram {
             counts: vec![0; LOG_HIST_BINS],
             n: 0,
@@ -352,36 +342,31 @@ impl LogHistogram {
     }
 
     /// Lower edge of bin `i` in ms.
-    pub fn bin_lo_ms(i: usize) -> f64 {
+    pub(crate) fn bin_lo_ms(i: usize) -> f64 {
         LOG_HIST_LO_MS * 10f64.powf(i as f64 / LOG_HIST_BINS_PER_DECADE as f64)
     }
 
     /// Upper edge of bin `i` in ms.
-    pub fn bin_hi_ms(i: usize) -> f64 {
+    pub(crate) fn bin_hi_ms(i: usize) -> f64 {
         Self::bin_lo_ms(i + 1)
     }
 
     /// Records one millisecond sample.
-    pub fn record(&mut self, ms: f64) {
+    pub(crate) fn record(&mut self, ms: f64) {
         self.counts[Self::bin_of(ms)] += 1;
         self.n += 1;
     }
 
     /// Merges another histogram in (exact, order-independent).
-    pub fn merge(&mut self, other: &LogHistogram) {
+    pub(crate) fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.n += other.n;
     }
 
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// `(bin_index, count)` for every non-empty bin, ascending.
-    pub fn nonzero_bins(&self) -> Vec<(usize, u64)> {
+    pub(crate) fn nonzero_bins(&self) -> Vec<(usize, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -400,7 +385,7 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
         if self.n == 0 {
             return 0.0;
@@ -428,7 +413,7 @@ impl LogHistogram {
 }
 
 /// Mergeable streaming distribution: Welford moments + exact min/max +
-/// a [`LogHistogram`] for tail quantiles.
+/// a `LogHistogram` for tail quantiles.
 ///
 /// The fleet's population aggregation runs on these: each device folds
 /// its own request latencies into a `StreamDist`, and the aggregator
@@ -496,7 +481,7 @@ impl StreamDist {
     }
 
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.w.stddev()
     }
 
@@ -515,7 +500,7 @@ impl StreamDist {
     }
 
     /// Largest sample (0 when empty).
-    pub fn max_ms(&self) -> f64 {
+    pub(crate) fn max_ms(&self) -> f64 {
         if self.w.count() == 0 {
             0.0
         } else {
@@ -539,7 +524,7 @@ impl StreamDist {
     }
 
     /// The underlying histogram.
-    pub fn histogram(&self) -> &LogHistogram {
+    pub(crate) fn histogram(&self) -> &LogHistogram {
         &self.hist
     }
 }
@@ -547,7 +532,7 @@ impl StreamDist {
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// The lab aggregator folds per-job statistics without materializing a
-/// sample vector per metric; [`Welford::merge`] (Chan's parallel update)
+/// sample vector per metric; `Welford::merge` (Chan's parallel update)
 /// combines accumulators built independently, so the result is the same
 /// whichever order jobs finished in.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -572,7 +557,7 @@ impl Welford {
     }
 
     /// Combines two accumulators (Chan et al. parallel variance).
-    pub fn merge(&mut self, other: &Welford) {
+    pub(crate) fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
             return;
         }
@@ -602,7 +587,7 @@ impl Welford {
     }
 
     /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -611,12 +596,12 @@ impl Welford {
     }
 
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Coefficient of variation (stddev / mean; 0 when the mean is 0).
-    pub fn cv(&self) -> f64 {
+    pub(crate) fn cv(&self) -> f64 {
         if self.mean() == 0.0 {
             0.0
         } else {
@@ -656,13 +641,6 @@ mod tests {
         assert_eq!(sum.median_ms(), 5.0);
         assert_eq!(sum.min_ms(), 1.0);
         assert_eq!(sum.max_ms(), 9.0);
-    }
-
-    #[test]
-    fn mad_is_robust() {
-        let tight = s(&[10.0, 10.1, 9.9, 10.0, 10.05]);
-        let wild = s(&[10.0, 14.0, 6.0, 10.0, 13.0]);
-        assert!(wild.mad_ms() > tight.mad_ms() * 5.0);
     }
 
     #[test]
@@ -788,7 +766,6 @@ mod tests {
         h.record(1e-9);
         h.record(1e9); // clamps into the top bin
         h.record(25.0);
-        assert_eq!(h.count(), 4);
         let nz = h.nonzero_bins();
         assert_eq!(nz.first().unwrap().0, 0);
         assert_eq!(nz.last().unwrap().0, LOG_HIST_BINS - 1);

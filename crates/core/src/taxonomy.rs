@@ -116,12 +116,12 @@ impl TaxonomyReport {
     }
 
     /// Total AI tax per iteration (everything except the model floor).
-    pub fn tax_ms(&self) -> f64 {
+    pub(crate) fn tax_ms(&self) -> f64 {
         self.algorithms_ms + self.frameworks_ms + self.hardware_ms
     }
 
     /// The tax as a fraction of end-to-end time.
-    pub fn tax_fraction(&self) -> f64 {
+    pub(crate) fn tax_fraction(&self) -> f64 {
         if self.e2e_ms <= 0.0 {
             0.0
         } else {

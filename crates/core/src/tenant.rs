@@ -92,14 +92,6 @@ pub struct TenantTax {
     pub self_ms: f64,
 }
 
-impl TenantTax {
-    /// Net contention balance: positive for aggressors (causes more
-    /// delay than it absorbs), negative for victims.
-    pub fn contention_balance_ms(&self) -> f64 {
-        self.caused_ms + self.self_ms - self.suffered_ms
-    }
-}
-
 /// Sum of suffered contention across tenants — the total AI tax the mix
 /// added over the solo baselines.
 pub fn total_added_ms(tenants: &[TenantTax]) -> f64 {
@@ -145,7 +137,5 @@ mod tests {
         let mix = [t(10.0, 14.0, 1.0), t(8.0, 2.0, 1.0)];
         assert_eq!(total_added_ms(&mix), 18.0);
         assert_eq!(total_attributed_ms(&mix), 18.0);
-        assert!(mix[0].contention_balance_ms() > 0.0, "aggressor");
-        assert!(mix[1].contention_balance_ms() < 0.0, "victim");
     }
 }

@@ -25,8 +25,9 @@
 //! one's own tenant (a queue of requests behind the same app) is
 //! *self-contention* and is kept out of the cross-tenant matrix. By
 //! construction, for every victim:
-//! `Σ_culprit blame + self_wait == total_wait`, which is the
-//! conservation law `aitax-testkit` checks on every serve scenario.
+//! `Σ_culprit blame + self_wait` equals the victim's total time in the
+//! wait queue, which is the conservation law `aitax-testkit` checks on
+//! every serve scenario.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -50,47 +51,6 @@ pub enum Acquired {
     Queued(Ticket),
 }
 
-/// One entry in the arbiter's event log (see [`Arbiter::events`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArbiterEvent {
-    /// A slot was granted. `waited` is zero for immediate grants and the
-    /// queueing delay for grants out of the wait queue. `queue_best` is
-    /// the highest priority still waiting *after* this grant — an
-    /// inversion-freedom checker asserts `priority >= queue_best`.
-    Grant {
-        /// Grant time.
-        at: SimTime,
-        /// Tenant receiving the slot.
-        tenant: u32,
-        /// Priority of the granted request.
-        priority: i8,
-        /// Time spent queued before this grant.
-        waited: SimSpan,
-        /// Holders active after this grant (≤ capacity always).
-        holds: usize,
-        /// Highest priority left waiting, if any.
-        queue_best: Option<i8>,
-    },
-    /// A request found the resource saturated and joined the queue.
-    Enqueue {
-        /// Arrival time.
-        at: SimTime,
-        /// Waiting tenant.
-        tenant: u32,
-        /// Request priority.
-        priority: i8,
-    },
-    /// A hold was released.
-    Release {
-        /// Release time.
-        at: SimTime,
-        /// Tenant that held the slot.
-        tenant: u32,
-        /// Holders active after the release.
-        holds: usize,
-    },
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Hold {
     id: HoldId,
@@ -102,11 +62,11 @@ struct Waiter {
     ticket: Ticket,
     tenant: u32,
     priority: i8,
-    enqueued: SimTime,
 }
 
 /// A capacity-slotted shared resource with priority grants and a blame
-/// ledger. See the [module docs](self) for the model.
+/// ledger: waiters queue highest priority first, FIFO within a band, and
+/// every waiting interval is charged to the holders that caused it.
 #[derive(Debug, Default)]
 pub struct Arbiter {
     capacity: usize,
@@ -121,27 +81,9 @@ pub struct Arbiter {
     blame: BTreeMap<(u32, u32), SimSpan>,
     /// victim → waiting time caused by the victim's own earlier requests.
     self_wait: BTreeMap<u32, SimSpan>,
-    /// victim → total time spent in the wait queue.
-    total_wait: BTreeMap<u32, SimSpan>,
-    grants: u64,
-    queued_total: u64,
-    log: Option<Vec<ArbiterEvent>>,
 }
 
 impl Arbiter {
-    /// An arbiter over `capacity` identical slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Arbiter {
-        assert!(capacity > 0, "an arbiter needs at least one slot");
-        Arbiter {
-            capacity,
-            ..Arbiter::default()
-        }
-    }
-
     /// An arbiter that reserves `reserved` of its `capacity` slots for
     /// requests with `priority >= floor`. Lower-priority requests see an
     /// effective capacity of `capacity - reserved`; reserved requests may
@@ -176,13 +118,6 @@ impl Arbiter {
         }
     }
 
-    /// Enables or disables the event log consumed by the testkit
-    /// invariants. Off by default: serving runs are long and the ledger
-    /// alone answers attribution.
-    pub fn set_logging(&mut self, on: bool) {
-        self.log = if on { Some(Vec::new()) } else { None };
-    }
-
     /// Requests a slot at time `now` for `tenant` at `priority`.
     ///
     /// Time must be non-decreasing across all arbiter calls.
@@ -196,8 +131,6 @@ impl Arbiter {
         if self.holders.len() < self.cap_for(priority) {
             let id = HoldId(self.fresh());
             self.holders.push(Hold { id, tenant });
-            self.grants += 1;
-            self.log_grant(now, tenant, priority, SimSpan::ZERO);
             return Acquired::Granted(id);
         }
         let ticket = Ticket(self.fresh());
@@ -205,7 +138,6 @@ impl Arbiter {
             ticket,
             tenant,
             priority,
-            enqueued: now,
         };
         // Ahead of the first strictly-lower-priority waiter; FIFO within
         // a band (the same discipline as the kernel run queues).
@@ -215,14 +147,6 @@ impl Arbiter {
             .position(|w| w.priority < priority)
             .unwrap_or(self.queue.len());
         self.queue.insert(pos, waiter);
-        self.queued_total += 1;
-        if let Some(log) = self.log.as_mut() {
-            log.push(ArbiterEvent::Enqueue {
-                at: now,
-                tenant,
-                priority,
-            });
-        }
         Acquired::Queued(ticket)
     }
 
@@ -244,14 +168,7 @@ impl Arbiter {
             .iter()
             .position(|h| h.id == hold)
             .expect("releasing a hold the arbiter does not know");
-        let released = self.holders.swap_remove(pos);
-        if let Some(log) = self.log.as_mut() {
-            log.push(ArbiterEvent::Release {
-                at: now,
-                tenant: released.tenant,
-                holds: self.holders.len(),
-            });
-        }
+        self.holders.swap_remove(pos);
         // The queue is priority-ordered and `cap_for` is monotone in
         // priority, so if the head cannot be granted nobody behind it can.
         let grantable = self
@@ -271,8 +188,6 @@ impl Arbiter {
             id,
             tenant: w.tenant,
         });
-        self.grants += 1;
-        self.log_grant(now, w.tenant, w.priority, now.since(w.enqueued));
         Some((w.ticket, id))
     }
 
@@ -289,7 +204,6 @@ impl Arbiter {
         }
         let share = dt / self.holders.len() as f64;
         for w in &self.queue {
-            *self.total_wait.entry(w.tenant).or_default() += dt;
             for h in &self.holders {
                 if h.tenant == w.tenant {
                     *self.self_wait.entry(w.tenant).or_default() += share;
@@ -306,44 +220,16 @@ impl Arbiter {
         id
     }
 
-    fn log_grant(&mut self, at: SimTime, tenant: u32, priority: i8, waited: SimSpan) {
-        if let Some(log) = self.log.as_mut() {
-            let queue_best = self.queue.front().map(|w| w.priority);
-            let holds = self.holders.len();
-            log.push(ArbiterEvent::Grant {
-                at,
-                tenant,
-                priority,
-                waited,
-                holds,
-                queue_best,
-            });
-        }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Currently held slots.
-    pub fn in_use(&self) -> usize {
+    #[cfg(test)]
+    fn in_use(&self) -> usize {
         self.holders.len()
     }
 
     /// Currently queued waiters.
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Total grants issued (immediate + out of the queue).
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Total requests that had to queue.
-    pub fn queued_total(&self) -> u64 {
-        self.queued_total
     }
 
     /// The cross-tenant blame ledger: `(victim, culprit) → waiting time
@@ -356,16 +242,6 @@ impl Arbiter {
     pub fn self_wait(&self) -> &BTreeMap<u32, SimSpan> {
         &self.self_wait
     }
-
-    /// Total queueing delay per victim tenant.
-    pub fn total_wait(&self) -> &BTreeMap<u32, SimSpan> {
-        &self.total_wait
-    }
-
-    /// The event log, when enabled with [`Arbiter::set_logging`].
-    pub fn events(&self) -> &[ArbiterEvent] {
-        self.log.as_deref().unwrap_or(&[])
-    }
 }
 
 #[cfg(test)]
@@ -376,9 +252,21 @@ mod tests {
         SimTime::ZERO + SimSpan::from_ms(ms)
     }
 
+    /// Everything the ledger charged for `victim`'s waiting: the blame
+    /// on other tenants plus its self-contention.
+    fn charged_wait(a: &Arbiter, victim: u32) -> SimSpan {
+        let cross: SimSpan = a
+            .blame()
+            .iter()
+            .filter(|((v, _), _)| *v == victim)
+            .map(|(_, &s)| s)
+            .sum();
+        cross + a.self_wait().get(&victim).copied().unwrap_or(SimSpan::ZERO)
+    }
+
     #[test]
     fn grants_up_to_capacity_then_queues() {
-        let mut a = Arbiter::new(2);
+        let mut a = Arbiter::with_reservation(2, 0, 0);
         let g0 = a.acquire(t(0.0), 0, 0);
         let g1 = a.acquire(t(0.0), 1, 0);
         assert!(matches!(g0, Acquired::Granted(_)));
@@ -391,7 +279,7 @@ mod tests {
 
     #[test]
     fn release_hands_slot_to_head_waiter() {
-        let mut a = Arbiter::new(1);
+        let mut a = Arbiter::with_reservation(1, 0, 0);
         let Acquired::Granted(h) = a.acquire(t(0.0), 0, 0) else {
             panic!("first acquire must grant");
         };
@@ -406,7 +294,7 @@ mod tests {
 
     #[test]
     fn priority_jumps_the_wait_queue_fifo_within_band() {
-        let mut a = Arbiter::new(1);
+        let mut a = Arbiter::with_reservation(1, 0, 0);
         let Acquired::Granted(h) = a.acquire(t(0.0), 0, 0) else {
             panic!();
         };
@@ -430,7 +318,7 @@ mod tests {
 
     #[test]
     fn blame_ledger_conserves_waiting_time() {
-        let mut a = Arbiter::new(1);
+        let mut a = Arbiter::with_reservation(1, 0, 0);
         // Tenant 0 holds 10ms; tenants 1 and 0 (again) wait behind it.
         let Acquired::Granted(h) = a.acquire(t(0.0), 0, 0) else {
             panic!();
@@ -439,56 +327,19 @@ mod tests {
         let _ = a.acquire(t(0.0), 0, 0);
         let (_, h2) = a.release(t(10.0), h).unwrap();
         let _ = a.release(t(12.0), h2);
-        // Victim 1 waited 12ms total: 10 blamed on tenant 0's first hold,
-        // 2 on whichever tenant held during (10, 12].
-        for (&victim, &total) in a.total_wait() {
-            let cross: SimSpan = a
-                .blame()
-                .iter()
-                .filter(|((v, _), _)| *v == victim)
-                .map(|(_, &s)| s)
-                .sum();
-            let own = a.self_wait().get(&victim).copied().unwrap_or(SimSpan::ZERO);
-            let sum = cross + own;
+        // Tenant 1 waited 10ms, all behind tenant 0's first hold; tenant
+        // 0's second request waited 12ms: 10 behind itself, 2 behind
+        // tenant 1.
+        for (victim, waited_ms) in [(1, 10.0), (0, 12.0)] {
+            let charged = charged_wait(&a, victim);
             assert!(
-                (sum.as_secs() - total.as_secs()).abs() < 1e-12,
-                "victim {victim}: blamed {sum} != waited {total}"
+                (charged.as_ms() - waited_ms).abs() < 1e-9,
+                "victim {victim}: charged {charged} != waited {waited_ms} ms"
             );
         }
         // Tenant 0 waiting behind tenant 0 is self-contention.
         assert!(a.self_wait().get(&0).copied().unwrap_or(SimSpan::ZERO) > SimSpan::ZERO);
         assert!(a.blame().contains_key(&(1, 0)));
-    }
-
-    #[test]
-    fn event_log_supports_invariant_replay() {
-        let mut a = Arbiter::new(1);
-        a.set_logging(true);
-        let Acquired::Granted(h) = a.acquire(t(0.0), 0, 0) else {
-            panic!();
-        };
-        let _ = a.acquire(t(0.5), 1, 1);
-        let (_, h2) = a.release(t(2.0), h).unwrap();
-        let _ = a.release(t(3.0), h2);
-        let events = a.events();
-        assert_eq!(events.len(), 5, "{events:?}");
-        for ev in events {
-            match *ev {
-                ArbiterEvent::Grant {
-                    priority,
-                    holds,
-                    queue_best,
-                    ..
-                } => {
-                    assert!(holds <= a.capacity());
-                    if let Some(best) = queue_best {
-                        assert!(priority >= best, "priority inversion in {ev:?}");
-                    }
-                }
-                ArbiterEvent::Release { holds, .. } => assert!(holds < a.capacity()),
-                ArbiterEvent::Enqueue { .. } => {}
-            }
-        }
     }
 
     #[test]
@@ -514,17 +365,9 @@ mod tests {
         // Releasing the general slot does.
         let (ticket, _) = a.release(t(5.0), h_lo).expect("low waiter admitted");
         assert_eq!(ticket, lo_ticket);
-        // Conservation still holds with the reservation idling a slot.
-        for (&victim, &total) in a.total_wait() {
-            let cross: SimSpan = a
-                .blame()
-                .iter()
-                .filter(|((v, _), _)| *v == victim)
-                .map(|(_, &s)| s)
-                .sum();
-            let own = a.self_wait().get(&victim).copied().unwrap_or(SimSpan::ZERO);
-            assert!(((cross + own).as_secs() - total.as_secs()).abs() < 1e-12);
-        }
+        // Conservation still holds with the reservation idling a slot:
+        // the low waiter queued from 1ms to 5ms.
+        assert!((charged_wait(&a, 1).as_ms() - 4.0).abs() < 1e-9);
         // The waiter's delay splits between the low holder (entire span)
         // and the reserved holder (only while it held).
         assert!(a.blame().contains_key(&(1, 0)));
@@ -540,6 +383,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_capacity_rejected() {
-        let _ = Arbiter::new(0);
+        let _ = Arbiter::with_reservation(0, 0, 0);
     }
 }

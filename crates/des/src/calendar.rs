@@ -142,11 +142,6 @@ impl Calendar {
         (self.scheduled_total - self.fired_total - self.cancelled_total) as usize
     }
 
-    /// Whether no live events remain.
-    pub fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
-
     /// Total events ever scheduled (deterministic across identical runs).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
@@ -430,14 +425,14 @@ mod tests {
     #[test]
     fn pending_counts_live_events() {
         let mut cal = Calendar::new();
-        assert!(cal.is_idle());
+        assert_eq!(cal.pending(), 0);
         let a = cal.schedule_after(SimSpan::from_ns(1));
         let _b = cal.schedule_after(SimSpan::from_ns(2));
         assert_eq!(cal.pending(), 2);
         cal.cancel(a);
         assert_eq!(cal.pending(), 1);
         cal.next();
-        assert!(cal.is_idle());
+        assert_eq!(cal.pending(), 0);
     }
 
     #[test]

@@ -45,18 +45,6 @@ impl FaultKind {
         FaultKind::CacheFlushStorm,
         FaultKind::BackgroundBurst,
     ];
-
-    /// Stable lowercase label for tables and TSV output.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::RpcIoctlError => "rpc_ioctl_error",
-            FaultKind::DspSignalTimeout => "dsp_signal_timeout",
-            FaultKind::DspResponseDropped => "dsp_response_dropped",
-            FaultKind::ThermalEmergency => "thermal_emergency",
-            FaultKind::CacheFlushStorm => "cache_flush_storm",
-            FaultKind::BackgroundBurst => "background_burst",
-        }
-    }
 }
 
 /// One scheduled fault: `kind` is active for `start <= t < end`.
@@ -69,7 +57,7 @@ pub struct FaultWindow {
 
 impl FaultWindow {
     /// Whether this window covers instant `t`.
-    pub fn covers(&self, t: SimTime) -> bool {
+    pub(crate) fn covers(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
     }
 }
@@ -128,11 +116,6 @@ impl FaultPlan {
     /// All scheduled windows, in insertion order.
     pub fn windows(&self) -> &[FaultWindow] {
         &self.windows
-    }
-
-    /// Windows of one particular kind, in insertion order.
-    pub fn windows_of(&self, kind: FaultKind) -> impl Iterator<Item = &FaultWindow> {
-        self.windows.iter().filter(move |w| w.kind == kind)
     }
 
     /// True when the plan schedules nothing.

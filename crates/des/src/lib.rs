@@ -30,18 +30,18 @@
 //! # let _ = a;
 //! ```
 
-pub mod arbiter;
-pub mod calendar;
+mod arbiter;
+mod calendar;
 pub mod fault;
 pub mod rng;
-pub mod symbol;
-pub mod time;
+mod symbol;
+mod time;
 pub mod trace;
 
-pub use arbiter::{Acquired, Arbiter, ArbiterEvent, HoldId, Ticket};
+pub use arbiter::{Acquired, Arbiter, HoldId, Ticket};
 pub use calendar::{Calendar, Token};
-pub use fault::{FaultKind, FaultPlan, FaultWindow};
+pub use fault::{FaultKind, FaultPlan};
 pub use rng::SimRng;
-pub use symbol::{Symbol, SymbolTable};
+pub use symbol::Symbol;
 pub use time::{SimSpan, SimTime};
-pub use trace::{TraceBuffer, TraceEvent, TraceKind};
+pub use trace::{TraceBuffer, TraceEvent};

@@ -81,20 +81,11 @@ impl SimRng {
         (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Derives an independent child generator (for per-subsystem streams).
-    ///
-    /// Mixing in `salt` keeps children with different salts decorrelated.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.next_raw() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from(s)
-    }
-
     /// Splittable stream derivation: an independent child generator keyed
     /// by `stream_id`, computed **without mutating** `self`.
     ///
-    /// Unlike [`SimRng::fork`], which advances the parent and therefore
-    /// couples children to the order they were forked in, `derive` is a
-    /// pure function of `(parent state, stream_id)`. The parallel sweep
+    /// `derive` is a pure function of `(parent state, stream_id)`, so
+    /// children never depend on the order they were derived in. The parallel sweep
     /// engine relies on this: job *k* gets `root.derive(k)` and sees the
     /// same stream no matter which worker thread picks it up or when.
     pub fn derive(&self, stream_id: u64) -> SimRng {
@@ -161,7 +152,7 @@ impl SimRng {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Box–Muller transform; map u1 into (0, 1] to avoid ln(0).
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();
@@ -249,15 +240,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn forks_are_decorrelated() {
-        let mut root = SimRng::seed_from(1);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]
@@ -354,11 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn derive_differs_from_fork_and_between_parents() {
-        let mut root = SimRng::seed_from(5);
-        let derived = root.clone().derive(3).next_u64();
-        let forked = root.fork(3).next_u64();
-        assert_ne!(derived, forked);
+    fn derive_differs_between_parents() {
+        let root = SimRng::seed_from(5);
+        let derived = root.derive(3).next_u64();
         let other = SimRng::seed_from(6).derive(3).next_u64();
         assert_ne!(derived, other, "derivation depends on parent state");
     }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-/// An interned trace label: a dense index into the [`SymbolTable`]
+/// An interned trace label: a dense index into the `SymbolTable`
 /// that minted it.
 ///
 /// Symbols are meaningful only together with their table; resolving a
@@ -25,7 +25,7 @@ impl Symbol {
     pub const UNTRACED: Symbol = Symbol(u32::MAX);
 
     /// Raw table index (useful for logging).
-    pub fn index(self) -> u32 {
+    pub(crate) fn index(self) -> u32 {
         self.0
     }
 
@@ -43,18 +43,6 @@ impl Symbol {
 /// The reverse index is a `BTreeMap`, so symbol assignment depends only
 /// on intern order — never on hash iteration order — keeping runs with
 /// the same seed byte-identical.
-///
-/// # Example
-///
-/// ```
-/// use aitax_des::SymbolTable;
-///
-/// let mut table = SymbolTable::new();
-/// let a = table.intern("inference");
-/// let b = table.intern("inference");
-/// assert_eq!(a, b);
-/// assert_eq!(table.resolve(a), "inference");
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     strings: Vec<Box<str>>,
@@ -62,16 +50,11 @@ pub struct SymbolTable {
 }
 
 impl SymbolTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Interns `s`, returning the existing symbol if already present.
     ///
     /// Allocates only the first time a given string is seen; repeat
     /// interning is a lookup.
-    pub fn intern(&mut self, s: &str) -> Symbol {
+    pub(crate) fn intern(&mut self, s: &str) -> Symbol {
         if let Some(&i) = self.index.get(s) {
             return Symbol(i);
         }
@@ -98,7 +81,7 @@ impl SymbolTable {
         clippy::expect_used,
         reason = "a foreign symbol is a cross-table logic bug worth crashing on"
     )]
-    pub fn resolve(&self, sym: Symbol) -> &str {
+    pub(crate) fn resolve(&self, sym: Symbol) -> &str {
         if sym == Symbol::UNTRACED {
             return "<untraced>";
         }
@@ -115,7 +98,7 @@ impl SymbolTable {
     /// symbol indices are assigned in intern order, so retained content
     /// would make the numbering (and thus trace bytes) depend on what
     /// earlier runs happened to intern.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.strings.clear();
         self.index.clear();
     }
@@ -137,7 +120,7 @@ mod tests {
 
     #[test]
     fn interning_dedupes() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let a = t.intern("x");
         let b = t.intern("y");
         let a2 = t.intern("x");
@@ -148,7 +131,7 @@ mod tests {
 
     #[test]
     fn resolve_roundtrips() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let labels = ["conv2d", "pooling", "fully-connected", ""];
         let syms: Vec<Symbol> = labels.iter().map(|l| t.intern(l)).collect();
         for (l, s) in labels.iter().zip(&syms) {
@@ -158,7 +141,7 @@ mod tests {
 
     #[test]
     fn symbols_are_assigned_in_intern_order() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         assert_eq!(t.intern("a").index(), 0);
         assert_eq!(t.intern("b").index(), 1);
         assert_eq!(t.intern("a").index(), 0);
@@ -167,20 +150,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "did not intern")]
     fn foreign_symbol_panics() {
-        let mut a = SymbolTable::new();
+        let mut a = SymbolTable::default();
         a.intern("x");
-        let mut b = SymbolTable::new();
+        let mut b = SymbolTable::default();
         let s = b.intern("y");
         let _ = s;
-        let empty = SymbolTable::new();
+        let empty = SymbolTable::default();
         empty.resolve(Symbol(0));
     }
 
     #[test]
     fn untraced_resolves_in_any_table() {
-        let empty = SymbolTable::new();
+        let empty = SymbolTable::default();
         assert_eq!(empty.resolve(Symbol::UNTRACED), "<untraced>");
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         let a = t.intern("<untraced>");
         assert_ne!(a, Symbol::UNTRACED, "interning never mints the sentinel");
         assert_eq!(t.resolve(Symbol::UNTRACED), "<untraced>");
@@ -188,7 +171,7 @@ mod tests {
 
     #[test]
     fn clear_restarts_numbering_like_a_fresh_table() {
-        let mut t = SymbolTable::new();
+        let mut t = SymbolTable::default();
         t.intern("a");
         t.intern("b");
         t.clear();
@@ -200,7 +183,7 @@ mod tests {
 
     #[test]
     fn empty_table_reports_empty() {
-        let t = SymbolTable::new();
+        let t = SymbolTable::default();
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
     }

@@ -18,7 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ```
 /// use aitax_des::{SimSpan, SimTime};
 /// let t = SimTime::ZERO + SimSpan::from_ms(1.5);
-/// assert_eq!(t.as_us(), 1500.0);
+/// assert_eq!(t.as_ns(), 1_500_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -49,11 +49,6 @@ impl SimTime {
     /// Raw nanoseconds since simulation start.
     pub const fn as_ns(self) -> u64 {
         self.0
-    }
-
-    /// This instant expressed in microseconds.
-    pub fn as_us(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// This instant expressed in milliseconds.
@@ -139,16 +134,6 @@ impl SimSpan {
     /// Whether this is the empty span.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, other: SimSpan) -> SimSpan {
-        SimSpan(self.0.min(other.0))
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, other: SimSpan) -> SimSpan {
-        SimSpan(self.0.max(other.0))
     }
 
     /// Saturating subtraction.

@@ -393,7 +393,8 @@ impl TraceBuffer {
     }
 
     /// The ring capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn capacity(&self) -> Option<usize> {
         if self.cap == 0 {
             None
         } else {
@@ -547,11 +548,6 @@ impl TraceBuffer {
         self.len().checked_sub(1).map(|i| self.get(i))
     }
 
-    /// Consumes the buffer, materializing the retained events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.iter().collect()
-    }
-
     /// Drops all recorded events (and the dropped-event count), keeping
     /// the enabled flag, capacity bound, symbol table, and column
     /// capacity (so a reused buffer records its next run allocation-free).
@@ -577,13 +573,6 @@ impl TraceBuffer {
         self.enabled = false;
         self.cap = 0;
         self.symbols.clear();
-    }
-
-    /// Total bytes of retained event records, priced at the size of the
-    /// [`TraceEvent`] view struct (the unit profiler reports are
-    /// denominated in, independent of the columnar packing).
-    pub fn traced_bytes(&self) -> u64 {
-        (self.len() * std::mem::size_of::<TraceEvent>()) as u64
     }
 
     /// Extracts closed execution intervals per resource.
@@ -732,12 +721,7 @@ pub struct ExecInterval {
     pub end: SimTime,
 }
 
-impl ExecInterval {
-    /// Length of the interval.
-    pub fn span(&self) -> crate::SimSpan {
-        self.end - self.start
-    }
-}
+impl ExecInterval {}
 
 #[cfg(test)]
 mod tests {
@@ -768,7 +752,7 @@ mod tests {
         buf.record(SimTime::from_ns(30), r, TraceKind::ExecEnd { task: 1 });
         let ivs = buf.exec_intervals();
         assert_eq!(ivs.len(), 1);
-        assert_eq!(ivs[0].span(), SimSpan::from_ns(20));
+        assert_eq!(ivs[0].end - ivs[0].start, SimSpan::from_ns(20));
         assert_eq!(buf.resolve(ivs[0].label), "job");
     }
 
@@ -791,7 +775,7 @@ mod tests {
         buf.record(SimTime::from_ns(40), TraceResource::Gpu, open);
         let ivs = buf.exec_intervals_until(SimTime::from_ns(100));
         assert_eq!(ivs.len(), 2);
-        assert_eq!(ivs[0].span(), SimSpan::from_ns(10));
+        assert_eq!(ivs[0].end - ivs[0].start, SimSpan::from_ns(10));
         assert_eq!(ivs[1].start, SimTime::from_ns(40));
         assert_eq!(ivs[1].end, SimTime::from_ns(100), "busy to window end");
         // A start after the window clamps to zero length, never negative.
@@ -813,9 +797,9 @@ mod tests {
         let ivs = buf.exec_intervals();
         assert_eq!(ivs.len(), 2);
         assert_eq!(ivs[0].resource, c0);
-        assert_eq!(ivs[0].span(), SimSpan::from_ns(9));
+        assert_eq!(ivs[0].end - ivs[0].start, SimSpan::from_ns(9));
         assert_eq!(ivs[1].resource, c1);
-        assert_eq!(ivs[1].span(), SimSpan::from_ns(3));
+        assert_eq!(ivs[1].end - ivs[1].start, SimSpan::from_ns(3));
     }
 
     #[test]
@@ -962,10 +946,6 @@ mod tests {
             );
         }
         assert_eq!(buf.len(), 128);
-        assert_eq!(
-            buf.traced_bytes(),
-            128 * std::mem::size_of::<TraceEvent>() as u64
-        );
     }
 
     #[test]

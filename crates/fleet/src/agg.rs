@@ -48,7 +48,7 @@ impl Cohort {
     /// Folds one device's partial in. Call in device order — the float
     /// moments are merge-order-sensitive in the last bits, and the
     /// canonical order is what keeps artifacts byte-identical.
-    pub fn fold(&mut self, p: &DevicePartial) {
+    pub(crate) fn fold(&mut self, p: &DevicePartial) {
         self.devices += 1;
         self.requests += p.requests;
         self.latency.merge(&p.latency);
@@ -140,11 +140,6 @@ impl FleetReport {
             by_engine: engine.into_iter().collect(),
         }
     }
-
-    /// The cohort with the given label in the given group, if sampled.
-    pub fn cohort<'a>(group: &'a [(String, Cohort)], label: &str) -> Option<&'a Cohort> {
-        group.iter().find(|(l, _)| l == label).map(|(_, c)| c)
-    }
 }
 
 fn soc_index(soc: SocId) -> usize {
@@ -200,16 +195,6 @@ mod tests {
                 "{shards} shards × {threads} threads must aggregate identically"
             );
         }
-    }
-
-    #[test]
-    fn cohort_lookup_finds_sampled_groups() {
-        let (spec, partials) = small_fleet();
-        let rep = FleetReport::aggregate(&spec, &partials);
-        assert!(!rep.by_chipset.is_empty());
-        let (label, _) = &rep.by_chipset[0];
-        assert!(FleetReport::cohort(&rep.by_chipset, label).is_some());
-        assert!(FleetReport::cohort(&rep.by_chipset, "SD000").is_none());
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!    weighted distributions (chipset mix, ambient thermal profile,
 //!    battery state, background pressure, fault rate, workload mix)
 //!    via the pure stream `root.derive2(STREAM, k)`;
-//! 2. [`shard`] — contiguous device ranges become tasks for the lab's
+//! 2. `shard` — contiguous device ranges become tasks for the lab's
 //!    work-stealing pool; each task lazily samples and runs its devices
 //!    and returns raw per-device partials, never pre-merging;
 //! 3. [`device`] — one `AndroidApp`-mode latency run per device plus a
 //!    tiny traced energy probe;
-//! 4. [`agg`] — partials fold in canonical device order into streaming
+//! 4. `agg` — partials fold in canonical device order into streaming
 //!    cohorts ([`StreamDist`] + [`Welford`], constant memory);
 //! 5. [`artifact`] — canonical `aitax-fleet/v1` JSON/CSV and the
 //!    `BENCH_fleet.json` trajectory file.
@@ -51,14 +51,14 @@
 //! [`StreamDist`]: aitax_core::StreamDist
 //! [`Welford`]: aitax_core::Welford
 
-pub mod agg;
+mod agg;
 pub mod artifact;
 pub mod device;
 pub mod population;
-pub mod shard;
+mod shard;
 
 pub use agg::{Cohort, FleetReport};
-pub use artifact::{artifacts, bench_json, fleet_csv, fleet_json};
+pub use artifact::{bench_json, fleet_csv, fleet_json};
 pub use device::{run_device, run_device_in, DevicePartial, PROBE_ITERS};
-pub use population::{DeviceSpec, ExecPath, PopulationSpec, ThermalBand, WorkloadSpec};
+pub use population::{DeviceSpec, PopulationSpec};
 pub use shard::{run_fleet, ShardPlan};

@@ -33,7 +33,7 @@ pub enum ThermalBand {
 
 impl ThermalBand {
     /// Every band, coldest first (cohort ordering in artifacts).
-    pub const ALL: [ThermalBand; 4] = [
+    pub(crate) const ALL: [ThermalBand; 4] = [
         ThermalBand::Cold,
         ThermalBand::Cool,
         ThermalBand::Warm,
@@ -41,7 +41,7 @@ impl ThermalBand {
     ];
 
     /// Classifies an ambient temperature.
-    pub fn from_ambient_c(c: f64) -> ThermalBand {
+    pub(crate) fn from_ambient_c(c: f64) -> ThermalBand {
         if c < 15.0 {
             ThermalBand::Cold
         } else if c < 25.0 {
@@ -54,7 +54,7 @@ impl ThermalBand {
     }
 
     /// Stable cohort label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ThermalBand::Cold => "cold",
             ThermalBand::Cool => "cool",
@@ -64,7 +64,7 @@ impl ThermalBand {
     }
 
     /// Position in [`ThermalBand::ALL`].
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             ThermalBand::Cold => 0,
             ThermalBand::Cool => 1,
@@ -192,11 +192,11 @@ pub const CHIPSET_MIX: [(SocId, u64); 4] = [
 
 /// Background-app pressure mix: weight of running `i` concurrent
 /// background inference loops.
-pub const BACKGROUND_MIX: [u64; 4] = [45, 30, 17, 8];
+pub(crate) const BACKGROUND_MIX: [u64; 4] = [45, 30, 17, 8];
 
 /// Battery fraction under which a device enters saver mode (background
 /// loops off, CPU interpreter capped at 2 threads).
-pub const BATTERY_SAVER_BELOW: f64 = 0.20;
+pub(crate) const BATTERY_SAVER_BELOW: f64 = 0.20;
 
 /// A second, co-resident serving tenant sampled onto a device: the
 /// `aitax-serve` mix seen at population scale. The co-tenant's engine

@@ -5,7 +5,7 @@
 //! task expands its devices lazily — sampling [`DeviceSpec`]s and
 //! running them one at a time — so the (device, request) grid never
 //! materializes. Each pool worker keeps one
-//! [`SimContext`](aitax_core::SimContext), so consecutive devices on a
+//! [`SimContext`], so consecutive devices on a
 //! worker (and the main-run/energy-probe pair within one device) reuse
 //! a machine instead of re-allocating calendar, trace and run-queue
 //! storage per run.
@@ -46,7 +46,8 @@ impl ShardPlan {
     }
 
     /// The effective shard count after clamping.
-    pub fn shards(&self) -> usize {
+    #[cfg(test)]
+    fn shards(&self) -> usize {
         self.shards
     }
 

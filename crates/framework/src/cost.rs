@@ -14,7 +14,7 @@ use aitax_tensor::DType;
 
 /// Fraction of CPU peak throughput TFLite's optimized NEON kernels
 /// deliver for an operator kind.
-pub fn tflite_cpu_efficiency(kind: OpKind, quantized: bool) -> f64 {
+pub(crate) fn tflite_cpu_efficiency(kind: OpKind, quantized: bool) -> f64 {
     let fp = match kind {
         // GEMM-shaped work vectorizes well.
         OpKind::Conv2d | OpKind::FullyConnected | OpKind::MatMul => 0.55,
@@ -47,10 +47,10 @@ pub const NNAPI_REFERENCE_CYCLES_PER_MAC: f64 = 1.75;
 
 /// Per-op interpreter dispatch overhead (tensor setup, kernel selection),
 /// in CPU cycles.
-pub const OP_DISPATCH_CYCLES: f64 = 9_000.0;
+pub(crate) const OP_DISPATCH_CYCLES: f64 = 9_000.0;
 
 /// Per-thread fork/join overhead for a multi-threaded op, in CPU cycles.
-pub const THREAD_FORK_JOIN_CYCLES: f64 = 6_000.0;
+pub(crate) const THREAD_FORK_JOIN_CYCLES: f64 = 6_000.0;
 
 /// Fraction of DSP peak the open-source TFLite Hexagon delegate delivers.
 pub const HEXAGON_DELEGATE_EFFICIENCY: f64 = 0.32;
@@ -61,24 +61,24 @@ pub const NNAPI_DSP_EFFICIENCY: f64 = 0.32;
 /// Fraction of DSP peak the vendor-tuned SNPE runtime delivers
 /// ("the models' performance on the DSP outperforms the CPU (as one
 /// would expect)", §IV-B).
-pub const SNPE_DSP_EFFICIENCY: f64 = 0.45;
+pub(crate) const SNPE_DSP_EFFICIENCY: f64 = 0.45;
 
 /// Fraction of NPU peak the NNAPI driver's tensor-accelerator path
 /// delivers (SD865-class chipsets).
-pub const NNAPI_NPU_EFFICIENCY: f64 = 0.40;
+pub(crate) const NNAPI_NPU_EFFICIENCY: f64 = 0.40;
 
 /// Fraction of GPU fp16 peak the TFLite GPU delegate delivers.
-pub const GPU_DELEGATE_EFFICIENCY: f64 = 0.25;
+pub(crate) const GPU_DELEGATE_EFFICIENCY: f64 = 0.25;
 
 /// Fraction of GPU fp16 peak the NNAPI driver's GPU path delivers (the
 /// generic driver path is markedly less tuned than the GL-backend
 /// delegate, keeping NNAPI-fp32 roughly at CPU speed as observed).
-pub const NNAPI_GPU_EFFICIENCY: f64 = 0.065;
+pub(crate) const NNAPI_GPU_EFFICIENCY: f64 = 0.065;
 
 /// Effective FLOPs (work units) of one op on TFLite CPU kernels — the
 /// operator's arithmetic inflated by its efficiency so that dividing by
 /// the core's *peak* rate yields delivered time.
-pub fn tflite_cpu_work_units(op: &Op, dtype: DType) -> f64 {
+pub(crate) fn tflite_cpu_work_units(op: &Op, dtype: DType) -> f64 {
     let eff = tflite_cpu_efficiency(op.kind(), dtype.is_quantized());
     2.0 * op.macs() as f64 / eff
 }

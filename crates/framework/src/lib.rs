@@ -11,14 +11,14 @@
 //! * [`cost`] — delivered-efficiency tables per operator kind, datatype
 //!   and execution target (TFLite NEON kernels, NNAPI reference kernels,
 //!   Hexagon HVX, Adreno),
-//! * [`tflite`] — the interpreter: multi-threaded CPU execution with
+//! * `tflite` — the interpreter: multi-threaded CPU execution with
 //!   fork-join op dispatch, plus GPU and Hexagon delegates,
 //! * [`nnapi`] — model *compilation* (API-level delegation, driver
 //!   placement, partitioning), execution preferences, and the two-level
 //!   fallback behaviour (delegate-level → fast TFLite kernels;
 //!   driver-level → slow single-threaded reference kernels that wander
 //!   across cores, Fig. 6),
-//! * [`snpe`] — the vendor-tuned runtime whose DSP path actually delivers
+//! * `snpe` — the vendor-tuned runtime whose DSP path actually delivers
 //!   the accelerator's performance (§IV-B).
 //!
 //! The entry point is [`Session`]: pick an [`Engine`], compile a
@@ -47,9 +47,8 @@
 
 pub mod cost;
 pub mod nnapi;
-pub mod session;
-pub mod snpe;
-pub mod tflite;
+mod session;
+mod snpe;
+mod tflite;
 
-pub use nnapi::{ExecutionPreference, VendorDriver};
-pub use session::{CompileError, Engine, ExecTarget, Partition, Plan, Session};
+pub use session::{CompileError, Engine, ExecTarget, Plan, Session};

@@ -129,13 +129,6 @@ pub struct Partition {
     pub out_bytes: u64,
 }
 
-impl Partition {
-    /// Number of ops in the partition.
-    pub fn op_count(&self) -> usize {
-        self.ops.1 - self.ops.0
-    }
-}
-
 /// A compiled execution plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
@@ -151,11 +144,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Number of device transitions during one inference.
-    pub fn transitions(&self) -> usize {
-        self.partitions.len().saturating_sub(1)
-    }
-
     /// Renders the partitioning decision as a human-readable table — the
     /// transparency §IV-B asks frameworks for ("there is a need for
     /// greater transparency in frameworks being used during performance
@@ -363,11 +351,6 @@ impl Session {
         }
     }
 
-    /// The engine this session was compiled for.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The compiled plan (inspection/reporting).
     pub fn plan(&self) -> &Plan {
         &self.inner.plan
@@ -393,15 +376,10 @@ impl Session {
         self.inner.qos_priority.set(priority);
     }
 
-    /// The session's current QoS priority.
-    pub fn priority(&self) -> i8 {
-        self.inner.qos_priority.get()
-    }
-
     /// Opens an NNAPI-style burst object: the first invocation after this
     /// call pays the full FastRPC ioctl setup, and every back-to-back
     /// invocation until [`Session::end_burst`] amortizes it down to
-    /// [`BURST_IOCTL_FACTOR`](aitax_kernel::fastrpc::BURST_IOCTL_FACTOR)
+    /// `BURST_IOCTL_FACTOR`
     /// of the entry/return cycles. Cache maintenance, doorbells, and
     /// completion signals stay at full price — they are physical per-call
     /// costs a burst cannot amortize.
@@ -865,7 +843,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.inner.graph, &b.inner.graph));
         // Per-session mutable state is NOT shared.
         a.set_priority(2);
-        assert_eq!(b.priority(), 0);
+        assert_eq!(b.inner.qos_priority.get(), 0);
     }
 
     #[test]

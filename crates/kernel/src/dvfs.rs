@@ -23,40 +23,19 @@ use aitax_soc::SocSpec;
 use crate::machine::Machine;
 use crate::task::TaskClass;
 
-/// Tunables of the per-core governor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DvfsPolicy {
-    /// Master switch; disabled pins every core at its nominal clock.
-    pub enabled: bool,
-    /// Headroom multiplier on utilization (schedutil uses 1.25).
-    pub margin: f64,
-    /// Horizon of the per-core utilization EWMA.
-    pub util_tau: SimSpan,
-    /// Whether foreground/kernel/NNAPI dispatches boost straight to the
-    /// nominal operating point (Android's uclamp-style floor).
-    pub boost_foreground: bool,
-}
+/// Headroom multiplier on utilization (schedutil uses 1.25).
+const MARGIN: f64 = 1.25;
 
-impl Default for DvfsPolicy {
-    fn default() -> Self {
-        DvfsPolicy {
-            enabled: true,
-            margin: 1.25,
-            util_tau: SimSpan::from_ms(16.0),
-            boost_foreground: true,
-        }
-    }
-}
+/// Horizon of the per-core utilization EWMA.
+const UTIL_TAU: SimSpan = SimSpan::from_ns(16_000_000);
 
-impl DvfsPolicy {
-    /// Whether a dispatch of `class` gets the uclamp-style max boost.
-    fn boosts(&self, class: TaskClass) -> bool {
-        self.boost_foreground
-            && matches!(
-                class,
-                TaskClass::Foreground | TaskClass::KernelWork | TaskClass::NnapiFallback
-            )
-    }
+/// Whether a dispatch of `class` gets the uclamp-style max boost
+/// (Android's floor for foreground, kernel and NNAPI-fallback work).
+fn boosts(class: TaskClass) -> bool {
+    matches!(
+        class,
+        TaskClass::Foreground | TaskClass::KernelWork | TaskClass::NnapiFallback
+    )
 }
 
 /// Per-core governor state.
@@ -94,13 +73,9 @@ impl CoreGov {
 }
 
 impl Machine {
-    /// Replaces the DVFS policy (defaults to schedutil with boosting).
-    pub fn set_dvfs_policy(&mut self, policy: DvfsPolicy) {
-        self.dvfs = policy;
-    }
-
     /// The core's current clock in Hz, as chosen by the governor.
-    pub fn core_freq_hz(&self, core: usize) -> f64 {
+    #[cfg(test)]
+    fn core_freq_hz(&self, core: usize) -> f64 {
         self.governor[core].freq_hz
     }
 
@@ -114,10 +89,10 @@ impl Machine {
     /// estimate and records the state the core enters now.
     pub(crate) fn gov_observe(&mut self, core: usize, busy_next: bool) {
         let now = self.cal.now();
-        let tau = self.dvfs.util_tau.as_secs();
+        let tau = UTIL_TAU.as_secs();
         let gov = &mut self.governor[core];
         let dt = now.since(gov.last_update).as_secs();
-        if dt > 0.0 && tau > 0.0 {
+        if dt > 0.0 {
             let alpha = 1.0 - (-dt / tau).exp();
             let sample = if gov.busy { 1.0 } else { 0.0 };
             gov.util += (sample - gov.util) * alpha;
@@ -129,13 +104,10 @@ impl Machine {
     /// Re-picks the core's operating point for a dispatch of `class`,
     /// stamping a [`TraceKind::Dvfs`] event when the clock changes.
     pub(crate) fn gov_retarget(&mut self, core: usize, class: TaskClass) {
-        if !self.dvfs.enabled {
-            return;
-        }
-        let target = if self.dvfs.boosts(class) {
+        let target = if boosts(class) {
             1.0
         } else {
-            (self.governor[core].util * self.dvfs.margin).clamp(0.0, 1.0)
+            (self.governor[core].util * MARGIN).clamp(0.0, 1.0)
         };
         let rail = self.spec.power.core_rail(core);
         let opp = rail.opp_for_target(target);
@@ -227,7 +199,7 @@ mod tests {
     #[test]
     fn utilization_ewma_matches_its_closed_form_bit_for_bit() {
         let mut m = machine();
-        let tau = m.dvfs.util_tau.as_secs();
+        let tau = UTIL_TAU.as_secs();
         // (busy over the stretch, stretch length in µs); the zero-length
         // stretch re-observes an instant and must change nothing.
         let stretches = [
@@ -264,46 +236,9 @@ mod tests {
         // One busy stretch from idle: util = 1 - e^(-dt/tau).
         let mut fresh = machine();
         fresh.gov_observe(core, true);
-        fresh.run_until(SimTime::ZERO + m.dvfs.util_tau);
+        fresh.run_until(SimTime::ZERO + UTIL_TAU);
         fresh.gov_observe(core, false);
         assert_eq!(fresh.governor[core].util, 1.0 - (-1.0f64).exp());
-    }
-
-    #[test]
-    fn disabled_governor_pins_nominal() {
-        let mut m = machine();
-        m.set_dvfs_policy(DvfsPolicy {
-            enabled: false,
-            ..DvfsPolicy::default()
-        });
-        m.submit_cpu(
-            TaskSpec::background("bg", Work::Cycles(1e6)).with_affinity(CoreMask::of(&[4])),
-            |_| {},
-        );
-        m.run_until_idle();
-        let nominal = m.spec().power.core_rail(4).nominal().freq_hz;
-        assert_eq!(m.core_freq_hz(4), nominal);
-    }
-
-    #[test]
-    fn governor_slows_background_work_down() {
-        // The same background burst takes longer with the governor on —
-        // that is the latency price of the energy savings.
-        let work = Work::Cycles(5e7);
-        let run = |enabled: bool| {
-            let mut m = machine();
-            m.set_dvfs_policy(DvfsPolicy {
-                enabled,
-                ..DvfsPolicy::default()
-            });
-            m.submit_cpu(
-                TaskSpec::background("bg", work).with_affinity(CoreMask::of(&[7])),
-                |_| {},
-            );
-            m.run_until_idle();
-            m.now()
-        };
-        assert!(run(true) > run(false));
     }
 
     /// Package power summed without the governor's cache: every busy
@@ -340,37 +275,16 @@ mod tests {
     }
 
     /// One 64-bit FNV-1a digest per SoC, in catalog order, of what
-    /// [`pinned_run`] leaves over seeds 0..32, for the configurations
-    /// (DVFS on, no fault), (on, emergency), (off, no fault), (off,
-    /// emergency). A change to the kernel's bookkeeping (when heat is
+    /// [`pinned_run`] leaves over seeds 0..32, without and with a thermal
+    /// emergency. A change to the kernel's bookkeeping (when heat is
     /// priced, how rail watts are summed, where task and gang records
     /// live) must leave every one unchanged; only a change to the
     /// thermal, DVFS or scheduling model itself may re-pin them.
-    const PINNED: [[u64; 4]; 4] = [
-        [
-            0xdc3bcab9deb36d73,
-            0xecf5802563d791a0,
-            0xaa7bbd1ca83b8cd2,
-            0x8c63b078710b9de1,
-        ],
-        [
-            0xe5642dbea5fa2873,
-            0x6a64709eccdf4984,
-            0x24a7b8a75d1f89a7,
-            0x4286ebb2604fdc5c,
-        ],
-        [
-            0x35c650ac73e9ea82,
-            0xfdcb8354c4143f2a,
-            0xb4e73fd18fe89104,
-            0xd8b2a5932dfc4f05,
-        ],
-        [
-            0x16569842a9f110b0,
-            0x4f0c5c483ff79c66,
-            0x26d2208b543d0398,
-            0x5a06d239680093b2,
-        ],
+    const PINNED: [[u64; 2]; 4] = [
+        [0xdc3bcab9deb36d73, 0xecf5802563d791a0],
+        [0xe5642dbea5fa2873, 0x6a64709eccdf4984],
+        [0x35c650ac73e9ea82, 0xfdcb8354c4143f2a],
+        [0x16569842a9f110b0, 0x4f0c5c483ff79c66],
     ];
 
     struct Fnv(u64);
@@ -413,19 +327,9 @@ mod tests {
     /// Runs the mixed workload once, checking the cached package power
     /// against the uncached sum at every event, and folds the thermal,
     /// governor and counter state the run leaves into `digest`.
-    fn pinned_run(
-        spec: &'static SocSpec,
-        seed: u64,
-        dvfs: bool,
-        emergency: bool,
-        digest: &mut Fnv,
-    ) {
+    fn pinned_run(spec: &'static SocSpec, seed: u64, emergency: bool, digest: &mut Fnv) {
         use aitax_des::{FaultKind, FaultPlan};
         let mut m = Machine::new(spec, seed);
-        m.set_dvfs_policy(DvfsPolicy {
-            enabled: dvfs,
-            ..DvfsPolicy::default()
-        });
         if emergency {
             let start = SimTime::from_ns(1_000_000 + seed * 97_000);
             let end = start + SimSpan::from_ms(1.0);
@@ -472,13 +376,12 @@ mod tests {
 
     #[test]
     fn thermal_and_governor_state_is_pinned_on_every_soc() {
-        let mut got = [[0u64; 4]; 4];
+        let mut got = [[0u64; 2]; 4];
         for (soc, spec) in aitax_soc::SocCatalog::all().iter().enumerate() {
-            let configs = [(true, false), (true, true), (false, false), (false, true)];
-            for (cfg, (dvfs, emergency)) in configs.into_iter().enumerate() {
+            for (cfg, emergency) in [false, true].into_iter().enumerate() {
                 let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
                 for seed in 0..32 {
-                    pinned_run(spec, seed, dvfs, emergency, &mut digest);
+                    pinned_run(spec, seed, emergency, &mut digest);
                 }
                 got[soc][cfg] = digest.0;
             }

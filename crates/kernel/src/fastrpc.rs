@@ -19,7 +19,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use aitax_des::trace::{RpcPhase, TraceKind, TraceResource};
-use aitax_des::{FaultKind, SimSpan, SimTime, Symbol, TraceBuffer};
+use aitax_des::{FaultKind, SimSpan, Symbol, TraceBuffer};
 
 use crate::machine::{AccelKind, Machine, OnDone};
 use crate::task::{TaskSpec, Work};
@@ -30,7 +30,7 @@ const CACHE_STORM_MULTIPLIER: f64 = 8.0;
 
 /// CPU-side costs of one FastRPC round trip.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastRpcCosts {
+pub(crate) struct FastRpcCosts {
     /// Cycles to marshal arguments and enter the kernel (user → kernel).
     pub ioctl_entry_cycles: f64,
     /// Cycles to unmarshal results and return to user space.
@@ -141,7 +141,7 @@ pub enum RpcDevice {
 /// preceding call of the burst, the scatter-gather registration and most
 /// of the argument marshalling drop out (the NNAPI
 /// `ANeuralNetworksBurst` amortization).
-pub const BURST_IOCTL_FACTOR: f64 = 0.25;
+pub(crate) const BURST_IOCTL_FACTOR: f64 = 0.25;
 
 /// One FastRPC method invocation.
 #[derive(Debug, Clone)]
@@ -165,7 +165,7 @@ pub struct RpcInvoke {
     pub priority: i8,
     /// Burst continuation: this call re-uses the buffers and method
     /// handle of an immediately preceding call in the same burst, paying
-    /// [`BURST_IOCTL_FACTOR`] of the ioctl marshalling cycles. The cache
+    /// `BURST_IOCTL_FACTOR` of the ioctl marshalling cycles. The cache
     /// maintenance, doorbell and signal latencies are physical and stay.
     pub burst: bool,
 }
@@ -182,16 +182,6 @@ impl Default for RpcInvoke {
             burst: false,
         }
     }
-}
-
-/// Measured phase boundaries of a completed invocation, for Fig. 7-style
-/// reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RpcTimeline {
-    /// Invocation submitted.
-    pub submitted: SimTime,
-    /// Call returned to user space.
-    pub returned: SimTime,
 }
 
 impl Machine {
@@ -214,7 +204,7 @@ impl Machine {
     /// [`FaultPlan`](aitax_des::FaultPlan) breaks the accelerator path.
     ///
     /// Failed attempts are retried with exponential backoff up to
-    /// [`FastRpcCosts::max_retries`] times before
+    /// `FastRpcCosts::max_retries` times before
     /// [`RpcOutcome::Failed`] is surfaced.
     pub fn fastrpc_invoke_result(
         &mut self,
@@ -436,6 +426,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aitax_des::SimTime;
     use aitax_soc::{SocCatalog, SocId};
     use std::cell::Cell;
     use std::rc::Rc;

@@ -8,13 +8,13 @@
 //!   cache-warmup migration penalties),
 //! * serial FIFO queues for the loosely-coupled accelerators (DSP, GPU) —
 //!   the source of the multi-tenancy stalls in Figure 9,
-//! * a [`fastrpc`] driver reproducing the Figure 7 offload call flow
+//! * a `fastrpc` driver reproducing the Figure 7 offload call flow
 //!   (ioctl entry → cache flush → doorbell → DSP execute → completion
 //!   signal → ioctl return) with one-time session setup (Figure 8),
-//! * interrupt jitter and [`noise`] generators that model the Android
+//! * interrupt jitter and `noise` generators that model the Android
 //!   background activity responsible for in-app run-to-run variability
 //!   (Figure 11),
-//! * power/thermal coupling: a schedutil-style [`dvfs`] governor picks
+//! * power/thermal coupling: a schedutil-style `dvfs` governor picks
 //!   per-core clocks, the per-rail power model turns execution into watts,
 //!   watts heat the chip, and heat throttles frequency (paper §III-D).
 //!
@@ -41,15 +41,14 @@
 //! assert!(done.get());
 //! ```
 
-pub mod dvfs;
-pub mod fastrpc;
-pub mod machine;
-pub mod noise;
-pub mod sched;
-pub mod task;
+mod dvfs;
+mod fastrpc;
+mod machine;
+mod noise;
+mod sched;
+mod task;
 
-pub use dvfs::DvfsPolicy;
-pub use fastrpc::{FastRpcCosts, RpcDevice, RpcError, RpcInvoke, RpcOutcome};
+pub use fastrpc::{RpcDevice, RpcInvoke, RpcOutcome};
 pub use machine::{DegradationStats, GpuJob, Machine, MachineStats};
 pub use noise::NoiseConfig;
-pub use task::{CoreMask, TaskClass, TaskId, TaskSpec, Work};
+pub use task::{CoreMask, TaskSpec, Work};

@@ -9,7 +9,7 @@ use aitax_des::{
 };
 use aitax_soc::{SocSpec, ThermalState};
 
-use crate::dvfs::{CoreGov, DvfsPolicy};
+use crate::dvfs::CoreGov;
 use crate::fastrpc::FastRpcCosts;
 use crate::task::{CoreMask, TaskClass, TaskId, Work};
 
@@ -139,7 +139,7 @@ impl<T> Default for Slab<T> {
 impl<T> Slab<T> {
     /// Stores `value` in a vacant slot (the most recently freed first)
     /// and returns the slot.
-    pub fn insert(&mut self, value: T) -> usize {
+    pub(crate) fn insert(&mut self, value: T) -> usize {
         match self.free.pop() {
             Some(slot) => {
                 self.entries[slot] = Some(value);
@@ -157,21 +157,21 @@ impl<T> Slab<T> {
         clippy::expect_used,
         reason = "a slot is removed once, by the owner that inserted it"
     )]
-    pub fn remove(&mut self, slot: usize) -> T {
+    pub(crate) fn remove(&mut self, slot: usize) -> T {
         let value = self.entries[slot].take().expect("removing a vacant slot");
         self.free.push(slot);
         value
     }
 
     /// Vacates every slot, keeping the storage.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.free.clear();
     }
 
     /// Slots ever in use at once: the table's length, live or vacant.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 }
@@ -221,7 +221,7 @@ pub(crate) struct CoreState {
 }
 
 impl CoreState {
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.runq.len() + usize::from(self.running.is_some())
     }
 }
@@ -295,7 +295,6 @@ pub struct Machine {
     pub(crate) npu: AccelState,
     pub(crate) thermal: ThermalState,
     pub(crate) governor: Vec<CoreGov>,
-    pub(crate) dvfs: DvfsPolicy,
     pub(crate) rpc_costs: FastRpcCosts,
     pub(crate) noise_generation: u64,
     pub(crate) next_obj_id: u64,
@@ -336,7 +335,6 @@ impl Machine {
             cores,
             thermal,
             governor,
-            dvfs: DvfsPolicy::default(),
             cal: Calendar::new(),
             rng: SimRng::seed_from(seed),
             trace: TraceBuffer::disabled(),
@@ -388,7 +386,6 @@ impl Machine {
         for (core, gov) in self.governor.iter_mut().enumerate() {
             *gov = CoreGov::new(self.spec, core);
         }
-        self.dvfs = DvfsPolicy::default();
         self.rpc_costs = FastRpcCosts::default();
         self.noise_generation = 0;
         self.next_obj_id = 1;
@@ -478,7 +475,7 @@ impl Machine {
 
     /// Whether `kind` is active at the current instant under the
     /// installed plan (always false with no plan).
-    pub fn fault_active(&self, kind: FaultKind) -> bool {
+    pub(crate) fn fault_active(&self, kind: FaultKind) -> bool {
         self.fault_plan
             .as_ref()
             .is_some_and(|p| p.active(kind, self.cal.now()))
@@ -487,7 +484,7 @@ impl Machine {
     /// Realizes a thermal emergency: the skin sensor jumps past the hard
     /// limit and the throttle curve clamps frequency until the chip
     /// cools back down.
-    pub fn inject_thermal_emergency(&mut self) {
+    pub(crate) fn inject_thermal_emergency(&mut self) {
         self.touch_thermal();
         let now = self.cal.now();
         let emergency_c = self.spec.thermal.hard_limit_c + 7.0;
@@ -544,13 +541,9 @@ impl Machine {
     }
 
     /// Number of jobs waiting on (or running on) the DSP.
-    pub fn dsp_depth(&self) -> usize {
+    #[cfg(test)]
+    fn dsp_depth(&self) -> usize {
         self.dsp.queue.len() + usize::from(self.dsp.running.is_some())
-    }
-
-    /// Number of jobs waiting on (or running on) the NPU block.
-    pub fn npu_depth(&self) -> usize {
-        self.npu.queue.len() + usize::from(self.npu.running.is_some())
     }
 
     pub(crate) fn fresh_obj_id(&mut self) -> u64 {
@@ -592,14 +585,16 @@ impl Machine {
     /// Runs until no events remain.
     ///
     /// Note: with a noise generator or a free-running camera active the
-    /// machine never idles; use [`Machine::run_until`] instead.
+    /// machine never idles; drive it with [`Machine::step`] and stop on a
+    /// condition of your own instead.
     pub fn run_until_idle(&mut self) {
         while self.step() {}
     }
 
     /// Runs all events up to and including `t`, then advances the clock
     /// to exactly `t`.
-    pub fn run_until(&mut self, t: SimTime) {
+    #[cfg(test)]
+    pub(crate) fn run_until(&mut self, t: SimTime) {
         while let Some(next) = self.cal.peek_time() {
             if next > t {
                 break;
@@ -609,12 +604,6 @@ impl Machine {
         if self.cal.now() < t {
             self.cal.advance_to(t);
         }
-    }
-
-    /// Runs for a span of simulated time.
-    pub fn run_for(&mut self, span: SimSpan) {
-        let target = self.now() + span;
-        self.run_until(target);
     }
 
     /// Schedules `cb` to run after `delay`.
@@ -650,7 +639,7 @@ impl Machine {
     /// governor-chosen operating point (active, priced when the governor
     /// set the clock) or leakage floor (idle), accelerator rails busy or
     /// collapsed, plus the uncore floor.
-    pub fn current_power_w(&self) -> f64 {
+    pub(crate) fn current_power_w(&self) -> f64 {
         let p = &self.spec.power;
         let mut w = p.interconnect.uncore_w;
         for (i, rail) in p.core_rails.iter().enumerate() {
@@ -697,7 +686,8 @@ impl Machine {
     }
 
     /// Current frequency multiplier (thermal throttling).
-    pub fn freq_multiplier(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn freq_multiplier(&self) -> f64 {
         self.thermal.freq_multiplier()
     }
 
@@ -790,42 +780,6 @@ impl Machine {
             AccelKind::Gpu => TraceResource::Gpu,
             AccelKind::Npu => TraceResource::Npu,
         }
-    }
-
-    /// Submits a job to the dedicated NPU block (SD865-class chipsets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the SoC has no NPU.
-    pub fn submit_npu_raw(
-        &mut self,
-        label: impl AsRef<str>,
-        exec: SimSpan,
-        on_done: impl FnOnce(&mut Machine) + 'static,
-    ) {
-        self.submit_npu_prio(label, exec, 0, on_done);
-    }
-
-    /// Like [`Machine::submit_npu_raw`], but with a QoS priority (see
-    /// [`Machine::submit_dsp_prio`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the SoC has no NPU.
-    pub fn submit_npu_prio(
-        &mut self,
-        label: impl AsRef<str>,
-        exec: SimSpan,
-        priority: i8,
-        on_done: impl FnOnce(&mut Machine) + 'static,
-    ) {
-        assert!(
-            self.spec.npu.is_some(),
-            "{} has no NPU block",
-            self.spec.name
-        );
-        let label = self.trace.intern(label.as_ref());
-        self.submit_accel(AccelKind::Npu, label, exec, priority, Box::new(on_done));
     }
 
     fn maybe_start_accel(&mut self, kind: AccelKind) {
@@ -999,13 +953,12 @@ mod tests {
         let mut m = Machine::new(SocCatalog::get(SocId::Sd865), 5);
         let done = Rc::new(Cell::new(0.0));
         let d = done.clone();
-        m.submit_npu_raw("hta-job", SimSpan::from_ms(3.0), move |mm| {
-            d.set(mm.now().as_ms())
-        });
+        let exec = SimSpan::from_ms(3.0);
+        let on_done = Box::new(move |mm: &mut Machine| d.set(mm.now().as_ms()));
+        m.submit_accel(AccelKind::Npu, Symbol::UNTRACED, exec, 0, on_done);
         m.run_until_idle();
         assert_eq!(done.get(), 3.0);
         assert_eq!(m.stats().npu_jobs, 1);
-        assert_eq!(m.npu_depth(), 0);
     }
 
     #[test]
@@ -1013,16 +966,10 @@ mod tests {
         // Unlike two DSP jobs, a DSP job and an NPU job overlap.
         let mut m = Machine::new(SocCatalog::get(SocId::Sd865), 5);
         m.submit_dsp_raw("dsp", SimSpan::from_ms(10.0), |_| {});
-        m.submit_npu_raw("npu", SimSpan::from_ms(10.0), |_| {});
+        let exec = SimSpan::from_ms(10.0);
+        m.submit_accel(AccelKind::Npu, Symbol::UNTRACED, exec, 0, Box::new(|_| {}));
         m.run_until_idle();
         assert_eq!(m.now().as_ms(), 10.0, "parallel blocks overlap");
-    }
-
-    #[test]
-    #[should_panic(expected = "has no NPU")]
-    fn npu_submit_panics_without_npu() {
-        let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 5);
-        m.submit_npu_raw("x", SimSpan::from_ms(1.0), |_| {});
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Machine {
     /// Starts ambient background activity. Replaces any previous generator.
     ///
     /// The generator runs until [`Machine::stop_noise`] (or forever), so
-    /// drive the machine with [`Machine::run_until`] rather than
+    /// drive the machine with [`Machine::step`] rather than
     /// `run_until_idle` while noise is active.
     pub fn start_noise(&mut self, config: NoiseConfig) {
         self.noise_generation += 1;
@@ -152,7 +152,7 @@ mod tests {
         m.stop_noise();
         m.run_until_idle();
         let after_stop = m.stats().tasks_completed;
-        m.run_for(SimSpan::from_ms(100.0));
+        m.run_until(m.now() + SimSpan::from_ms(100.0));
         assert_eq!(m.stats().tasks_completed, after_stop);
     }
 

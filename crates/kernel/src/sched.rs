@@ -13,14 +13,14 @@ use crate::machine::{Ev, Gang, Machine, OnDone, Running, Task};
 use crate::task::{CoreMask, TaskClass, TaskId, TaskSpec};
 
 /// Base scheduling quantum; actual slices scale with task weight.
-pub const BASE_QUANTUM: SimSpan = SimSpan::from_ns(4_000_000);
+pub(crate) const BASE_QUANTUM: SimSpan = SimSpan::from_ns(4_000_000);
 
 /// Direct cost of a context switch (register save/restore, runqueue work).
-pub const CONTEXT_SWITCH_COST: SimSpan = SimSpan::from_ns(8_000);
+pub(crate) const CONTEXT_SWITCH_COST: SimSpan = SimSpan::from_ns(8_000);
 
 /// Default probability that a wandering-class task is rebalanced to
 /// another core at a slice boundary.
-pub const DEFAULT_WANDER_PROBABILITY: f64 = 0.35;
+pub(crate) const DEFAULT_WANDER_PROBABILITY: f64 = 0.35;
 
 /// Remaining-work threshold below which a task is complete.
 const WORK_EPSILON: f64 = 1e-6;

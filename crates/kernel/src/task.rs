@@ -14,7 +14,8 @@ pub struct TaskId(pub(crate) u64);
 impl TaskId {
     /// Raw object id (unique within a run of the
     /// [`Machine`](crate::Machine)).
-    pub fn raw(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 }
@@ -42,7 +43,7 @@ pub enum Work {
 impl Work {
     /// The raw magnitude of the work, in its own units (seconds for
     /// [`Work::Span`]).
-    pub fn amount(self) -> f64 {
+    pub(crate) fn amount(self) -> f64 {
         match self {
             Work::Fp32Flops(x) | Work::Int8Ops(x) | Work::Cycles(x) => x,
             Work::Span(s) => s.as_secs(),
@@ -51,7 +52,7 @@ impl Work {
 
     /// Units of this work a given core retires per second at nominal
     /// frequency.
-    pub fn rate_on(self, core: &CpuCoreSpec) -> f64 {
+    pub(crate) fn rate_on(self, core: &CpuCoreSpec) -> f64 {
         match self {
             Work::Fp32Flops(_) => core.peak_fp32_flops(),
             Work::Int8Ops(_) => core.peak_int8_ops(),
@@ -77,7 +78,7 @@ pub enum TaskClass {
 
 impl TaskClass {
     /// Relative scheduler weight (bigger = more CPU share).
-    pub fn weight(self) -> f64 {
+    pub(crate) fn weight(self) -> f64 {
         match self {
             TaskClass::Foreground => 1.0,
             TaskClass::Background => 0.4,
@@ -88,7 +89,7 @@ impl TaskClass {
 
     /// Whether the scheduler should periodically rebalance (wander) this
     /// task across eligible cores even without load imbalance.
-    pub fn wanders(self) -> bool {
+    pub(crate) fn wanders(self) -> bool {
         matches!(self, TaskClass::NnapiFallback)
     }
 }
@@ -98,9 +99,6 @@ impl TaskClass {
 pub struct CoreMask(u32);
 
 impl CoreMask {
-    /// All cores allowed.
-    pub const ALL: CoreMask = CoreMask(u32::MAX);
-
     /// Builds a mask from explicit core indices.
     ///
     /// # Panics
@@ -117,7 +115,7 @@ impl CoreMask {
     }
 
     /// Whether the mask allows a core index.
-    pub fn allows(self, core: usize) -> bool {
+    pub(crate) fn allows(self, core: usize) -> bool {
         core < 32 && self.0 & (1 << core) != 0
     }
 
@@ -239,7 +237,6 @@ mod tests {
         assert!(!m.allows(1));
         assert!(m.allows(7));
         assert_eq!(m.count(), 3);
-        assert!(CoreMask::ALL.allows(31));
     }
 
     #[test]

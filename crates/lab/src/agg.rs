@@ -177,15 +177,6 @@ impl SweepReport {
     pub fn scenario(&self, label: &str) -> Option<&ScenarioStats> {
         self.scenarios.iter().find(|s| s.label == label)
     }
-
-    /// Mean of one stage's latency for a scenario (convenience).
-    pub fn stage_mean_ms(&self, label: &str, stage: Stage) -> Option<f64> {
-        self.scenario(label)?
-            .stages
-            .iter()
-            .find(|(s, _)| *s == stage)
-            .map(|(_, d)| d.mean)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +216,6 @@ mod tests {
         assert_eq!(s.e2e.cdf.last().unwrap().1, 1.0);
         assert!(s.energy.is_none());
         assert!(rep.scenario("traced").unwrap().energy.unwrap().energy_mj > 0.0);
-        assert!(rep.stage_mean_ms("plain", Stage::Inference).unwrap() > 0.0);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Iterator for Args {
 }
 
 /// Checks the value given for a flag or variable (`name`, for the error).
-pub type Parser<T> = fn(name: &str, value: &str) -> Result<T, String>;
+pub(crate) type Parser<T> = fn(name: &str, value: &str) -> Result<T, String>;
 
 /// A positive count; zero is a usage error.
 pub fn count(name: &str, v: &str) -> Result<usize, String> {
@@ -179,7 +179,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Every file a run writes, as `(path, bytes)` in write order.
-pub type Files = Vec<(PathBuf, String)>;
+pub(crate) type Files = Vec<(PathBuf, String)>;
 
 /// A product's artifact set: its artifact files by name, plus the bytes
 /// of its `BENCH_*.json` trajectory file.

@@ -44,15 +44,15 @@ pub mod agg;
 pub mod artifact;
 pub mod chrome;
 pub mod cli;
-pub mod job;
-pub mod pool;
+mod job;
+mod pool;
 pub mod render;
-pub mod scenario;
+mod scenario;
 pub mod scenarios;
 
-pub use agg::{DistStats, ScenarioStats, SweepReport};
-pub use artifact::{artifacts, bench_json, sweep_csv, sweep_json};
+pub use agg::{DistStats, SweepReport};
+pub use artifact::{bench_json, sweep_csv, sweep_json};
 pub use chrome::chrome_trace;
 pub use job::{JobResult, JobSpec};
 pub use pool::{run_jobs, run_tasks, run_tasks_ctx};
-pub use scenario::{FaultSpec, Grid, Scenario};
+pub use scenario::{Grid, Scenario};

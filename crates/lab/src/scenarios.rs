@@ -46,7 +46,7 @@ pub fn smoke(iterations: usize, seed: u64) -> Grid {
 
 /// Fig. 10 — the classification app with 0..8 background inference loops
 /// contending for the CPU (quantized MobileNet via NNAPI, app mode).
-pub fn fig10(iterations: usize, seed: u64) -> Grid {
+pub(crate) fn fig10(iterations: usize, seed: u64) -> Grid {
     let mut grid = Grid::new("fig10").base_seed(seed);
     for &b in &[0usize, 1, 2, 4, 6, 8] {
         let mut s = Scenario::new(b.to_string(), ModelId::MobileNetV1, DType::I8)
@@ -64,7 +64,7 @@ pub fn fig10(iterations: usize, seed: u64) -> Grid {
 /// Fig. 11 — run-to-run latency distribution, CLI benchmark vs real app
 /// (MobileNet v1 fp32 on the CPU). Eight seeded repeats per mode pool
 /// into one distribution; raise `--repeats` for smoother CDF tails.
-pub fn fig11(iterations: usize, seed: u64) -> Grid {
+pub(crate) fn fig11(iterations: usize, seed: u64) -> Grid {
     let mut grid = Grid::new("fig11").base_seed(seed).repeats(8);
     for mode in [RunMode::CliBenchmark, RunMode::AndroidApp] {
         grid = grid.push(
@@ -97,7 +97,7 @@ pub fn table1(iterations: usize, seed: u64) -> Grid {
 /// Table II companion — quantized MobileNet through NNAPI in app mode on
 /// each of the four platforms, traced so energy/power land in the
 /// artifacts.
-pub fn table2(iterations: usize, seed: u64) -> Grid {
+pub(crate) fn table2(iterations: usize, seed: u64) -> Grid {
     let mut grid = Grid::new("table2").base_seed(seed);
     for id in SocId::ALL {
         grid = grid.push(
@@ -118,7 +118,7 @@ pub fn table2(iterations: usize, seed: u64) -> Grid {
 
 /// Fault sweep — the Fig. 6 streaming scenario under each fault kind
 /// (plus a healthy baseline), traced for the added-energy column.
-pub fn faults(iterations: usize, seed: u64) -> Grid {
+pub(crate) fn faults(iterations: usize, seed: u64) -> Grid {
     let ten_ms = 10_000_000u64;
     let specs: [(&str, Option<FaultSpec>); 7] = [
         ("none", None),

@@ -11,7 +11,7 @@ use crate::graph::{Graph, GraphBuilder};
 use crate::op::Op;
 
 /// Sequence length used by the TFLite MobileBERT benchmark.
-pub const SEQ_LEN: usize = 128;
+pub(crate) const SEQ_LEN: usize = 128;
 
 const HIDDEN: usize = 512;
 const BOTTLENECK: usize = 128;
@@ -33,7 +33,7 @@ fn dense(m: usize, k: usize, n: usize) -> Op {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn mobile_bert(dtype: DType) -> Graph {
+pub(crate) fn mobile_bert(dtype: DType) -> Graph {
     let s = SEQ_LEN;
     let mut b = GraphBuilder::new("mobile_bert", dtype, s as u64).push(Op::Embedding {
         tokens: s,

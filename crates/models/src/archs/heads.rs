@@ -57,7 +57,7 @@ fn mobilenet_v2_backbone(
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn ssd_mobilenet_v2(dtype: DType) -> Graph {
+pub(crate) fn ssd_mobilenet_v2(dtype: DType) -> Graph {
     let b = GraphBuilder::new("ssd_mobilenet_v2", dtype, 300 * 300 * 3);
     let (mut b, h, c) = mobilenet_v2_backbone(b, 300, false);
     // Feature pyramid: project + downsample extra feature maps.
@@ -126,7 +126,7 @@ pub fn ssd_mobilenet_v2(dtype: DType) -> Graph {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn deeplab_v3_mnv2(dtype: DType) -> Graph {
+pub(crate) fn deeplab_v3_mnv2(dtype: DType) -> Graph {
     let b = GraphBuilder::new("deeplab_v3_mobilenet_v2", dtype, 513 * 513 * 3);
     let (mut b, h, c) = mobilenet_v2_backbone(b, 513, true);
     // ASPP at the backbone's output stride (33×33 for 513 input).
@@ -206,7 +206,7 @@ pub fn deeplab_v3_mnv2(dtype: DType) -> Graph {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn posenet(dtype: DType) -> Graph {
+pub(crate) fn posenet(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("posenet", dtype, 224 * 224 * 3).push(Op::Conv2d {
         in_h: 224,
         in_w: 224,

@@ -151,7 +151,7 @@ fn inception_c(b: GraphBuilder, in_c: usize) -> GraphBuilder {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn inception_v3(dtype: DType) -> Graph {
+pub(crate) fn inception_v3(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("inception_v3", dtype, 299 * 299 * 3)
         // Stem.
         .push(conv(299, 3, 32, 3, 2))
@@ -237,7 +237,7 @@ pub fn inception_v3(dtype: DType) -> Graph {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn inception_v4(dtype: DType) -> Graph {
+pub(crate) fn inception_v4(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("inception_v4", dtype, 299 * 299 * 3)
         // v4 stem (wider than v3).
         .push(conv(299, 3, 32, 3, 2))

@@ -13,11 +13,11 @@ mod inception;
 mod nasnet;
 mod vision;
 
-pub use bert::mobile_bert;
-pub use heads::{deeplab_v3_mnv2, posenet, ssd_mobilenet_v2};
-pub use inception::{inception_v3, inception_v4};
-pub use nasnet::nasnet_mobile;
-pub use vision::{alexnet, efficientnet_lite0, mobilenet_v1, squeezenet};
+pub(crate) use bert::mobile_bert;
+pub(crate) use heads::{deeplab_v3_mnv2, posenet, ssd_mobilenet_v2};
+pub(crate) use inception::{inception_v3, inception_v4};
+pub(crate) use nasnet::nasnet_mobile;
+pub(crate) use vision::{alexnet, efficientnet_lite0, mobilenet_v1, squeezenet};
 
 use crate::op::Op;
 

@@ -62,7 +62,7 @@ fn reduction(mut b: GraphBuilder, h: usize, in_c: usize, out_c: usize) -> (Graph
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn nasnet_mobile(dtype: DType) -> Graph {
+pub(crate) fn nasnet_mobile(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("nasnet_mobile", dtype, 331 * 331 * 3).push(Op::Conv2d {
         in_h: 331,
         in_w: 331,

@@ -14,7 +14,7 @@ use super::{mbconv, separable};
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn mobilenet_v1(dtype: DType) -> Graph {
+pub(crate) fn mobilenet_v1(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("mobilenet_v1_1.0_224", dtype, 224 * 224 * 3).push(Op::Conv2d {
         in_h: 224,
         in_w: 224,
@@ -63,7 +63,7 @@ pub fn mobilenet_v1(dtype: DType) -> Graph {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn squeezenet(dtype: DType) -> Graph {
+pub(crate) fn squeezenet(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("squeezenet", dtype, 227 * 227 * 3).push(Op::Conv2d {
         in_h: 227,
         in_w: 227,
@@ -159,7 +159,7 @@ pub fn squeezenet(dtype: DType) -> Graph {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn alexnet(dtype: DType) -> Graph {
+pub(crate) fn alexnet(dtype: DType) -> Graph {
     GraphBuilder::new("alexnet", dtype, 256 * 256 * 3)
         .push(Op::Conv2d {
             in_h: 256,
@@ -263,7 +263,7 @@ pub fn alexnet(dtype: DType) -> Graph {
     clippy::expect_used,
     reason = "graph is statically non-empty by construction"
 )]
-pub fn efficientnet_lite0(dtype: DType) -> Graph {
+pub(crate) fn efficientnet_lite0(dtype: DType) -> Graph {
     let mut b = GraphBuilder::new("efficientnet_lite0", dtype, 224 * 224 * 3).push(Op::Conv2d {
         in_h: 224,
         in_w: 224,

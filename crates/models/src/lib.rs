@@ -7,7 +7,7 @@
 //! * [`Op`] — an operator vocabulary with analytic MAC/parameter/activation
 //!   accounting (what inference cost models and NNAPI partitioning consume),
 //! * [`Graph`] — a validated, topologically-ordered operator list,
-//! * [`archs`] — programmatic builders reconstructing each model's layer
+//! * `archs` — programmatic builders reconstructing each model's layer
 //!   structure with MAC/parameter totals close to the published networks,
 //! * [`zoo`] — the Table I registry: task, input resolution, pre-/post-
 //!   processing chain and the NNAPI/CPU dtype support matrix.
@@ -27,13 +27,12 @@
 //! assert!((450.0..700.0).contains(&mmacs));
 //! ```
 
-pub mod archs;
+mod archs;
 pub mod cache;
 pub mod graph;
-pub mod op;
+mod op;
 pub mod zoo;
 
 pub use cache::cached_graph;
 pub use graph::{Graph, GraphError};
 pub use op::{Op, OpKind};
-pub use zoo::{MlTask, ModelId, PostTask, PreTask, SupportMatrix, Zoo, ZooEntry};

@@ -321,14 +321,6 @@ impl Zoo {
     pub fn all() -> Vec<ZooEntry> {
         ModelId::ALL.iter().map(|&id| Self::entry(id)).collect()
     }
-
-    /// Entries supporting the given engine/dtype combination.
-    pub fn supporting(nnapi: bool, dtype: DType) -> Vec<ZooEntry> {
-        Self::all()
-            .into_iter()
-            .filter(|e| e.support.supports(nnapi, dtype))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -400,8 +392,9 @@ mod tests {
     #[test]
     fn nnapi_int8_set_matches_fig_targets() {
         // Quantized NNAPI models (the Fig. 4 quantized series).
-        let ids: Vec<ModelId> = Zoo::supporting(true, DType::I8)
+        let ids: Vec<ModelId> = Zoo::all()
             .iter()
+            .filter(|e| e.support.supports(true, DType::I8))
             .map(|e| e.id)
             .collect();
         assert_eq!(

@@ -69,7 +69,7 @@ pub enum PixelOp {
 
 impl PixelOp {
     /// Native cycles per element, calibrated for NEON-class cores.
-    pub fn native_cycles_per_element(self) -> f64 {
+    pub(crate) fn native_cycles_per_element(self) -> f64 {
         match self {
             PixelOp::Nv21ToArgb => 10.0,
             PixelOp::ResizeBilinear => 25.0,

@@ -6,7 +6,7 @@
 //! post-processing (topK, dequantization, mask flattening, keypoint
 //! decoding, box decoding, tokenization). The simulator does not run
 //! these algorithms on pixels; it charges their work to the simulated
-//! CPU. The [`cost`] model maps each stage and its element count onto
+//! CPU. The `cost` model maps each stage and its element count onto
 //! CPU cycles, on the native path or on the managed Java/JNI path real
 //! Android apps take — the paper's "AI tax: Algorithms" category.
 //!
@@ -25,6 +25,6 @@
 //! assert!(cycles > 0.0);
 //! ```
 
-pub mod cost;
+mod cost;
 
 pub use cost::{CostModel, PixelOp, RuntimeKind};

@@ -18,7 +18,7 @@ impl BatterySpec {
     /// # Panics
     ///
     /// Panics if either argument is non-positive.
-    pub fn from_mah(mah: f64, nominal_v: f64) -> Self {
+    pub(crate) fn from_mah(mah: f64, nominal_v: f64) -> Self {
         assert!(mah > 0.0 && nominal_v > 0.0, "capacity must be positive");
         BatterySpec {
             capacity_j: mah * 3.6 * nominal_v,
@@ -63,36 +63,13 @@ impl Battery {
     }
 
     /// Remaining energy in joules.
-    pub fn remaining_j(&self) -> f64 {
+    pub(crate) fn remaining_j(&self) -> f64 {
         self.spec.capacity_j - self.drained_j
     }
 
     /// State of charge in `[0, 1]`.
     pub fn state_of_charge(&self) -> f64 {
         self.remaining_j() / self.spec.capacity_j
-    }
-
-    /// Seconds until empty at a sustained power draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `watts` is not positive.
-    pub fn seconds_to_empty(&self, watts: f64) -> f64 {
-        assert!(watts > 0.0, "sustained draw must be positive");
-        self.remaining_j() / watts
-    }
-
-    /// How many more inferences fit in the remaining charge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `joules_per_inference` is not positive.
-    pub fn inferences_remaining(&self, joules_per_inference: f64) -> f64 {
-        assert!(
-            joules_per_inference > 0.0,
-            "per-inference energy must be positive"
-        );
-        self.remaining_j() / joules_per_inference
     }
 }
 
@@ -116,12 +93,5 @@ mod tests {
         assert!((b.state_of_charge() - 0.75).abs() < 1e-12);
         b.drain(1000.0); // clamps at empty
         assert_eq!(b.remaining_j(), 0.0);
-    }
-
-    #[test]
-    fn runtime_estimates() {
-        let b = Battery::new(BatterySpec { capacity_j: 3600.0 });
-        assert!((b.seconds_to_empty(1.0) - 3600.0).abs() < 1e-9);
-        assert!((b.inferences_remaining(0.05) - 72_000.0).abs() < 1e-6);
     }
 }

@@ -8,13 +8,13 @@
 //!   static leakage with optional power gating, two-state accelerator
 //!   rails (GPU/DSP/NPU), and interconnect energy-per-byte plus an
 //!   always-on uncore floor.
-//! * [`EnergyMeter`] — replays an execution trace
-//!   ([`TraceBuffer`](aitax_des::TraceBuffer)) against a [`PowerSpec`],
-//!   attributing joules per rail to arbitrary time windows (pipeline
-//!   stages, iterations) and binning per-rail power timelines. CPU
-//!   intervals are priced at the frequency the DVFS governor had set
-//!   (`TraceKind::Dvfs` changepoints). [`MeterIndex`] digests a trace
-//!   once so that metering many windows touches only what overlaps each.
+//! * [`MeterIndex`] — digests an execution trace
+//!   ([`TraceBuffer`](aitax_des::TraceBuffer)) once against a
+//!   [`PowerSpec`], then attributes joules per rail to arbitrary time
+//!   windows (pipeline stages, iterations), touching only what overlaps
+//!   each, and bins per-rail power timelines. CPU intervals are priced at
+//!   the frequency the DVFS governor had set (`TraceKind::Dvfs`
+//!   changepoints).
 //! * [`Battery`] — joule bookkeeping that turns per-inference energy into
 //!   state-of-charge and runtime estimates.
 //!
@@ -25,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use aitax_power::{AccelRailSpec, CoreRailSpec, EnergyMeter, InterconnectPowerSpec,
+//! use aitax_power::{AccelRailSpec, CoreRailSpec, InterconnectPowerSpec, MeterIndex,
 //!                   PowerSpec, Rail};
 //! use aitax_des::trace::{TraceKind, TraceResource};
 //! use aitax_des::{SimTime, TraceBuffer};
@@ -43,23 +43,15 @@
 //!              TraceKind::ExecStart { task: 1, label });
 //! trace.record(SimTime::from_ns(10_000_000), TraceResource::CpuCore(0),
 //!              TraceKind::ExecEnd { task: 1 });
-//! let energy = EnergyMeter::new(&spec)
-//!     .energy_between(&trace, SimTime::ZERO, SimTime::from_ns(10_000_000));
+//! let energy = MeterIndex::new(&spec, &trace)
+//!     .energy_between(SimTime::ZERO, SimTime::from_ns(10_000_000));
 //! assert!(energy.joules(Rail::Cpu(0)) > 0.0);
 //! ```
 
-pub mod battery;
-pub mod meter;
-pub mod spec;
+mod battery;
+mod meter;
+mod spec;
 
-pub use battery::{typical_phone_battery, Battery, BatterySpec};
-pub use meter::{EnergyMeter, MeterIndex, PowerTimeline, RailEnergy};
-pub use spec::{
-    AccelRailSpec, CoreRailSpec, InterconnectPowerSpec, OperatingPoint, PowerSpec, Rail,
-};
-
-/// Energy-delay product in joule-seconds — the scalar figure of merit the
-/// energy shootout ranks backends by (lower is better on both axes).
-pub fn energy_delay_product(joules: f64, secs: f64) -> f64 {
-    joules * secs
-}
+pub use battery::{typical_phone_battery, Battery};
+pub use meter::{MeterIndex, PowerTimeline, RailEnergy};
+pub use spec::{AccelRailSpec, CoreRailSpec, InterconnectPowerSpec, PowerSpec, Rail};

@@ -1,6 +1,6 @@
 //! Trace-driven energy metering.
 //!
-//! [`EnergyMeter`] replays a [`TraceBuffer`] against a [`PowerSpec`],
+//! [`MeterIndex`] replays a [`TraceBuffer`] against a [`PowerSpec`],
 //! integrating per-rail power over time. CPU execution intervals are
 //! priced at the frequency the DVFS governor had set at interval start
 //! (`TraceKind::Dvfs` events; the governor only retargets clocks at
@@ -45,15 +45,6 @@ impl RailEnergy {
         self.cells.values().sum()
     }
 
-    /// Joules across all CPU core rails.
-    pub fn cpu_j(&self) -> f64 {
-        self.cells
-            .iter()
-            .filter(|(r, _)| matches!(r, Rail::Cpu(_)))
-            .map(|(_, j)| j)
-            .sum()
-    }
-
     /// Iterates rails in deterministic (ordinal) order.
     pub fn iter(&self) -> impl Iterator<Item = (Rail, f64)> + '_ {
         self.cells.iter().map(|(&r, &j)| (r, j))
@@ -85,7 +76,7 @@ impl PowerTimeline {
     }
 
     /// Actual length of a bin in seconds (the final bin may be partial).
-    pub fn bin_secs(&self, bin: usize) -> f64 {
+    pub(crate) fn bin_secs(&self, bin: usize) -> f64 {
         let w = self.bin_width.as_ns();
         let start = bin as u64 * w;
         let end = ((bin as u64 + 1) * w).min(self.end.as_ns());
@@ -101,38 +92,12 @@ impl PowerTimeline {
         self.rails.iter().map(|(_, v)| v[bin]).sum::<f64>() / secs
     }
 
-    /// Average watts on one rail in a bin.
-    pub fn rail_watts(&self, rail: Rail, bin: usize) -> f64 {
-        let secs = self.bin_secs(bin);
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.rails
-            .iter()
-            .find(|(r, _)| *r == rail)
-            .map_or(0.0, |(_, v)| v[bin])
-            / secs
-    }
-
     /// Peak of the binned total power, in watts.
     pub fn peak_total_watts(&self) -> f64 {
         (0..self.bins())
             .map(|b| self.total_watts(b))
             .fold(0.0, f64::max)
     }
-
-    /// Total energy in the timeline, in joules. Equals the integral of the
-    /// binned power — and, by construction, the energy the meter would
-    /// attribute to the same range in one window.
-    pub fn energy_j(&self) -> f64 {
-        self.rails.iter().map(|(_, v)| v.iter().sum::<f64>()).sum()
-    }
-}
-
-/// Integrates a trace into per-rail energy.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyMeter<'a> {
-    spec: &'a PowerSpec,
 }
 
 /// The value in force at time `t` on a step track of `(time, value)`
@@ -404,54 +369,6 @@ impl MeterIndex {
     }
 }
 
-impl<'a> EnergyMeter<'a> {
-    /// Creates a meter over a power spec.
-    pub fn new(spec: &'a PowerSpec) -> Self {
-        EnergyMeter { spec }
-    }
-
-    /// The spec this meter prices against.
-    pub fn spec(&self) -> &PowerSpec {
-        self.spec
-    }
-
-    /// Attributes trace energy to each half-open window `[from, to)`.
-    ///
-    /// Windows may overlap or leave gaps; each is metered independently.
-    /// Every window pays the idle/uncore floor for its full length plus
-    /// the busy increment of each execution interval overlapping it.
-    pub fn attribute(
-        &self,
-        trace: &TraceBuffer,
-        windows: &[(SimTime, SimTime)],
-    ) -> Vec<RailEnergy> {
-        let index = MeterIndex::new(self.spec, trace);
-        windows
-            .iter()
-            .map(|&(from, to)| index.energy_between(from, to))
-            .collect()
-    }
-
-    /// Energy per rail over one window `[from, to)`.
-    pub fn energy_between(&self, trace: &TraceBuffer, from: SimTime, to: SimTime) -> RailEnergy {
-        MeterIndex::new(self.spec, trace).energy_between(from, to)
-    }
-
-    /// Bins the trace range `[0, end)` into a per-rail power timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width` is zero.
-    pub fn power_timeline(
-        &self,
-        trace: &TraceBuffer,
-        bin_width: SimSpan,
-        end: SimTime,
-    ) -> PowerTimeline {
-        MeterIndex::new(self.spec, trace).power_timeline(bin_width, end)
-    }
-}
-
 #[cfg(test)]
 #[expect(clippy::float_cmp, reason = "tests pin exact results")]
 mod tests {
@@ -497,7 +414,7 @@ mod tests {
     fn idle_window_pays_exactly_the_floor() {
         let s = spec();
         let trace = TraceBuffer::enabled();
-        let e = EnergyMeter::new(&s).energy_between(&trace, SimTime::ZERO, at_ms(1000));
+        let e = MeterIndex::new(&s, &trace).energy_between(SimTime::ZERO, at_ms(1000));
         // 1 s × (uncore 1.0 + 2 × leak 0.1); gated accels are free.
         assert!(
             (e.total_j() - 1.2).abs() < 1e-9,
@@ -512,7 +429,7 @@ mod tests {
         let s = spec();
         let mut trace = TraceBuffer::enabled();
         exec(&mut trace, TraceResource::CpuCore(0), 1, 0, 100);
-        let e = EnergyMeter::new(&s).energy_between(&trace, SimTime::ZERO, at_ms(100));
+        let e = MeterIndex::new(&s, &trace).energy_between(SimTime::ZERO, at_ms(100));
         let rail = &s.core_rails[0];
         let expect = rail.active_power_w(rail.nominal().freq_hz) * 0.1;
         assert!((e.joules(Rail::Cpu(0)) - expect).abs() < 1e-9);
@@ -533,9 +450,9 @@ mod tests {
             },
         );
         exec(&mut trace, TraceResource::CpuCore(0), 2, 100, 200);
-        let m = EnergyMeter::new(&s);
-        let fast = m.energy_between(&trace, SimTime::ZERO, at_ms(100));
-        let slow = m.energy_between(&trace, at_ms(100), at_ms(200));
+        let m = MeterIndex::new(&s, &trace);
+        let fast = m.energy_between(SimTime::ZERO, at_ms(100));
+        let slow = m.energy_between(at_ms(100), at_ms(200));
         assert!(
             slow.joules(Rail::Cpu(0)) < 0.5 * fast.joules(Rail::Cpu(0)),
             "downclocked interval should be far cheaper: {} vs {}",
@@ -554,7 +471,7 @@ mod tests {
             TraceResource::Axi,
             TraceKind::AxiBurst { bytes: 1_000_000 },
         );
-        let e = EnergyMeter::new(&s).energy_between(&trace, SimTime::ZERO, at_ms(100));
+        let e = MeterIndex::new(&s, &trace).energy_between(SimTime::ZERO, at_ms(100));
         assert!((e.joules(Rail::Dsp) - 0.8 * 0.05).abs() < 1e-9);
         assert!((e.joules(Rail::Axi) - 1e6 * 100e-12).abs() < 1e-15);
     }
@@ -566,13 +483,11 @@ mod tests {
         let mut trace = TraceBuffer::enabled();
         exec(&mut trace, TraceResource::CpuCore(0), 1, 20, 180);
         exec(&mut trace, TraceResource::Gpu, 2, 50, 150);
-        let m = EnergyMeter::new(&s);
-        let parts = m.attribute(
-            &trace,
-            &[(SimTime::ZERO, at_ms(100)), (at_ms(100), at_ms(200))],
-        );
-        let whole = m.energy_between(&trace, SimTime::ZERO, at_ms(200));
-        let sum: f64 = parts.iter().map(RailEnergy::total_j).sum();
+        let m = MeterIndex::new(&s, &trace);
+        let first = m.energy_between(SimTime::ZERO, at_ms(100));
+        let second = m.energy_between(at_ms(100), at_ms(200));
+        let whole = m.energy_between(SimTime::ZERO, at_ms(200));
+        let sum = first.total_j() + second.total_j();
         assert!((sum - whole.total_j()).abs() < 1e-9);
     }
 
@@ -580,9 +495,9 @@ mod tests {
     fn empty_or_inverted_window_is_zero() {
         let s = spec();
         let trace = TraceBuffer::enabled();
-        let m = EnergyMeter::new(&s);
-        assert_eq!(m.energy_between(&trace, at_ms(5), at_ms(5)).total_j(), 0.0);
-        assert_eq!(m.energy_between(&trace, at_ms(9), at_ms(5)).total_j(), 0.0);
+        let m = MeterIndex::new(&s, &trace);
+        assert_eq!(m.energy_between(at_ms(5), at_ms(5)).total_j(), 0.0);
+        assert_eq!(m.energy_between(at_ms(9), at_ms(5)).total_j(), 0.0);
     }
 
     #[test]
@@ -596,10 +511,11 @@ mod tests {
             TraceResource::Axi,
             TraceKind::AxiBurst { bytes: 4096 },
         );
-        let m = EnergyMeter::new(&s);
-        let tl = m.power_timeline(&trace, SimSpan::from_ms(7.0), at_ms(50));
-        let whole = m.energy_between(&trace, SimTime::ZERO, at_ms(50));
-        assert!((tl.energy_j() - whole.total_j()).abs() < 1e-9);
+        let m = MeterIndex::new(&s, &trace);
+        let tl = m.power_timeline(SimSpan::from_ms(7.0), at_ms(50));
+        let whole = m.energy_between(SimTime::ZERO, at_ms(50));
+        let binned: f64 = tl.rails.iter().flat_map(|(_, bins)| bins).sum();
+        assert!((binned - whole.total_j()).abs() < 1e-9);
         assert!(tl.peak_total_watts() > tl.total_watts(0));
     }
 }

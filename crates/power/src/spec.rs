@@ -101,7 +101,7 @@ impl CoreRailSpec {
 
     /// Supply voltage at a frequency, piecewise-linearly interpolated
     /// between operating points and clamped at the table ends.
-    pub fn voltage_at(&self, freq_hz: f64) -> f64 {
+    pub(crate) fn voltage_at(&self, freq_hz: f64) -> f64 {
         #[expect(
             clippy::expect_used,
             reason = "catalog rails always declare at least one operating point"
@@ -121,7 +121,7 @@ impl CoreRailSpec {
     }
 
     /// Dynamic (switching) power at a frequency: `C·V(f)²·f`.
-    pub fn dynamic_power_w(&self, freq_hz: f64) -> f64 {
+    pub(crate) fn dynamic_power_w(&self, freq_hz: f64) -> f64 {
         let v = self.voltage_at(freq_hz);
         self.capacitance_f * v * v * freq_hz
     }

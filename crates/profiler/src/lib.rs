@@ -22,7 +22,7 @@
 //! buf.record(SimTime::from_ns(0), r, TraceKind::ExecStart { task: 1, label });
 //! buf.record(SimTime::from_ns(1_000_000), r, TraceKind::ExecEnd { task: 1 });
 //! let report = ProfileReport::from_trace(&buf, SimSpan::from_ms(0.5));
-//! assert!(report.utilization_of(r, 0) > 0.99);
+//! assert!(report.mean_utilization(r) > 0.99);
 //! ```
 
 use std::collections::BTreeMap;
@@ -42,7 +42,7 @@ pub struct UtilizationTimeline {
 
 impl UtilizationTimeline {
     /// Mean utilization across the whole timeline.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.bins.is_empty() {
             0.0
         } else {
@@ -50,13 +50,8 @@ impl UtilizationTimeline {
         }
     }
 
-    /// Peak bin utilization.
-    pub fn peak(&self) -> f64 {
-        self.bins.iter().cloned().fold(0.0, f64::max)
-    }
-
     /// Renders the timeline as a unicode heat strip.
-    pub fn heat_strip(&self) -> String {
+    pub(crate) fn heat_strip(&self) -> String {
         const LEVELS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
         self.bins
             .iter()
@@ -114,7 +109,7 @@ impl ProfileReport {
     /// # Panics
     ///
     /// Panics if `bin_width` is zero.
-    pub fn from_trace_until(trace: &TraceBuffer, bin_width: SimSpan, end: SimTime) -> Self {
+    pub(crate) fn from_trace_until(trace: &TraceBuffer, bin_width: SimSpan, end: SimTime) -> Self {
         assert!(!bin_width.is_zero(), "bin width must be positive");
         let nbins = (end.as_ns() as f64 / bin_width.as_ns() as f64).ceil() as usize;
         let nbins = nbins.max(1);
@@ -188,7 +183,8 @@ impl ProfileReport {
     }
 
     /// Utilization of a resource in one bin (0 if absent).
-    pub fn utilization_of(&self, resource: TraceResource, bin: usize) -> f64 {
+    #[cfg(test)]
+    fn utilization_of(&self, resource: TraceResource, bin: usize) -> f64 {
         self.timeline(resource)
             .and_then(|t| t.bins.get(bin))
             .copied()
@@ -343,7 +339,6 @@ mod tests {
         assert_eq!(chars.len(), 3);
         assert_eq!(chars[0], ' ');
         assert_eq!(chars[2], '█');
-        assert!((t.peak() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,12 +14,12 @@ use aitax_des::{SimRng, SimSpan, SimTime};
 /// warmup requests (session setup, DSP mapping) to drain first. A fixed
 /// epoch keeps arrival *absolute times* identical between solo and
 /// multi-tenant runs even though warmup contention differs.
-pub const ARRIVAL_EPOCH: SimSpan = SimSpan::from_ns(1_000_000_000);
+pub(crate) const ARRIVAL_EPOCH: SimSpan = SimSpan::from_ns(1_000_000_000);
 
 /// The latest instant a tenant's last arrival may fall at: half of
 /// [`SimTime`]'s range, which leaves the other half to serve it. Past it,
 /// arrivals saturate at [`SimTime::MAX`] and the run cannot end.
-pub const ARRIVAL_HORIZON: SimTime = SimTime::from_ns(u64::MAX / 2);
+pub(crate) const ARRIVAL_HORIZON: SimTime = SimTime::from_ns(u64::MAX / 2);
 
 /// The gaps, in seconds, between tenant `k`'s successive arrivals.
 fn gaps(root_seed: u64, k: u64, rate_hz: f64) -> impl Iterator<Item = f64> {
@@ -30,7 +30,7 @@ fn gaps(root_seed: u64, k: u64, rate_hz: f64) -> impl Iterator<Item = f64> {
 
 /// The absolute arrival times of tenant `k`: a Poisson process of mean
 /// rate `rate_hz` starting at [`ARRIVAL_EPOCH`].
-pub fn arrival_times(root_seed: u64, k: u64, rate_hz: f64, n: usize) -> Vec<SimTime> {
+pub(crate) fn arrival_times(root_seed: u64, k: u64, rate_hz: f64, n: usize) -> Vec<SimTime> {
     assert!(rate_hz > 0.0, "arrival rate must be positive");
     let mut at = SimTime::ZERO + ARRIVAL_EPOCH;
     gaps(root_seed, k, rate_hz)
@@ -42,10 +42,10 @@ pub fn arrival_times(root_seed: u64, k: u64, rate_hz: f64, n: usize) -> Vec<SimT
         .collect()
 }
 
-/// Checks that [`arrival_times`] can place tenant `k`'s `n` arrivals: the
+/// Checks that `arrival_times` can place tenant `k`'s `n` arrivals: the
 /// mean gap must be finite, the expected last arrival must fall within
 /// [`SimTime`]'s range (checked without drawing, so a huge `n` fails at
-/// once), and the drawn last arrival no later than [`ARRIVAL_HORIZON`].
+/// once), and the drawn last arrival no later than `ARRIVAL_HORIZON`.
 /// The error says which bound fails.
 pub fn check_horizon(root_seed: u64, k: u64, rate_hz: f64, n: usize) -> Result<(), String> {
     let mean = 1.0 / rate_hz;

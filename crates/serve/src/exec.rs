@@ -31,13 +31,13 @@ use crate::tenant::ServeConfig;
 /// Memory-channel slots the inference phase contends for: a mobile SoC
 /// has two DRAM channels' worth of sustained AI bandwidth before
 /// pipelines start queueing on each other.
-pub const MEMBW_SLOTS: usize = 2;
+pub(crate) const MEMBW_SLOTS: usize = 2;
 
 /// Slots reserved for interactive-priority requests (memguard-style
 /// bandwidth reservation): best-effort and background holds can saturate
 /// only `MEMBW_SLOTS - MEMBW_RESERVED` slots, so an interactive pipeline
 /// never queues behind two long low-priority bus holds.
-pub const MEMBW_RESERVED: usize = 1;
+pub(crate) const MEMBW_RESERVED: usize = 1;
 
 /// One completed request.
 #[derive(Debug, Clone)]
@@ -431,7 +431,8 @@ fn on_post_done(w: &WorldRef, m: &mut Machine, k: usize) {
 
 /// Zero-span guard used by tests: a request's stage spans must add up to
 /// its service time.
-pub fn breakdown_consistent(r: &RequestRecord) -> bool {
+#[cfg(test)]
+fn breakdown_consistent(r: &RequestRecord) -> bool {
     let service = r.latency_ms - r.queue_ms;
     (r.breakdown.e2e().as_ms() - service).abs() < 1e-6
 }

@@ -9,15 +9,15 @@
 //!
 //! The pieces:
 //!
-//! - [`tenant`] — tenant specs (model, engine, QoS class, offered load),
+//! - `tenant` — tenant specs (model, engine, QoS class, offered load),
 //!   admission policies, scenario configs.
 //! - [`arrival`] — pure seeded Poisson arrival streams; each tenant's
 //!   traffic is a function of `(seed, tenant)` only, so solo and mixed
 //!   runs replay identical offered load.
-//! - [`exec`] — the serving executor: per-tenant request pipelines with
+//! - `exec` — the serving executor: per-tenant request pipelines with
 //!   QoS-priority scheduling, preemption, NNAPI burst execution across
-//!   back-to-back requests, a shared memory-bandwidth [arbiter]
-//!   (aitax_des::Arbiter), and queue-bound admission control.
+//!   back-to-back requests, a shared memory-bandwidth arbiter
+//!   ([`aitax_des::Arbiter`]), and queue-bound admission control.
 //! - [`scenarios`] — the named serve grid (`smoke`, `contention`,
 //!   `saturation`).
 //! - [`attribution`] — N solo baselines + the mix, diffed per request and
@@ -38,11 +38,10 @@
 pub mod arrival;
 pub mod artifact;
 pub mod attribution;
-pub mod exec;
+mod exec;
 pub mod scenarios;
-pub mod tenant;
+mod tenant;
 
-pub use arrival::{arrival_times, ARRIVAL_EPOCH};
-pub use attribution::{attribute, run_report, ServeReport, TenantReport};
-pub use exec::{run_scenario, RequestRecord, ScenarioRun, TenantRun};
+pub use attribution::{attribute, run_report, ServeReport};
+pub use exec::{run_scenario, ScenarioRun};
 pub use tenant::{AdmissionPolicy, ServeConfig, TenantSpec};

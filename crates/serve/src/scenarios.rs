@@ -108,7 +108,7 @@ pub fn contention() -> ServeConfig {
 
 /// Offered load far beyond capacity with a tight queue bound: admission
 /// control must shed instead of letting backlogs grow without bound.
-pub fn saturation() -> ServeConfig {
+pub(crate) fn saturation() -> ServeConfig {
     ServeConfig::new(
         "saturation",
         vec![

@@ -69,7 +69,7 @@ pub enum AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// The per-tenant queue bound, `usize::MAX` when unbounded.
-    pub fn queue_bound(self) -> usize {
+    pub(crate) fn queue_bound(self) -> usize {
         match self {
             AdmissionPolicy::Unbounded => usize::MAX,
             AdmissionPolicy::Shed { queue_bound } => queue_bound,
@@ -109,12 +109,6 @@ impl ServeConfig {
     /// Overrides the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the chipset.
-    pub fn soc(mut self, soc: SocId) -> Self {
-        self.soc = soc;
         self
     }
 

@@ -39,26 +39,6 @@ impl CpuCoreSpec {
     pub fn peak_int8_ops(&self) -> f64 {
         self.freq_hz * self.int8_ops_per_cycle
     }
-
-    /// Time to retire `cycles` core-cycles at a frequency multiplier
-    /// (`1.0` = nominal; thermal throttling passes `< 1.0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_multiplier` is not positive.
-    pub fn span_for_cycles(&self, cycles: f64, freq_multiplier: f64) -> SimSpan {
-        assert!(
-            freq_multiplier > 0.0,
-            "frequency multiplier must be positive"
-        );
-        let secs = cycles / (self.freq_hz * freq_multiplier);
-        SimSpan::from_secs(secs.max(0.0))
-    }
-
-    /// Cycles retired in `span` at a frequency multiplier.
-    pub fn cycles_in_span(&self, span: SimSpan, freq_multiplier: f64) -> f64 {
-        span.as_secs() * self.freq_hz * freq_multiplier
-    }
 }
 
 /// A homogeneous cluster of cores.
@@ -76,7 +56,7 @@ pub struct CpuClusterSpec {
 /// ≈6, A75 ≈8, A76 ≈9, A77 ≈10 effective fp32 FLOPs/cycle). The int8
 /// rate is 2× the fp32 rate: these cores predate the `sdot` dot-product
 /// instructions, so quantized kernels run on widening multiplies.
-pub fn big_cluster(
+pub(crate) fn big_cluster(
     count: usize,
     freq_ghz: f64,
     migration_penalty_us: f64,
@@ -95,7 +75,11 @@ pub fn big_cluster(
 }
 
 /// Convenience constructor for a little cluster.
-pub fn little_cluster(count: usize, freq_ghz: f64, migration_penalty_us: f64) -> CpuClusterSpec {
+pub(crate) fn little_cluster(
+    count: usize,
+    freq_ghz: f64,
+    migration_penalty_us: f64,
+) -> CpuClusterSpec {
     CpuClusterSpec {
         core: CpuCoreSpec {
             kind: ClusterKind::Little,
@@ -126,41 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn span_for_cycles_at_nominal() {
-        let c = core();
-        // 2e9 cycles at 2 GHz = 1 s.
-        let s = c.span_for_cycles(2e9, 1.0);
-        assert!((s.as_secs() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throttling_slows_execution() {
-        let c = core();
-        let nominal = c.span_for_cycles(1e9, 1.0);
-        let throttled = c.span_for_cycles(1e9, 0.5);
-        assert_eq!(throttled.as_ns(), nominal.as_ns() * 2);
-    }
-
-    #[test]
-    fn cycles_span_round_trip() {
-        let c = core();
-        let span = c.span_for_cycles(123_456_789.0, 0.8);
-        let cycles = c.cycles_in_span(span, 0.8);
-        assert!((cycles - 123_456_789.0).abs() / 123_456_789.0 < 1e-6);
-    }
-
-    #[test]
     fn big_faster_than_little_per_cycle() {
         let b = big_cluster(1, 2.0, 50.0, 8.0).core;
         let l = little_cluster(1, 2.0, 50.0).core;
         assert!(b.peak_fp32_flops() > l.peak_fp32_flops());
         assert_eq!(b.kind, ClusterKind::Big);
         assert_eq!(l.kind, ClusterKind::Little);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_multiplier_panics() {
-        core().span_for_cycles(1.0, 0.0);
     }
 }

@@ -45,7 +45,7 @@ impl GpuSpec {
 /// The paper describes it as "reminiscent of a VLIW vector processing
 /// engine" commonly marketed as an NPU. It is *loosely coupled*: every
 /// invocation is a FastRPC round trip through the kernel driver (Fig. 7),
-/// whose costs live in [`MemorySpec`](crate::MemorySpec) and
+/// whose costs live in `MemorySpec` and
 /// `aitax-kernel::fastrpc`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DspSpec {

@@ -6,14 +6,14 @@
 //! not available in this environment, so this crate models the *performance-
 //! relevant* properties of those parts:
 //!
-//! * [`CpuCoreSpec`]/[`CpuClusterSpec`] — per-core frequency and peak
+//! * [`CpuCoreSpec`]/`CpuClusterSpec` — per-core frequency and peak
 //!   per-cycle arithmetic throughput, plus the migration (cache-warmup)
 //!   penalty the scheduler charges when a task hops cores,
 //! * [`GpuSpec`] / [`DspSpec`] — accelerator throughput and invocation
 //!   overheads (kernel launch, FastRPC),
-//! * [`MemorySpec`] — AXI bandwidth, DMA and cache-flush costs that dominate
+//! * `MemorySpec` — AXI bandwidth, DMA and cache-flush costs that dominate
 //!   the offload path of Figure 7,
-//! * [`ThermalModel`] — the throttling behaviour that motivates the paper's
+//! * `ThermalModel` — the throttling behaviour that motivates the paper's
 //!   §III-D cool-down methodology,
 //! * [`catalog`] — calibrated instances for all four Table II platforms.
 //!
@@ -22,17 +22,21 @@
 //! (not the silicon) determine delivered performance.
 
 pub mod catalog;
-pub mod cpu;
-pub mod devices;
-pub mod memory;
-pub mod thermal;
+mod cpu;
+mod devices;
+mod memory;
+mod thermal;
 
 pub use aitax_power::PowerSpec;
 pub use catalog::{SocCatalog, SocId};
-pub use cpu::{ClusterKind, CpuClusterSpec, CpuCoreSpec};
-pub use devices::{DspSpec, GpuSpec, NpuSpec};
-pub use memory::MemorySpec;
-pub use thermal::{ThermalModel, ThermalState};
+pub use cpu::ClusterKind;
+use cpu::CpuClusterSpec;
+pub use cpu::CpuCoreSpec;
+use devices::NpuSpec;
+pub use devices::{DspSpec, GpuSpec};
+use memory::MemorySpec;
+use thermal::ThermalModel;
+pub use thermal::ThermalState;
 
 /// Full specification of one SoC platform (one row of Table II).
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +65,7 @@ pub struct SocSpec {
 
 impl SocSpec {
     /// Total number of CPU cores.
-    pub fn core_count(&self) -> usize {
+    pub(crate) fn core_count(&self) -> usize {
         self.clusters.iter().map(|c| c.count).sum()
     }
 
@@ -90,7 +94,8 @@ impl SocSpec {
     }
 
     /// Indices of the little (efficiency) cores.
-    pub fn little_core_ids(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn little_core_ids(&self) -> Vec<usize> {
         self.cores()
             .iter()
             .enumerate()

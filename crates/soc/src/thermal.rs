@@ -32,7 +32,7 @@ impl ThermalModel {
     ///
     /// `1.0` below the soft limit, `0.85` between soft and hard limits,
     /// `0.7` above the hard limit — a coarse but representative governor.
-    pub fn freq_multiplier(&self, temp_c: f64) -> f64 {
+    pub(crate) fn freq_multiplier(&self, temp_c: f64) -> f64 {
         if temp_c < self.soft_limit_c {
             1.0
         } else if temp_c < self.hard_limit_c {
@@ -43,7 +43,7 @@ impl ThermalModel {
     }
 
     /// Equilibrium temperature under a sustained power draw.
-    pub fn equilibrium_c(&self, watts: f64) -> f64 {
+    pub(crate) fn equilibrium_c(&self, watts: f64) -> f64 {
         self.idle_temp_c + watts * self.rise_c_per_watt
     }
 }
@@ -138,7 +138,7 @@ impl ThermalState {
 /// loop on the SD845 (≈9 W package power) settles in the mid-50s °C —
 /// warm but unthrottled — while adding GPU or full-chip load pushes past
 /// the 65 °C soft limit, reproducing the §III-D throttling regime.
-pub fn default_phone_thermals() -> ThermalModel {
+pub(crate) fn default_phone_thermals() -> ThermalModel {
     ThermalModel {
         idle_temp_c: 33.0,
         rise_c_per_watt: 2.5,

@@ -5,22 +5,13 @@ use std::fmt;
 /// Element type of a model's tensors.
 ///
 /// Matches the numerical formats the paper evaluates (§III-A): 32-bit floats
-/// and 8-bit quantized integers, plus the auxiliary types that show up in
-/// real graphs (FP16 on GPUs, UINT8 camera bytes, INT32 accumulators /
-/// detection indices).
+/// and 8-bit quantized integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DType {
     /// 32-bit IEEE float — the paper's "FP32" configurations.
     F32,
-    /// 16-bit IEEE float — used by GPU delegates.
-    F16,
-    /// Unsigned 8-bit quantized — TFLite's classic quantized format and raw
-    /// camera bytes.
-    U8,
     /// Signed 8-bit quantized — the paper's "INT8" configurations.
     I8,
-    /// 32-bit signed integer — bias / index tensors.
-    I32,
 }
 
 impl DType {
@@ -35,15 +26,14 @@ impl DType {
     /// ```
     pub const fn size_bytes(self) -> usize {
         match self {
-            DType::F32 | DType::I32 => 4,
-            DType::F16 => 2,
-            DType::U8 | DType::I8 => 1,
+            DType::F32 => 4,
+            DType::I8 => 1,
         }
     }
 
     /// Whether this is an 8-bit quantized type.
     pub const fn is_quantized(self) -> bool {
-        matches!(self, DType::U8 | DType::I8)
+        matches!(self, DType::I8)
     }
 }
 
@@ -51,10 +41,7 @@ impl fmt::Display for DType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             DType::F32 => "fp32",
-            DType::F16 => "fp16",
-            DType::U8 => "uint8",
             DType::I8 => "int8",
-            DType::I32 => "int32",
         };
         f.write_str(s)
     }
@@ -67,18 +54,13 @@ mod tests {
     #[test]
     fn sizes_match_layout() {
         assert_eq!(DType::F32.size_bytes(), 4);
-        assert_eq!(DType::F16.size_bytes(), 2);
-        assert_eq!(DType::U8.size_bytes(), 1);
         assert_eq!(DType::I8.size_bytes(), 1);
-        assert_eq!(DType::I32.size_bytes(), 4);
     }
 
     #[test]
     fn classification_predicates() {
         assert!(!DType::F32.is_quantized());
         assert!(DType::I8.is_quantized());
-        assert!(DType::U8.is_quantized());
-        assert!(!DType::I32.is_quantized());
     }
 
     #[test]

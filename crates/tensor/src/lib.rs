@@ -21,9 +21,9 @@
 //! assert_eq!(DType::I8.to_string(), "int8");
 //! ```
 
-pub mod dtype;
-pub mod quant;
-pub mod tensor;
+mod dtype;
+mod quant;
+mod tensor;
 
 pub use dtype::DType;
 pub use quant::QuantParams;

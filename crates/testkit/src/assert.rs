@@ -59,28 +59,6 @@ pub fn assert_monotone(name: &str, values: &[f64], direction: Direction, slack: 
     }
 }
 
-/// Asserts that the coefficient of variation (population std-dev divided
-/// by mean) of `values` is below `max_cv`.
-///
-/// Panics if the series is empty or its mean is not positive — a CV over
-/// a non-positive mean is meaningless for latency/energy series.
-pub fn assert_cv_below(name: &str, values: &[f64], max_cv: f64) {
-    assert!(!values.is_empty(), "{name}: empty series");
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    assert!(
-        mean > 0.0 && mean.is_finite(),
-        "{name}: CV undefined for mean {mean}"
-    );
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-    let cv = var.sqrt() / mean;
-    assert!(
-        cv < max_cv,
-        "{name}: CV {cv:.4} (mean {mean:.4}, n={}) not below {max_cv}",
-        values.len()
-    );
-}
-
 /// Asserts that a scalar lies in `[lo, hi]` — the degenerate but common
 /// case of a band check on an already-computed quantity.
 pub fn assert_within(name: &str, value: f64, lo: f64, hi: f64) {
@@ -129,17 +107,6 @@ mod tests {
     #[test]
     fn increasing_direction_works() {
         assert_monotone("ramp", &[1.0, 2.0, 2.0, 3.0], Direction::Increasing, 0.0);
-    }
-
-    #[test]
-    fn cv_of_tight_series_passes() {
-        assert_cv_below("steady", &[10.0, 10.1, 9.9, 10.0], 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "not below")]
-    fn cv_of_noisy_series_panics() {
-        assert_cv_below("noisy", &[1.0, 10.0, 1.0, 10.0], 0.5);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Default for Tolerance {
 }
 
 /// Directory holding the committed golden files.
-pub fn golden_dir() -> PathBuf {
+pub(crate) fn golden_dir() -> PathBuf {
     // testkit lives at <repo>/crates/testkit; goldens at <repo>/tests/goldens.
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens")
 }
@@ -88,7 +88,7 @@ pub fn check_golden(name: &str, actual: &str, tol: Tolerance) {
 
 /// Diffs two TSV documents cell by cell, returning one message per
 /// mismatching cell (or structural difference).
-pub fn diff_tsv(actual: &str, golden: &str, tol: Tolerance) -> Vec<String> {
+pub(crate) fn diff_tsv(actual: &str, golden: &str, tol: Tolerance) -> Vec<String> {
     let a_lines: Vec<&str> = actual.lines().collect();
     let g_lines: Vec<&str> = golden.lines().collect();
     let mut out = Vec::new();

@@ -34,7 +34,7 @@ impl fmt::Display for Violation {
 
 /// The trace invariants checked by [`check_trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceInvariant {
+pub(crate) enum TraceInvariant {
     /// No resource executes two tasks at once.
     SingleOccupancy,
     /// Event timestamps never decrease in emission order.
@@ -50,7 +50,7 @@ pub enum TraceInvariant {
 
 impl TraceInvariant {
     /// All invariants, in the order [`check_trace`] runs them.
-    pub const ALL: [TraceInvariant; 4] = [
+    pub(crate) const ALL: [TraceInvariant; 4] = [
         TraceInvariant::SingleOccupancy,
         TraceInvariant::MonotoneTime,
         TraceInvariant::ExecPairing,
@@ -58,7 +58,7 @@ impl TraceInvariant {
     ];
 
     /// Stable name used in violation reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceInvariant::SingleOccupancy => "single-occupancy",
             TraceInvariant::MonotoneTime => "monotone-time",
@@ -68,7 +68,7 @@ impl TraceInvariant {
     }
 
     /// Checks this invariant alone against a trace.
-    pub fn check(self, trace: &TraceBuffer) -> Vec<Violation> {
+    pub(crate) fn check(self, trace: &TraceBuffer) -> Vec<Violation> {
         match self {
             TraceInvariant::SingleOccupancy => check_single_occupancy(trace),
             TraceInvariant::MonotoneTime => check_monotone_time(trace),
@@ -78,7 +78,7 @@ impl TraceInvariant {
     }
 }
 
-/// Runs every [`TraceInvariant`] against a trace, collecting all
+/// Runs every `TraceInvariant` against a trace, collecting all
 /// violations instead of stopping at the first.
 pub fn check_trace(trace: &TraceBuffer) -> Vec<Violation> {
     TraceInvariant::ALL
@@ -266,7 +266,7 @@ pub fn check_stats_agreement(trace: &TraceBuffer, stats: &MachineStats) -> Vec<V
 /// Checks that metered energy is physically plausible: every per-rail
 /// cell is finite and non-negative, and the staged (per-stage attributed)
 /// total never exceeds the run total.
-pub fn check_energy(energy: &EnergyReport) -> Vec<Violation> {
+pub(crate) fn check_energy(energy: &EnergyReport) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut check_rail = |scope: String, rail: String, joules: f64| {
         if !joules.is_finite() || joules < 0.0 {

@@ -11,7 +11,7 @@
 ///
 /// Returns `Err` with a human-readable message including the byte offset
 /// of the first violation.
-pub fn validate_json(input: &str) -> Result<(), String> {
+pub(crate) fn validate_json(input: &str) -> Result<(), String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);

@@ -16,7 +16,7 @@ use aitax::core::stage::Stage;
 use aitax::des::SimSpan;
 use aitax::framework::Engine;
 use aitax::models::zoo::ModelId;
-use aitax::power::{typical_phone_battery, Battery, EnergyMeter};
+use aitax::power::{typical_phone_battery, Battery, MeterIndex};
 use aitax::soc::{SocCatalog, SocId};
 use aitax::tensor::DType;
 
@@ -60,12 +60,11 @@ fn explore(name: &str, engine: Engine) -> f64 {
     // 2. The power timeline: what a power rail scope would show.
     let trace = report.trace.as_ref().expect("tracing enabled");
     let spec = &SocCatalog::get(SocId::Sd845).power;
-    let meter = EnergyMeter::new(spec);
     let end = trace
         .last()
         .map(|e| e.time)
         .unwrap_or(aitax::des::SimTime::ZERO);
-    let timeline = meter.power_timeline(trace, SimSpan::from_ms(50.0), end);
+    let timeline = MeterIndex::new(spec, trace).power_timeline(SimSpan::from_ms(50.0), end);
     let peak = timeline.peak_total_watts();
     println!(
         "power: mean {:.2} W, peak 50ms-bin {peak:.2} W",

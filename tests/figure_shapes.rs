@@ -7,9 +7,16 @@ use aitax::core::pipeline::E2eConfig;
 use aitax::core::runmode::RunMode;
 use aitax::core::stage::Stage;
 use aitax::framework::Engine;
+use aitax::lab::{render, run_jobs, scenarios, Grid, SweepReport};
 use aitax::models::zoo::ModelId;
 use aitax::tensor::DType;
 use aitax::testkit::{assert_monotone, assert_ratio_within, assert_within, Direction};
+
+/// Runs a registered lab grid the way the `figures` exhibits do:
+/// expanded, run on the pool and aggregated.
+fn sweep(grid: &Grid) -> SweepReport {
+    SweepReport::aggregate(grid, &run_jobs(grid.expand(), 2))
+}
 
 fn opts() -> ExperimentOpts {
     ExperimentOpts {
@@ -122,7 +129,8 @@ fn fig9_fig10_multitenancy_shapes() {
         1.5,
     );
 
-    let cpu = experiment::fig10(quick);
+    let fig10 = scenarios::by_name("fig10", 12, 1).unwrap();
+    let cpu = render::multitenancy_table(&sweep(&fig10));
     let rows = cpu.rows();
     let inf = |i: usize| rows[i][3].parse::<f64>().unwrap();
     let pre = |i: usize| rows[i][2].parse::<f64>().unwrap();
@@ -147,21 +155,15 @@ fn fig9_fig10_multitenancy_shapes() {
 /// of percent while the benchmark distribution stays tight.
 #[test]
 fn fig11_variability_gap() {
-    let r = experiment::fig11(ExperimentOpts {
-        iterations: 120,
-        seed: 1,
-    });
-    assert_within(
-        "fig11 benchmark deviation",
-        r.benchmark_deviation,
-        0.0,
-        0.05,
-    );
-    assert_within("fig11 app deviation", r.app_deviation, 0.10, 0.60);
+    let report = sweep(&scenarios::by_name("fig11", 120, 1).unwrap());
+    let dev = |label: &str| report.scenario(label).unwrap().e2e.max_dev_from_median;
+    let (benchmark, app) = (dev("cli-benchmark"), dev("android-app"));
+    assert_within("fig11 benchmark deviation", benchmark, 0.0, 0.05);
+    assert_within("fig11 app deviation", app, 0.10, 0.60);
     assert_ratio_within(
         "fig11 app vs benchmark spread",
-        r.app_deviation,
-        r.benchmark_deviation,
+        app,
+        benchmark,
         4.0,
         f64::INFINITY,
     );
