@@ -23,7 +23,7 @@ use crate::context::SimContext;
 use crate::degradation::DegradationReport;
 use crate::energy::EnergyReport;
 use crate::runmode::RunMode;
-use crate::stage::{Stage, StageBreakdown, TaxReport};
+use crate::stage::{Stage, StageBreakdown, StageClock, TaxReport};
 
 /// Configuration of one end-to-end run.
 #[derive(Debug, Clone)]
@@ -35,8 +35,7 @@ pub struct E2eConfig {
     soc: SocId,
     iterations: usize,
     seed: u64,
-    background_loops: usize,
-    background_engine: Option<Engine>,
+    background: Option<(usize, Engine)>,
     tracing: bool,
     trace_bound: Option<usize>,
     stdlib: StdlibFlavor,
@@ -58,8 +57,7 @@ impl E2eConfig {
             soc: SocId::Sd845,
             iterations: 500,
             seed: 1,
-            background_loops: 0,
-            background_engine: None,
+            background: None,
             tracing: false,
             trace_bound: None,
             stdlib: StdlibFlavor::LibCxx,
@@ -103,8 +101,7 @@ impl E2eConfig {
     /// Adds `count` concurrent background inference loops running the
     /// same model through `engine` — the Fig. 9/10 multi-tenancy setup.
     pub fn background(mut self, count: usize, engine: Engine) -> Self {
-        self.background_loops = count;
-        self.background_engine = Some(engine);
+        self.background = Some((count, engine));
         self
     }
 
@@ -186,7 +183,7 @@ impl E2eConfig {
     ///
     /// Panics if the engine cannot run the model's datatype (e.g. the
     /// Hexagon delegate with an FP32 graph) — check Table I first.
-    pub fn run_in(self, ctx: &mut SimContext) -> E2eReport {
+    pub fn run_in(mut self, ctx: &mut SimContext) -> E2eReport {
         // The one catalog lookup of the run: compile paths key off
         // `self.soc` and the machine checkout resolves its own spec only
         // when it actually boots a machine.
@@ -221,82 +218,70 @@ impl E2eConfig {
                 TRACE_PRESIZE_CAP,
             ));
         }
-        if let Some(plan) = &self.fault_plan {
-            if !plan.is_empty() {
-                m.install_fault_plan(plan.clone());
-            }
+        if let Some(plan) = self.fault_plan.take().filter(|plan| !plan.is_empty()) {
+            m.install_fault_plan(plan);
         }
         let noise = self.run_mode.noise();
         m.start_noise(noise);
 
         // Background inference loops (multi-tenancy).
-        if self.background_loops > 0 {
-            #[expect(
-                clippy::expect_used,
-                reason = "builder contract: background_loops > 0 requires background_engine"
-            )]
-            let bg_engine = self
-                .background_engine
-                .expect("background loops require an engine");
+        if let Some((count, bg_engine)) = self.background.filter(|&(count, _)| count > 0) {
             #[expect(
                 clippy::panic,
                 reason = "user-facing runner: an unusable background engine is a usage error worth aborting"
             )]
             let bg_session = Session::compile_cached(bg_engine, self.model, self.dtype, self.soc)
                 .unwrap_or_else(|e| panic!("background engine unusable: {e}"));
-            for _ in 0..self.background_loops {
+            for _ in 0..count {
                 spawn_background_loop(m, bg_session.clone());
             }
         }
 
-        let state = Rc::new(RefCell::new(RunState {
+        let state = RefCell::new(RunState {
             breakdowns: Vec::with_capacity(presize(self.iterations, 1, BREAKDOWN_PRESIZE_CAP)),
-            current: StageBreakdown::default(),
-            stage_start: SimTime::ZERO,
             iteration: 0,
             done: false,
             model_init: SimSpan::ZERO,
             last_frame: SimTime::ZERO,
             stage_windows: Vec::new(),
-        }));
-
-        let driver = Driver {
+        });
+        let driver = Rc::new(Driver {
             entry,
             graph,
             session,
-            config: self.clone(),
+            config: self,
             noise,
-            state: state.clone(),
-        };
+            state,
+        });
 
         // Model initialization happens once, before the iteration loop.
         let d = driver.clone();
-        let st = state.clone();
         let init_start = m.now();
         driver.session.initialize(m, move |m| {
-            st.borrow_mut().model_init = m.now() - init_start;
+            d.state.borrow_mut().model_init = m.now() - init_start;
             d.begin_capture(m);
         });
 
-        while !state.borrow().done {
+        while !driver.state.borrow().done {
             if !m.step() {
                 break;
             }
         }
 
-        let trace = if self.tracing {
+        let config = &driver.config;
+        let trace = if config.tracing {
             Some(std::mem::replace(&mut m.trace, TraceBuffer::disabled()))
         } else {
             None
         };
         let (breakdowns, model_init) = {
-            let mut st = state.borrow_mut();
+            let mut st = driver.state.borrow_mut();
             // Move the per-iteration breakdowns out rather than cloning
             // them; the run is over and the state cell is about to drop.
             (std::mem::take(&mut st.breakdowns), st.model_init)
         };
         let energy = trace.as_ref().map(|tr| {
-            let st = state.borrow();
+            let st = driver.state.borrow();
             EnergyReport::from_trace(
                 &spec.power,
                 tr,
@@ -310,7 +295,7 @@ impl E2eConfig {
             energy.as_ref().map(|e| e.mean_power_w()),
         );
         E2eReport {
-            dtype: self.dtype,
+            dtype: config.dtype,
             tax: TaxReport::new(breakdowns),
             model_init,
             stats: m.stats().clone(),
@@ -324,8 +309,6 @@ impl E2eConfig {
 
 struct RunState {
     breakdowns: Vec<StageBreakdown>,
-    current: StageBreakdown,
-    stage_start: SimTime,
     iteration: usize,
     done: bool,
     model_init: SimSpan,
@@ -336,37 +319,31 @@ struct RunState {
     stage_windows: Vec<(Stage, SimTime, SimTime)>,
 }
 
-#[derive(Clone)]
+/// The run's shared half: every stage continuation holds an `Rc` of it,
+/// while the iteration's [`StageClock`] travels through them by value.
 struct Driver {
     entry: ZooEntry,
     graph: Arc<Graph>,
     session: Session,
     config: E2eConfig,
     noise: NoiseConfig,
-    state: Rc<RefCell<RunState>>,
+    state: RefCell<RunState>,
 }
 
 impl Driver {
-    fn mark_stage_start(&self, m: &Machine) {
-        self.state.borrow_mut().stage_start = m.now();
-    }
-
-    fn record(&self, m: &Machine, stage: Stage) {
-        let mut st = self.state.borrow_mut();
-        let now = m.now();
-        let span = now - st.stage_start;
-        *st.current.stage_mut(stage) += span;
+    /// Stamps the end of `stage`, keeping its window for the energy
+    /// meter when tracing.
+    fn stamp(&self, clock: &mut StageClock, m: &Machine, stage: Stage) {
+        let window = clock.stamp(stage, m.now());
         if self.config.tracing {
-            let start = st.stage_start;
-            st.stage_windows.push((stage, start, now));
+            self.state.borrow_mut().stage_windows.push(window);
         }
-        st.stage_start = now;
     }
 
     // ------------------------------------------------------ data capture
 
-    fn begin_capture(&self, m: &mut Machine) {
-        self.mark_stage_start(m);
+    fn begin_capture(self: Rc<Self>, m: &mut Machine) {
+        let clock = StageClock::start(m.now());
         if self.config.run_mode.uses_camera() {
             // The camera free-runs into a buffer queue; the app consumes
             // the most recent frame. If one arrived since the last
@@ -399,14 +376,12 @@ impl Driver {
                 st.last_frame = deliver_at;
             }
             let jitter = m.sample_irq_jitter(&self.noise);
-            let d = self.clone();
             let frame_bytes = camera.frame_bytes();
             let cost = CostModel::new(self.config.run_mode.runtime_kind());
             m.after(deliver_at + jitter - now, move |m| {
                 let cycles = cost.cycles(PixelOp::FrameExtract, frame_bytes);
                 let task = TaskSpec::foreground("frame-extract", Work::Cycles(cycles));
-                let d2 = d.clone();
-                m.submit_cpu(task, move |m| d2.end_capture(m));
+                m.submit_cpu(task, move |m| self.end_capture(m, clock));
             });
         } else {
             // Benchmark methodology: generate a random input tensor. Only
@@ -414,15 +389,14 @@ impl Driver {
             // materialising the bytes.
             let elements = (self.graph.input_elements() as usize).max(1);
             let cycles = self.config.stdlib.input_cycles(self.config.dtype, elements);
-            let d = self.clone();
             let task = TaskSpec::foreground("random-input", Work::Cycles(cycles));
-            m.submit_cpu(task, move |m| d.end_capture(m));
+            m.submit_cpu(task, move |m| self.end_capture(m, clock));
         }
     }
 
-    fn end_capture(&self, m: &mut Machine) {
-        self.record(m, Stage::DataCapture);
-        self.begin_preprocess(m);
+    fn end_capture(self: Rc<Self>, m: &mut Machine, mut clock: StageClock) {
+        self.stamp(&mut clock, m, Stage::DataCapture);
+        self.begin_preprocess(m, clock);
     }
 
     // ----------------------------------------------------- preprocessing
@@ -467,13 +441,13 @@ impl Driver {
         cost.chain_cycles(&steps)
     }
 
-    fn begin_preprocess(&self, m: &mut Machine) {
+    fn begin_preprocess(self: Rc<Self>, m: &mut Machine, mut clock: StageClock) {
         let cycles = self.preprocess_cycles();
-        let d = self.clone();
-        if self.config.preproc_on_dsp {
-            // FastCV-style offload: the HVX DSP chews per-pixel work at
-            // several times the scalar-CPU rate, but the frame pays a
-            // FastRPC round trip.
+        let task = TaskSpec::foreground("pre-processing", Work::Cycles(cycles));
+        // FastCV-style offload: the HVX DSP chews per-pixel work at
+        // several times the scalar-CPU rate, but the frame pays a
+        // FastRPC round trip.
+        let offload = self.config.preproc_on_dsp.then(|| {
             let dsp_speedup = 6.0;
             let native_cycles = cycles / self.config.run_mode.runtime_kind().multiplier();
             let span = aitax_des::SimSpan::from_secs(native_cycles / (2.8e9 * dsp_speedup));
@@ -482,45 +456,41 @@ impl Driver {
             } else {
                 self.graph.input_bytes()
             };
-            let invoke = aitax_kernel::RpcInvoke {
+            aitax_kernel::RpcInvoke {
                 label: "fastcv-preprocess".into(),
                 in_bytes: frame_bytes,
                 out_bytes: self.graph.input_bytes(),
                 dsp_work: span,
                 device: aitax_kernel::RpcDevice::Dsp,
                 ..Default::default()
-            };
+            }
+        });
+        let done = move |m: &mut Machine| {
+            self.stamp(&mut clock, m, Stage::PreProcessing);
+            self.begin_inference(m, clock);
+        };
+        if let Some(invoke) = offload {
             m.fastrpc_invoke_result(invoke, move |m, outcome| {
                 if outcome.is_ok() {
-                    d.record(m, Stage::PreProcessing);
-                    d.begin_inference(m);
+                    done(m);
                 } else {
                     // DSP unusable: redo the frame on the CPU path.
                     m.degradation_mut().cpu_fallbacks += 1;
-                    let task = TaskSpec::foreground("pre-processing", Work::Cycles(cycles));
-                    let d2 = d.clone();
-                    m.submit_cpu(task, move |m| {
-                        d2.record(m, Stage::PreProcessing);
-                        d2.begin_inference(m);
-                    });
+                    m.submit_cpu(task, done);
                 }
             });
-            return;
+        } else {
+            m.submit_cpu(task, done);
         }
-        let task = TaskSpec::foreground("pre-processing", Work::Cycles(cycles));
-        m.submit_cpu(task, move |m| {
-            d.record(m, Stage::PreProcessing);
-            d.begin_inference(m);
-        });
     }
 
     // --------------------------------------------------------- inference
 
-    fn begin_inference(&self, m: &mut Machine) {
+    fn begin_inference(self: Rc<Self>, m: &mut Machine, mut clock: StageClock) {
         let d = self.clone();
         self.session.invoke(m, move |m| {
-            d.record(m, Stage::Inference);
-            d.begin_postprocess(m);
+            d.stamp(&mut clock, m, Stage::Inference);
+            d.begin_postprocess(m, clock);
         });
     }
 
@@ -553,22 +523,21 @@ impl Driver {
         cost.chain_cycles(&steps)
     }
 
-    fn begin_postprocess(&self, m: &mut Machine) {
+    fn begin_postprocess(self: Rc<Self>, m: &mut Machine, mut clock: StageClock) {
         let cycles = self.postprocess_cycles().max(1.0);
-        let d = self.clone();
         let task = TaskSpec::foreground("post-processing", Work::Cycles(cycles));
         m.submit_cpu(task, move |m| {
-            d.record(m, Stage::PostProcessing);
-            d.begin_ui(m);
+            self.stamp(&mut clock, m, Stage::PostProcessing);
+            self.begin_ui(m, clock);
         });
     }
 
     // ---------------------------------------------------------------- ui
 
-    fn begin_ui(&self, m: &mut Machine) {
+    fn begin_ui(self: Rc<Self>, m: &mut Machine, mut clock: StageClock) {
         let mut cycles = self.config.run_mode.ui_overhead_cycles();
         if cycles <= 0.0 {
-            self.finish_iteration(m);
+            self.finish_iteration(m, clock);
             return;
         }
         // Managed-runtime housekeeping: the ART garbage collector
@@ -578,19 +547,17 @@ impl Driver {
             let pause_ms = m.rng_mut().lognormal(5.0, 0.45);
             cycles += pause_ms * 2.8e6;
         }
-        let d = self.clone();
         let task = TaskSpec::foreground("ui-render", Work::Cycles(cycles));
         m.submit_cpu(task, move |m| {
-            d.record(m, Stage::UiOverhead);
-            d.finish_iteration(m);
+            self.stamp(&mut clock, m, Stage::UiOverhead);
+            self.finish_iteration(m, clock);
         });
     }
 
-    fn finish_iteration(&self, m: &mut Machine) {
+    fn finish_iteration(self: Rc<Self>, m: &mut Machine, clock: StageClock) {
         let next = {
             let mut st = self.state.borrow_mut();
-            let finished = std::mem::take(&mut st.current);
-            st.breakdowns.push(finished);
+            st.breakdowns.push(clock.breakdown());
             st.iteration += 1;
             if st.iteration >= self.config.iterations {
                 st.done = true;

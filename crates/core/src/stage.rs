@@ -1,6 +1,6 @@
 //! The AI-tax stage vocabulary and breakdowns (paper Fig. 1 taxonomy).
 
-use aitax_des::SimSpan;
+use aitax_des::{SimSpan, SimTime};
 
 use crate::stats::Summary;
 
@@ -109,6 +109,46 @@ impl StageBreakdown {
         } else {
             self.tax().as_secs() / e2e.as_secs()
         }
+    }
+}
+
+/// One request's stage clock: charges contiguous stage windows, each
+/// from the previous stamp to the next, into a [`StageBreakdown`], so
+/// every simulated nanosecond of the request lands in exactly one stage.
+#[derive(Debug, Clone, Copy)]
+pub struct StageClock {
+    started: SimTime,
+    mark: SimTime,
+    breakdown: StageBreakdown,
+}
+
+impl StageClock {
+    /// A clock whose first stage begins at `now`.
+    pub fn start(now: SimTime) -> Self {
+        StageClock {
+            started: now,
+            mark: now,
+            breakdown: StageBreakdown::default(),
+        }
+    }
+
+    /// Charges the window since the last stamp to `stage` and returns it
+    /// as `(stage, start, now)`.
+    pub fn stamp(&mut self, stage: Stage, now: SimTime) -> (Stage, SimTime, SimTime) {
+        let start = self.mark;
+        *self.breakdown.stage_mut(stage) += now.since(start);
+        self.mark = now;
+        (stage, start, now)
+    }
+
+    /// When the first stage began.
+    pub fn started(&self) -> SimTime {
+        self.started
+    }
+
+    /// The stage spans stamped so far.
+    pub fn breakdown(&self) -> StageBreakdown {
+        self.breakdown
     }
 }
 
@@ -227,5 +267,24 @@ mod tests {
         let mut b = StageBreakdown::default();
         *b.stage_mut(Stage::PreProcessing) = SimSpan::from_ms(9.0);
         assert_eq!(b.stage(Stage::PreProcessing).as_ms(), 9.0);
+    }
+
+    #[test]
+    fn clock_stamps_contiguous_windows() {
+        let t = |ms: f64| SimTime::ZERO + SimSpan::from_ms(ms);
+        let mut clock = StageClock::start(t(2.0));
+        assert_eq!(
+            clock.stamp(Stage::PreProcessing, t(5.0)),
+            (Stage::PreProcessing, t(2.0), t(5.0))
+        );
+        assert_eq!(
+            clock.stamp(Stage::Inference, t(12.0)),
+            (Stage::Inference, t(5.0), t(12.0))
+        );
+        assert_eq!(clock.started(), t(2.0));
+        let b = clock.breakdown();
+        assert_eq!(b.pre_processing.as_ms(), 3.0);
+        assert_eq!(b.inference.as_ms(), 7.0);
+        assert_eq!(b.e2e(), t(12.0).since(clock.started()));
     }
 }

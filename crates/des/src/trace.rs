@@ -935,8 +935,20 @@ mod tests {
 
     #[test]
     fn reserved_buffer_records_without_reallocating() {
+        // Each column's address and capacity: a reallocation moves one.
+        fn columns(buf: &TraceBuffer) -> [(usize, usize); 5] {
+            [
+                (buf.times.as_ptr() as usize, buf.times.capacity()),
+                (buf.res.as_ptr() as usize, buf.res.capacity()),
+                (buf.tags.as_ptr() as usize, buf.tags.capacity()),
+                (buf.pa.as_ptr() as usize, buf.pa.capacity()),
+                (buf.pb.as_ptr() as usize, buf.pb.capacity()),
+            ]
+        }
         let mut buf = TraceBuffer::enabled();
         buf.reserve_events(128);
+        let reserved = columns(&buf);
+        assert!(reserved.iter().all(|&(_, cap)| cap >= 128), "{reserved:?}");
         let label = buf.intern("warm");
         for i in 0..128u64 {
             buf.record(
@@ -946,6 +958,7 @@ mod tests {
             );
         }
         assert_eq!(buf.len(), 128);
+        assert_eq!(columns(&buf), reserved, "recording reallocated a column");
     }
 
     #[test]

@@ -6,15 +6,11 @@
 //! counters and energy/EDP. Aggregation walks results in job-id order
 //! only, so its output is independent of execution interleaving.
 
-use aitax_core::stats::Welford;
+use aitax_core::stats::{DistStats, Welford};
 use aitax_core::Stage;
 
 use crate::job::JobResult;
 use crate::scenario::Grid;
-
-// `DistStats` moved to aitax-core so the fleet aggregator shares it;
-// re-exported here for API (and artifact byte) compatibility.
-pub use aitax_core::stats::{DistStats, CDF_BUCKETS};
 
 /// Summed fault/degradation counters over a scenario's jobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -212,7 +208,7 @@ mod tests {
         assert_eq!(s.e2e.n, 10, "2 repeats × 5 iterations");
         assert!(s.e2e.p50 > 0.0 && s.e2e.p50 <= s.e2e.p95);
         assert!(s.e2e.p95 <= s.e2e.p99 && s.e2e.p99 <= s.e2e.max);
-        assert_eq!(s.e2e.cdf.len(), CDF_BUCKETS);
+        assert_eq!(s.e2e.cdf.len(), aitax_core::stats::CDF_BUCKETS);
         assert_eq!(s.e2e.cdf.last().unwrap().1, 1.0);
         assert!(s.energy.is_none());
         assert!(rep.scenario("traced").unwrap().energy.unwrap().energy_mj > 0.0);

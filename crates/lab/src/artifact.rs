@@ -14,14 +14,10 @@
 
 use std::fmt::Write as _;
 
-use aitax_core::artifact::json_rows;
+use aitax_core::artifact::{dist_json, json_escape, json_num, json_rows};
 
 use crate::agg::{ScenarioStats, SweepReport};
 use crate::cli::Artifacts;
-
-// The canonical JSON primitives moved to aitax-core so the fleet
-// artifact writer shares them; re-exported here for API compatibility.
-pub use aitax_core::artifact::{dist_json, json_escape, json_num};
 
 fn scenario_json(out: &mut String, s: &ScenarioStats) {
     let _ = write!(
@@ -201,15 +197,6 @@ mod tests {
             .push(Scenario::new("a", ModelId::MobileNetV1, DType::F32).iterations(3));
         let results = run_jobs(grid.expand(), 1);
         SweepReport::aggregate(&grid, &results)
-    }
-
-    #[test]
-    fn escaping_and_number_formats() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_num(1.5), "1.500000");
-        assert_eq!(json_num(f64::NAN), "0");
-        assert_eq!(json_num(f64::INFINITY), "0");
     }
 
     #[test]

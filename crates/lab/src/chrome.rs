@@ -13,11 +13,9 @@
 
 use std::collections::BTreeSet;
 
-use aitax_core::artifact::json_rows;
+use aitax_core::artifact::{json_escape, json_rows};
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{SimTime, TraceBuffer};
-
-use crate::artifact::json_escape;
 
 /// Thread id a resource renders under (CPU cores first, then blocks).
 fn tid(resource: TraceResource) -> u32 {

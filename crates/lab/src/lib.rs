@@ -50,7 +50,7 @@ pub mod render;
 mod scenario;
 pub mod scenarios;
 
-pub use agg::{DistStats, SweepReport};
+pub use agg::SweepReport;
 pub use artifact::{bench_json, sweep_csv, sweep_json};
 pub use chrome::chrome_trace;
 pub use job::{JobResult, JobSpec};

@@ -19,11 +19,11 @@
 //! any `--threads`.
 
 use aitax_core::stage::TaxReport;
+use aitax_core::stats::DistStats;
 use aitax_core::tenant::TenantTax;
-use aitax_core::QosClass;
-use aitax_lab::DistStats;
+use aitax_core::{QosClass, SimContext};
 
-use crate::exec::{run_scenario, ScenarioRun};
+use crate::exec::{run_scenario_in, ScenarioRun};
 use crate::tenant::{AdmissionPolicy, ServeConfig};
 
 /// One tenant's attributed outcome (see [`ServeReport`]).
@@ -110,13 +110,16 @@ impl ServeReport {
 }
 
 /// Runs the N solo baselines and the mix (N+1 independent simulations,
-/// parallel over `threads` workers) and attributes the contention.
+/// parallel over `threads` workers, each reusing its own [`SimContext`])
+/// and attributes the contention.
 /// Returns the report plus the raw runs for deeper inspection (the mix
 /// run is last).
 pub fn run_report(cfg: &ServeConfig, threads: usize) -> (ServeReport, Vec<ScenarioRun>) {
     let n = cfg.tenants.len();
     let jobs: Vec<Option<usize>> = (0..n).map(Some).chain(std::iter::once(None)).collect();
-    let runs = aitax_lab::run_tasks(jobs, threads, |j| run_scenario(cfg, *j));
+    let runs = aitax_lab::run_tasks_ctx(jobs, threads, SimContext::new, |ctx, j| {
+        run_scenario_in(cfg, *j, ctx)
+    });
     let report = attribute(cfg, &runs);
     (report, runs)
 }

@@ -166,6 +166,10 @@ fn serve(mut args: Args) -> Result<(), CliError> {
         )
     })?;
     if let Some(n) = tenants {
+        // The memory arbiter names tenants by `u32` id.
+        if u32::try_from(n - 1).is_err() {
+            return Err(format!("--tenants {n} does not fit the u32 tenant ids").into());
+        }
         // Cycle the scenario's tenant specs out to N, relabeling clones.
         let base = cfg.tenants.clone();
         cfg.tenants = (0..n)

@@ -18,12 +18,12 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use aitax_core::stage::StageBreakdown;
-use aitax_des::{Acquired, Arbiter, HoldId, SimTime, Ticket};
+use aitax_core::stage::{Stage, StageBreakdown, StageClock};
+use aitax_core::SimContext;
+use aitax_des::{Acquired, Arbiter, HoldId, SimSpan, SimTime, Ticket};
 use aitax_framework::Session;
 use aitax_kernel::{Machine, TaskSpec, Work};
 use aitax_pipeline::{CostModel, PixelOp, RuntimeKind};
-use aitax_soc::SocCatalog;
 
 use crate::arrival::arrival_times;
 use crate::tenant::ServeConfig;
@@ -80,16 +80,10 @@ pub struct ScenarioRun {
     pub membw_queued: u64,
 }
 
-struct CurReq {
-    index: usize,
-    arrival: SimTime,
-    start: SimTime,
-    pre_done: SimTime,
-    inf_done: SimTime,
-    hold: Option<HoldId>,
-}
-
-struct TenantState {
+/// One active tenant's serving state.
+struct Tenant {
+    /// Position in `cfg.tenants`: the tenant's arbiter id and result slot.
+    id: usize,
     session: Session,
     priority: i8,
     label: String,
@@ -99,72 +93,57 @@ struct TenantState {
     queue: VecDeque<usize>,
     busy: bool,
     burst_open: bool,
-    cur: Option<CurReq>,
     run: TenantRun,
 }
 
+/// A request in flight. It travels through its stage continuations by
+/// value and is parked by [`Ticket`] while the memory arbiter queues it.
+struct Request {
+    /// Position of its tenant in [`World::tenants`].
+    tenant: usize,
+    index: usize,
+    arrival: SimTime,
+    clock: StageClock,
+}
+
 struct World {
-    tenants: Vec<Option<TenantState>>,
+    /// The tenants this run serves, in scenario order.
+    tenants: Vec<Tenant>,
     membw: Arbiter,
-    parked: BTreeMap<Ticket, usize>,
+    parked: BTreeMap<Ticket, Request>,
     membw_queued: u64,
     queue_bound: usize,
 }
 
-impl World {
-    /// Tenant `k`'s live state. Every event handler is scheduled against
-    /// an active tenant, and tenant slots are never vacated mid-run.
-    #[expect(
-        clippy::expect_used,
-        reason = "handlers are only scheduled for active tenants"
-    )]
-    fn tenant_mut(&mut self, k: usize) -> &mut TenantState {
-        self.tenants[k]
-            .as_mut()
-            .expect("handler targets an inactive tenant")
-    }
-}
-
-impl TenantState {
-    /// The request this handler chain belongs to.
-    #[expect(
-        clippy::expect_used,
-        reason = "a handler chain runs only while its request is in flight"
-    )]
-    fn cur_mut(&mut self) -> &mut CurReq {
-        self.cur
-            .as_mut()
-            .expect("handler fired with no request in flight")
-    }
-}
-
 type WorldRef = Rc<RefCell<World>>;
 
-/// Runs one scenario simulation: the full mix when `only` is `None`, or
-/// the solo baseline of tenant `only = Some(k)` (same arrival stream,
-/// unbounded admission).
+/// Runs one scenario simulation on a freshly booted machine: the full
+/// mix when `only` is `None`, or the solo baseline of tenant
+/// `only = Some(k)` (same arrival stream, unbounded admission).
 ///
 /// # Panics
 ///
 /// Panics if a tenant's engine cannot compile its model (scenario
 /// construction bugs, e.g. a DSP engine with a float model).
 pub fn run_scenario(cfg: &ServeConfig, only: Option<usize>) -> ScenarioRun {
-    let mut m = Machine::new(SocCatalog::get(cfg.soc), cfg.seed);
-    simulate(cfg, only, &mut m)
+    run_scenario_in(cfg, only, &mut SimContext::new())
 }
 
-/// [`run_scenario`] on a caller-provided, freshly booted machine.
-fn simulate(cfg: &ServeConfig, only: Option<usize>, m: &mut Machine) -> ScenarioRun {
+/// [`run_scenario`] on a machine checked out of `ctx`.
+pub(crate) fn run_scenario_in(
+    cfg: &ServeConfig,
+    only: Option<usize>,
+    ctx: &mut SimContext,
+) -> ScenarioRun {
+    let m = ctx.checkout(cfg.soc, cfg.seed);
     let cost = CostModel::new(RuntimeKind::Native);
 
-    let tenants: Vec<Option<TenantState>> = cfg
+    let tenants: Vec<Tenant> = cfg
         .tenants
         .iter()
         .enumerate()
+        .filter(|&(k, _)| only.is_none_or(|o| o == k))
         .map(|(k, spec)| {
-            if only.is_some_and(|o| o != k) {
-                return None;
-            }
             #[expect(
                 clippy::expect_used,
                 reason = "scenario builders pair engines with supported dtypes"
@@ -173,7 +152,8 @@ fn simulate(cfg: &ServeConfig, only: Option<usize>, m: &mut Machine) -> Scenario
                 .expect("tenant engine/dtype mismatch");
             let elements = session.graph().input_elements().max(1);
             session.set_priority(spec.qos.priority());
-            Some(TenantState {
+            Tenant {
+                id: k,
                 session,
                 priority: spec.qos.priority(),
                 label: spec.label.clone(),
@@ -186,9 +166,8 @@ fn simulate(cfg: &ServeConfig, only: Option<usize>, m: &mut Machine) -> Scenario
                 queue: VecDeque::new(),
                 busy: false,
                 burst_open: false,
-                cur: None,
                 run: TenantRun::default(),
-            })
+            }
         })
         .collect();
 
@@ -213,228 +192,162 @@ fn simulate(cfg: &ServeConfig, only: Option<usize>, m: &mut Machine) -> Scenario
     // requests (which start at ARRIVAL_EPOCH) measure steady-state
     // serving. Arrival times are fixed constants, so solo and multi runs
     // replay identical offered load regardless of warmup contention.
-    let active: Vec<usize> = (0..cfg.tenants.len())
-        .filter(|&k| world.borrow().tenants[k].is_some())
-        .collect();
-    for &k in &active {
-        #[expect(clippy::unwrap_used, reason = "k was filtered on is_some above")]
-        let session = world.borrow().tenants[k]
-            .as_ref()
-            .map(|t| t.session.clone())
-            .unwrap();
-        session.invoke(m, |_| {});
-    }
-    for &k in &active {
-        #[expect(clippy::unwrap_used, reason = "k was filtered on is_some above")]
-        let arrivals = world.borrow().tenants[k]
-            .as_ref()
-            .map(|t| t.arrivals.clone())
-            .unwrap();
-        for (i, &at) in arrivals.iter().enumerate() {
-            let w = world.clone();
-            m.after(at.since(SimTime::ZERO), move |m| on_arrival(&w, m, k, i));
+    {
+        let w = world.borrow();
+        for t in &w.tenants {
+            t.session.invoke(m, |_| {});
+        }
+        for (slot, t) in w.tenants.iter().enumerate() {
+            for (i, &at) in t.arrivals.iter().enumerate() {
+                let w = world.clone();
+                m.after(at.since(SimTime::ZERO), move |m| on_arrival(&w, m, slot, i));
+            }
         }
     }
     m.run_until_idle();
 
     let mut w = world.borrow_mut();
-    let blame_ms = w
-        .membw
-        .blame()
-        .iter()
-        .map(|(&k, &s)| (k, s.as_ms()))
-        .collect();
-    let self_wait_ms = w
-        .membw
-        .self_wait()
-        .iter()
-        .map(|(&k, &s)| (k, s.as_ms()))
-        .collect();
+    let mut runs = vec![TenantRun::default(); cfg.tenants.len()];
+    for t in &mut w.tenants {
+        runs[t.id] = std::mem::take(&mut t.run);
+    }
     ScenarioRun {
-        tenants: w
-            .tenants
-            .iter_mut()
-            .map(|t| {
-                t.as_mut()
-                    .map(|t| std::mem::take(&mut t.run))
-                    .unwrap_or_default()
-            })
-            .collect(),
-        blame_ms,
-        self_wait_ms,
+        tenants: runs,
+        blame_ms: ms_by_key(w.membw.blame()),
+        self_wait_ms: ms_by_key(w.membw.self_wait()),
         membw_queued: w.membw_queued,
     }
 }
 
-fn on_arrival(w: &WorldRef, m: &mut Machine, k: usize, i: usize) {
-    let start_now = {
+fn ms_by_key<K: Ord + Copy>(spans: &BTreeMap<K, SimSpan>) -> BTreeMap<K, f64> {
+    spans.iter().map(|(&k, &s)| (k, s.as_ms())).collect()
+}
+
+fn on_arrival(w: &WorldRef, m: &mut Machine, slot: usize, i: usize) {
+    let busy = {
         let mut world = w.borrow_mut();
         let bound = world.queue_bound;
-        #[expect(
-            clippy::expect_used,
-            reason = "arrivals are only scheduled for active tenants"
-        )]
-        let ts = world.tenants[k]
-            .as_mut()
-            .expect("arrival for inactive tenant");
-        if ts.busy {
-            if ts.queue.len() < bound {
-                ts.queue.push_back(i);
-            } else {
-                ts.run.shed += 1;
-            }
-            false
-        } else {
-            true
+        let t = &mut world.tenants[slot];
+        if t.busy && t.queue.len() < bound {
+            t.queue.push_back(i);
+        } else if t.busy {
+            t.run.shed += 1;
         }
+        t.busy
     };
-    if start_now {
-        start_request(w, m, k, i);
+    if !busy {
+        start_request(w, m, slot, i);
     }
 }
 
-fn start_request(w: &WorldRef, m: &mut Machine, k: usize, i: usize) {
-    let now = m.now();
-    let task = {
+fn start_request(w: &WorldRef, m: &mut Machine, slot: usize, i: usize) {
+    let (task, req) = {
         let mut world = w.borrow_mut();
-        let ts = world.tenant_mut(k);
-        ts.busy = true;
-        if ts.burst_open {
+        let t = &mut world.tenants[slot];
+        t.busy = true;
+        if t.burst_open {
             // The burst stayed warm from the previous back-to-back
             // request: this one amortizes its FastRPC setup.
-            ts.run.burst_continuations += 1;
+            t.run.burst_continuations += 1;
         } else {
-            ts.session.begin_burst();
-            ts.burst_open = true;
+            t.session.begin_burst();
+            t.burst_open = true;
         }
-        ts.cur = Some(CurReq {
+        let req = Request {
+            tenant: slot,
             index: i,
-            arrival: ts.arrivals[i],
-            start: now,
-            pre_done: now,
-            inf_done: now,
-            hold: None,
-        });
-        let label = m.trace.label(format_args!("{}:pre", ts.label));
-        TaskSpec::foreground(label, Work::Cycles(ts.pre_cycles)).with_priority(ts.priority)
+            arrival: t.arrivals[i],
+            clock: StageClock::start(m.now()),
+        };
+        let label = m.trace.label(format_args!("{}:pre", t.label));
+        let task =
+            TaskSpec::foreground(label, Work::Cycles(t.pre_cycles)).with_priority(t.priority);
+        (task, req)
     };
     let w2 = w.clone();
-    m.submit_cpu(task, move |m| on_pre_done(&w2, m, k));
+    m.submit_cpu(task, move |m| on_pre_done(&w2, m, req));
 }
 
-fn on_pre_done(w: &WorldRef, m: &mut Machine, k: usize) {
+fn on_pre_done(w: &WorldRef, m: &mut Machine, mut req: Request) {
     let now = m.now();
+    req.clock.stamp(Stage::PreProcessing, now);
     let granted = {
         let mut world = w.borrow_mut();
-        let prio = world.tenant_mut(k).priority;
-        match world.membw.acquire(now, k as u32, prio) {
-            Acquired::Granted(h) => {
-                let cur = world.tenant_mut(k).cur_mut();
-                cur.pre_done = now;
-                cur.hold = Some(h);
-                true
-            }
+        let t = &world.tenants[req.tenant];
+        let (id, prio) = (t.id as u32, t.priority);
+        match world.membw.acquire(now, id, prio) {
+            Acquired::Granted(hold) => Some((req, hold)),
             Acquired::Queued(ticket) => {
-                world.tenant_mut(k).cur_mut().pre_done = now;
                 world.membw_queued += 1;
-                world.parked.insert(ticket, k);
-                false
+                world.parked.insert(ticket, req);
+                None
             }
         }
     };
-    if granted {
-        begin_inference(w, m, k);
+    if let Some((req, hold)) = granted {
+        begin_inference(w, m, req, hold);
     }
 }
 
-fn begin_inference(w: &WorldRef, m: &mut Machine, k: usize) {
-    let session = w.borrow_mut().tenant_mut(k).session.clone();
+fn begin_inference(w: &WorldRef, m: &mut Machine, req: Request, hold: HoldId) {
+    let session = w.borrow().tenants[req.tenant].session.clone();
     let w2 = w.clone();
-    session.invoke(m, move |m| on_inf_done(&w2, m, k));
+    session.invoke(m, move |m| on_inf_done(&w2, m, req, hold));
 }
 
-fn on_inf_done(w: &WorldRef, m: &mut Machine, k: usize) {
+fn on_inf_done(w: &WorldRef, m: &mut Machine, mut req: Request, hold: HoldId) {
     let now = m.now();
+    req.clock.stamp(Stage::Inference, now);
     let (task, resumed) = {
         let mut world = w.borrow_mut();
-        #[expect(clippy::expect_used, reason = "inference only starts after a grant")]
-        let hold = {
-            let cur = world.tenant_mut(k).cur_mut();
-            cur.inf_done = now;
-            cur.hold
-                .take()
-                .expect("inference finished without a memory hold")
-        };
-        let resumed = world.membw.release(now, hold).map(|(ticket, new_hold)| {
+        let resumed = world.membw.release(now, hold).map(|(ticket, hold)| {
             #[expect(
                 clippy::expect_used,
                 reason = "every queued ticket is parked before the next event fires"
             )]
-            let owner = world
+            let parked = world
                 .parked
                 .remove(&ticket)
-                .expect("granted ticket has no parked owner");
-            world.tenant_mut(owner).cur_mut().hold = Some(new_hold);
-            owner
+                .expect("granted ticket has no parked request");
+            (parked, hold)
         });
-        let ts = world.tenant_mut(k);
-        let label = m.trace.label(format_args!("{}:post", ts.label));
+        let t = &world.tenants[req.tenant];
+        let label = m.trace.label(format_args!("{}:post", t.label));
         let task =
-            TaskSpec::foreground(label, Work::Cycles(ts.post_cycles)).with_priority(ts.priority);
+            TaskSpec::foreground(label, Work::Cycles(t.post_cycles)).with_priority(t.priority);
         (task, resumed)
     };
-    if let Some(owner) = resumed {
-        begin_inference(w, m, owner);
+    if let Some((parked, hold)) = resumed {
+        begin_inference(w, m, parked, hold);
     }
     let w2 = w.clone();
-    m.submit_cpu(task, move |m| on_post_done(&w2, m, k));
+    m.submit_cpu(task, move |m| on_post_done(&w2, m, req));
 }
 
-fn on_post_done(w: &WorldRef, m: &mut Machine, k: usize) {
+fn on_post_done(w: &WorldRef, m: &mut Machine, mut req: Request) {
     let now = m.now();
+    req.clock.stamp(Stage::PostProcessing, now);
     let next = {
         let mut world = w.borrow_mut();
-        let ts = world.tenant_mut(k);
-        #[expect(
-            clippy::expect_used,
-            reason = "post-processing only runs for the in-flight request"
-        )]
-        let cur = ts
-            .cur
-            .take()
-            .expect("completion without an in-flight request");
-        let breakdown = StageBreakdown {
-            pre_processing: cur.pre_done.since(cur.start),
-            inference: cur.inf_done.since(cur.pre_done),
-            post_processing: now.since(cur.inf_done),
-            ..StageBreakdown::default()
-        };
-        ts.run.completed.push(RequestRecord {
-            index: cur.index,
-            arrival_ms: cur.arrival.since(SimTime::ZERO).as_ms(),
-            queue_ms: cur.start.since(cur.arrival).as_ms(),
-            latency_ms: now.since(cur.arrival).as_ms(),
-            breakdown,
+        let t = &mut world.tenants[req.tenant];
+        t.run.completed.push(RequestRecord {
+            index: req.index,
+            arrival_ms: req.arrival.since(SimTime::ZERO).as_ms(),
+            queue_ms: req.clock.started().since(req.arrival).as_ms(),
+            latency_ms: now.since(req.arrival).as_ms(),
+            breakdown: req.clock.breakdown(),
         });
-        ts.busy = false;
-        let next = ts.queue.pop_front();
+        t.busy = false;
+        let next = t.queue.pop_front();
         if next.is_none() {
-            ts.session.end_burst();
-            ts.burst_open = false;
+            t.session.end_burst();
+            t.burst_open = false;
         }
         next
     };
     if let Some(i) = next {
-        start_request(w, m, k, i);
+        start_request(w, m, req.tenant, i);
     }
-}
-
-/// Zero-span guard used by tests: a request's stage spans must add up to
-/// its service time.
-#[cfg(test)]
-fn breakdown_consistent(r: &RequestRecord) -> bool {
-    let service = r.latency_ms - r.queue_ms;
-    (r.breakdown.e2e().as_ms() - service).abs() < 1e-6
 }
 
 #[cfg(test)]
@@ -457,7 +370,9 @@ mod tests {
             for r in &t.completed {
                 assert!(r.latency_ms > 0.0);
                 assert!(r.queue_ms >= 0.0);
-                assert!(breakdown_consistent(r), "{r:?}");
+                // The stage spans add up to the service time.
+                let service = r.latency_ms - r.queue_ms;
+                assert!((r.breakdown.e2e().as_ms() - service).abs() < 1e-6, "{r:?}");
             }
         }
     }
@@ -489,8 +404,9 @@ mod tests {
     #[test]
     fn untraced_scenario_interns_nothing() {
         let cfg = scenarios::by_name("contention").unwrap().seed(4);
-        let mut m = Machine::new(SocCatalog::get(cfg.soc), cfg.seed);
-        let run = simulate(&cfg, None, &mut m);
+        let mut ctx = SimContext::new();
+        let run = run_scenario_in(&cfg, None, &mut ctx);
+        let m = ctx.machine().unwrap();
         assert!(m.stats().rpc_calls > 0, "the mix must offload");
         assert!(run.tenants.iter().all(|t| !t.completed.is_empty()));
         assert!(

@@ -1,8 +1,9 @@
 //! Exit codes of the `serve` binary: 2 for any usage error — an unknown
-//! flag, a missing value, a zero count, a zero rate, a rate or request
-//! count under which some tenant's arrivals do not fit the simulated
-//! clock, a bad `AITAX_*` default or an unknown scenario — and 0 for
-//! `--help`, `--list` and a clean run.
+//! flag, a missing value, a zero count, a tenant count past the `u32`
+//! tenant ids, a zero rate, a rate or request count under which some
+//! tenant's arrivals do not fit the simulated clock, a bad `AITAX_*`
+//! default or an unknown scenario — and 0 for `--help`, `--list` and a
+//! clean run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -44,6 +45,12 @@ fn exit_codes_follow_the_shared_rule() {
         ("missing value", &[], &["--scenario"], 2),
         ("zero requests", &[], &["--requests", "0"], 2),
         ("zero tenants", &[], &["--tenants", "0"], 2),
+        (
+            "tenant ids past u32",
+            &[],
+            &["--tenants", "18446744073709551615", "--requests", "1"],
+            2,
+        ),
         ("zero threads", &[], &["--threads", "0"], 2),
         ("zero arrival rate", &[], &["--arrival-rate", "0"], 2),
         (
