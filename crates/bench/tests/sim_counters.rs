@@ -1,6 +1,6 @@
 //! Pins the simulator's deterministic counters exactly, at two sizes.
 //!
-//! Ten seeded scenarios exercise the layers every experiment runs on:
+//! Nine seeded scenarios exercise the layers every experiment runs on:
 //!
 //! * `calendar-churn` — schedule/fire/cancel churn through [`Calendar`]
 //!   with a rolling population of pending events,
@@ -8,8 +8,6 @@
 //!   which wait in the heap behind many later-scheduled near ones,
 //! * `trace-record` — [`TraceBuffer`] appends plus one `exec_intervals`
 //!   extraction,
-//! * `trace-stream` — the same appends through a bounded ring: constant
-//!   memory, oldest events overwritten,
 //! * `machine-hot` — the steady-state `Machine::step` loop (time-sliced
 //!   foreground tasks, tracing on), whose measured window must not
 //!   allocate (`steady_allocs`),
@@ -94,7 +92,6 @@ const QUICK_EXPECTED: Table = &[
     ("calendar-churn", &[("scheduled", 400064), ("fired", 300000), ("cancelled", 89584), ("pending_after", 10480)]),
     ("far-timer-churn", &[("scheduled", 266731), ("fired", 200000), ("cancelled", 46846), ("pending_after", 19885)]),
     ("trace-record", &[("recorded", 425000), ("intervals", 200000), ("bytes_traced", 13600000)]),
-    ("trace-stream", &[("recorded", 425000), ("window", 65536), ("dropped", 359464), ("window_intervals", 30840), ("window_bytes", 2097152)]),
     ("machine-hot", &[("events", 96000), ("steady_allocs", 0), ("context_switches", 120004), ("trace_events", 360008)]),
     ("machine-mixed", &[("events", 80000), ("migrations", 6849), ("dsp_jobs", 24882), ("trace_events", 172548)]),
     ("init-tax-fresh", &[("runs", 2000), ("digest", 8501767950363594374)]),
@@ -108,7 +105,6 @@ const FULL_EXPECTED: Table = &[
     ("calendar-churn", &[("scheduled", 4000064), ("fired", 3000000), ("cancelled", 896945), ("pending_after", 103119)]),
     ("far-timer-churn", &[("scheduled", 2666731), ("fired", 2000000), ("cancelled", 509612), ("pending_after", 157119)]),
     ("trace-record", &[("recorded", 4250000), ("intervals", 2000000), ("bytes_traced", 136000000)]),
-    ("trace-stream", &[("recorded", 4250000), ("window", 65536), ("dropped", 4184464), ("window_intervals", 30840), ("window_bytes", 2097152)]),
     ("machine-hot", &[("events", 800000), ("steady_allocs", 0), ("context_switches", 1000004), ("trace_events", 3000008)]),
     ("machine-mixed", &[("events", 600000), ("migrations", 52162), ("dsp_jobs", 187322), ("trace_events", 1298156)]),
     ("init-tax-fresh", &[("runs", 20000), ("digest", 10819834386515935432)]),
@@ -148,10 +144,6 @@ const FULL: Sizes = Sizes {
     init_runs: 20_000,
     fleet_devices: 32,
 };
-
-/// Ring capacity for `trace-stream`, the same at both sizes so the window
-/// mechanics (wraparound, eviction accounting) are identical.
-const STREAM_RING_CAP: usize = 65_536;
 
 // -------------------------------------------------------------- scenarios
 
@@ -266,19 +258,6 @@ fn trace_record(n: u64) -> Counters {
         ("recorded", total),
         ("intervals", buf.exec_intervals().len() as u64),
         ("bytes_traced", total * EVENT_BYTES),
-    ]
-}
-
-fn trace_stream(n: u64) -> Counters {
-    let mut buf = TraceBuffer::enabled_ring(STREAM_RING_CAP);
-    record_trace(&mut buf, &["inference"], n);
-    let window = buf.len() as u64;
-    vec![
-        ("recorded", window + buf.dropped()),
-        ("window", window),
-        ("dropped", buf.dropped()),
-        ("window_intervals", buf.exec_intervals().len() as u64),
-        ("window_bytes", window * EVENT_BYTES),
     ]
 }
 
@@ -451,7 +430,6 @@ fn run_all(s: &Sizes) -> Vec<(&'static str, Counters)> {
             churn(0x57EE_1CDA, s.far_timer_iters, near_or_far),
         ),
         ("trace-record", trace_record(s.trace_events)),
-        ("trace-stream", trace_stream(s.trace_events)),
         ("machine-hot", machine_hot(s.hot_events)),
         ("machine-mixed", machine_mixed(s.mixed_events)),
         ("init-tax-fresh", init_fresh),

@@ -37,7 +37,7 @@ pub struct E2eConfig {
     seed: u64,
     background: Option<(usize, Engine)>,
     tracing: bool,
-    trace_bound: Option<usize>,
+    trace_bound: usize,
     stdlib: StdlibFlavor,
     initial_temp_c: Option<f64>,
     wander_probability: Option<f64>,
@@ -59,7 +59,7 @@ impl E2eConfig {
             seed: 1,
             background: None,
             tracing: false,
-            trace_bound: None,
+            trace_bound: TRACE_PRESIZE_CAP,
             stdlib: StdlibFlavor::LibCxx,
             initial_temp_c: None,
             wander_probability: None,
@@ -111,14 +111,11 @@ impl E2eConfig {
         self
     }
 
-    /// Bounds the traced-event window to the most recent `cap` events
-    /// (the des ring-buffer streaming mode), capping trace memory for
-    /// long runs. A bound large enough that nothing is evicted is
-    /// observationally identical to an unbounded trace; when eviction
-    /// does occur, profiler views cover the retained window and
-    /// [`TraceBuffer::dropped`] reports how much history was shed.
+    /// Caps the trace events a traced run reserves up front (default
+    /// 2^20). The trace itself is never truncated: a run that outgrows
+    /// the reservation keeps recording, growing amortized.
     pub fn trace_bound(mut self, cap: usize) -> Self {
-        self.trace_bound = Some(cap);
+        self.trace_bound = cap;
         self
     }
 
@@ -207,15 +204,13 @@ impl E2eConfig {
         }
         if self.tracing {
             m.set_tracing(true);
-            m.trace.set_capacity(self.trace_bound);
             // Size the event storage once, up front, so steady-state
             // recording never reallocates mid-run; capacity is reused
             // across iterations because the buffer is never dropped.
-            // (A bounded ring never reserves past its capacity.)
             m.trace.reserve_events(presize(
                 self.iterations.max(1),
                 TRACE_EVENTS_PER_ITERATION,
-                TRACE_PRESIZE_CAP,
+                self.trace_bound,
             ));
         }
         if let Some(plan) = self.fault_plan.take().filter(|plan| !plan.is_empty()) {
@@ -577,8 +572,9 @@ impl Driver {
 /// Trace events reserved per pipeline iteration of a traced run.
 const TRACE_EVENTS_PER_ITERATION: usize = 8192;
 
-/// Most trace events a run reserves up front (the fleet energy probe's
-/// ring bound); a longer unbounded trace grows amortized.
+/// Most trace events a run reserves up front unless
+/// [`E2eConfig::trace_bound`] says otherwise; a longer trace grows
+/// amortized.
 const TRACE_PRESIZE_CAP: usize = 1 << 20;
 
 /// Most per-iteration breakdowns a run reserves up front.

@@ -160,7 +160,7 @@ pub struct TaxReport {
 
 impl TaxReport {
     /// Builds a report from per-iteration breakdowns.
-    pub fn new(breakdowns: Vec<StageBreakdown>) -> Self {
+    pub(crate) fn new(breakdowns: Vec<StageBreakdown>) -> Self {
         TaxReport { breakdowns }
     }
 

@@ -7,10 +7,8 @@
 //! stack, and part is tax other tenants impose through shared queues.
 //! This module holds the vocabulary `aitax-serve` attributes that split
 //! with: QoS classes mapped onto scheduler priorities, and the
-//! [`TenantTax`] record pairing each tenant's in-mix [`TaxReport`] with
-//! the contention it suffered and caused.
-
-use crate::stage::TaxReport;
+//! [`TenantTax`] record of the contention each tenant suffered and
+//! caused.
 
 /// Quality-of-service class of a serving tenant.
 ///
@@ -66,9 +64,8 @@ impl std::fmt::Display for QosClass {
     }
 }
 
-/// One tenant's share of a multi-tenant serving run: its own tax report
-/// measured *in the mix*, plus the contention attribution against the
-/// matching solo run.
+/// One tenant's share of a multi-tenant serving run: the contention
+/// attribution of its in-mix requests against the matching solo run.
 ///
 /// Conservation: across all tenants of one scenario,
 /// `Σ caused_ms + Σ self_ms == Σ suffered_ms` — every millisecond of
@@ -80,8 +77,6 @@ pub struct TenantTax {
     pub tenant: String,
     /// The tenant's QoS class.
     pub qos: QosClass,
-    /// Stage breakdowns of the tenant's completed requests in the mix.
-    pub tax: TaxReport,
     /// Added end-to-end latency vs the tenant's solo run, summed over
     /// completed requests — what multi-tenancy cost *this* tenant.
     pub suffered_ms: f64,
@@ -129,7 +124,6 @@ mod tests {
         let t = |s: f64, c: f64, own: f64| TenantTax {
             tenant: "t".into(),
             qos: QosClass::BestEffort,
-            tax: TaxReport::new(Vec::new()),
             suffered_ms: s,
             caused_ms: c,
             self_ms: own,

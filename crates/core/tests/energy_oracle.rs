@@ -3,8 +3,8 @@
 //! trace and stage windows, rail for rail and bit for bit.
 //!
 //! Covers several seeds, all four catalog SoCs, CPU, GPU, DSP and NNAPI
-//! engines, background inference loops, fault plans and a trace ring
-//! small enough to evict early events.
+//! engines, background inference loops, fault plans and a trace
+//! reservation small enough that the run outgrows it.
 
 #[expect(dead_code, reason = "only the power crate's oracle bins timelines")]
 #[path = "../../power/tests/oracle/mod.rs"]
@@ -76,7 +76,6 @@ fn config(seed: u64, soc: SocId, engine: Engine, dtype: DType, variant: usize) -
 #[test]
 fn traced_energy_report_matches_the_full_scan_meter() {
     let mut variant = 0;
-    let mut evicted = 0;
     for seed in SEEDS {
         for soc in SocId::ALL {
             for (engine, dtype) in engines() {
@@ -85,7 +84,6 @@ fn traced_energy_report_matches_the_full_scan_meter() {
                 let label = format!("seed {seed} {soc} {engine}");
                 let trace = r.trace.as_ref().expect("tracing keeps the trace");
                 let energy = r.energy.as_ref().expect("tracing prices energy");
-                evicted += usize::from(trace.dropped() > 0);
 
                 let spec = &SocCatalog::get(soc).power;
                 let (windows, end) = stage_windows(&r);
@@ -118,5 +116,4 @@ fn traced_energy_report_matches_the_full_scan_meter() {
             }
         }
     }
-    assert!(evicted > 0, "no run evicted trace events from its ring");
 }

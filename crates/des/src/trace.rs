@@ -24,17 +24,6 @@
 //! extractor run. [`TraceEvent`] survives as the *view* type: recording
 //! takes its fields apart, iteration reassembles them, and nothing outside
 //! this module sees the encoding.
-//!
-//! # Bounded streaming mode
-//!
-//! A buffer created with [`TraceBuffer::enabled_ring`] (or bounded later
-//! via [`TraceBuffer::set_capacity`]) keeps only the most recent `cap`
-//! events, overwriting the oldest in place — constant memory no matter how
-//! long the run. [`TraceBuffer::dropped`] counts evictions so consumers
-//! can tell a complete trace from a retained window. Fleet-scale runs use
-//! this to cap probe memory; analyses over the retained window (e.g.
-//! [`TraceBuffer::exec_intervals`]) see exactly the events an unbounded
-//! buffer would have kept for that window.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -282,8 +271,8 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// A columnar, optionally ring-bounded buffer of trace events plus the
-/// symbol table their labels are interned into.
+/// A columnar buffer of trace events plus the symbol table their labels
+/// are interned into.
 ///
 /// # Example
 ///
@@ -305,13 +294,6 @@ pub struct TraceEvent {
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
     enabled: bool,
-    /// Ring capacity in events; 0 means unbounded.
-    cap: usize,
-    /// Physical index of the logically oldest event. Non-zero only once
-    /// a bounded buffer has wrapped (columns full at `cap`).
-    head: usize,
-    /// Events evicted by ring wraparound.
-    dropped: u64,
     times: Vec<u64>,
     res: Vec<u16>,
     tags: Vec<u8>,
@@ -334,19 +316,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Creates a recording buffer that retains only the most recent
-    /// `cap` events (bounded streaming mode; see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero — a zero-capacity ring can never hold an
-    /// event, which is what [`TraceBuffer::disabled`] is for.
-    pub fn enabled_ring(cap: usize) -> Self {
-        let mut buf = TraceBuffer::enabled();
-        buf.set_capacity(Some(cap));
-        buf
-    }
-
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -356,8 +325,7 @@ impl TraceBuffer {
     ///
     /// Disabling drops any recorded events; the symbol table (and thus
     /// every previously minted [`Symbol`]) survives, so labels interned
-    /// before the toggle stay valid when tracing is re-enabled. The
-    /// capacity bound also survives the toggle.
+    /// before the toggle stay valid when tracing is re-enabled.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
@@ -365,73 +333,12 @@ impl TraceBuffer {
         }
     }
 
-    /// Bounds (or, with `None`, unbounds) the retained-event window.
-    ///
-    /// Already-recorded events are kept; if more than the new capacity
-    /// are present, the oldest are evicted (counted in
-    /// [`TraceBuffer::dropped`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is `Some(0)`.
-    pub fn set_capacity(&mut self, cap: Option<usize>) {
-        if let Some(cap) = cap {
-            assert!(cap > 0, "a zero-capacity trace ring cannot hold events");
-        }
-        // Un-wrap the ring first so logical order survives the new bound.
-        if self.head != 0 {
-            let kept: Vec<usize> = (0..self.len()).map(|i| self.phys(i)).collect();
-            self.compact(&kept);
-        }
-        self.cap = cap.unwrap_or(0);
-        if self.cap > 0 && self.len() > self.cap {
-            let evict = self.len() - self.cap;
-            let kept: Vec<usize> = (evict..self.len()).collect();
-            self.compact(&kept);
-            self.dropped += evict as u64;
-        }
-    }
-
-    /// The ring capacity, if bounded.
-    #[cfg(test)]
-    fn capacity(&self) -> Option<usize> {
-        if self.cap == 0 {
-            None
-        } else {
-            Some(self.cap)
-        }
-    }
-
-    /// Events evicted by ring wraparound since the last
-    /// [`TraceBuffer::clear`]. Zero means the retained window is the
-    /// complete trace.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Rewrites the columns to hold exactly the physical indices in
-    /// `kept`, in the given order, restoring `head == 0`.
-    fn compact(&mut self, kept: &[usize]) {
-        let times: Vec<u64> = kept.iter().map(|&p| self.times[p]).collect();
-        let res: Vec<u16> = kept.iter().map(|&p| self.res[p]).collect();
-        let tags: Vec<u8> = kept.iter().map(|&p| self.tags[p]).collect();
-        let pa: Vec<u64> = kept.iter().map(|&p| self.pa[p]).collect();
-        let pb: Vec<u32> = kept.iter().map(|&p| self.pb[p]).collect();
-        self.times = times;
-        self.res = res;
-        self.tags = tags;
-        self.pa = pa;
-        self.pb = pb;
-        self.head = 0;
-    }
-
     /// Interns `label` while tracing is on, returning a [`Symbol`] valid
     /// for this buffer; otherwise returns [`Symbol::UNTRACED`] without
     /// touching the table, so untraced runs never pay for labels.
     ///
     /// Callers intern once at submission time and record cheap symbols
-    /// thereafter. Symbols are never evicted, even when the event ring
-    /// wraps.
+    /// thereafter.
     pub fn intern(&mut self, label: &str) -> Symbol {
         if self.enabled {
             self.symbols.intern(label)
@@ -463,13 +370,8 @@ impl TraceBuffer {
     }
 
     /// Pre-sizes event storage so steady-state recording never
-    /// reallocates. Bounded buffers never reserve past their capacity.
+    /// reallocates.
     pub fn reserve_events(&mut self, additional: usize) {
-        let additional = if self.cap > 0 {
-            additional.min(self.cap.saturating_sub(self.times.len()))
-        } else {
-            additional
-        };
         self.times.reserve(additional);
         self.res.reserve(additional);
         self.tags.reserve(additional);
@@ -477,64 +379,39 @@ impl TraceBuffer {
         self.pb.reserve(additional);
     }
 
-    /// Records one event (no-op when disabled). When a bounded buffer is
-    /// full, the oldest event is overwritten in place — no allocation,
-    /// no shifting.
+    /// Records one event (no-op when disabled).
     pub fn record(&mut self, time: SimTime, resource: TraceResource, kind: TraceKind) {
         if !self.enabled {
             return;
         }
         let (tag, pa, pb) = encode_kind(kind);
-        let code = res_slot(resource) as u16;
-        if self.cap > 0 && self.times.len() == self.cap {
-            let p = self.head;
-            self.times[p] = time.as_ns();
-            self.res[p] = code;
-            self.tags[p] = tag;
-            self.pa[p] = pa;
-            self.pb[p] = pb;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        } else {
-            self.times.push(time.as_ns());
-            self.res.push(code);
-            self.tags.push(tag);
-            self.pa.push(pa);
-            self.pb.push(pb);
-        }
+        self.times.push(time.as_ns());
+        self.res.push(res_slot(resource) as u16);
+        self.tags.push(tag);
+        self.pa.push(pa);
+        self.pb.push(pb);
     }
 
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.times.len()
     }
 
-    /// Whether no events are retained.
+    /// Whether no events are recorded.
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
 
-    /// Physical column index of logical event `i` (0 = oldest).
-    #[inline]
-    fn phys(&self, i: usize) -> usize {
-        if self.head == 0 {
-            i
-        } else {
-            (self.head + i) % self.times.len()
-        }
-    }
-
-    /// Reassembles logical event `i` (0 = oldest) from the columns.
+    /// Reassembles event `i` (0 = oldest) from the columns.
     fn get(&self, i: usize) -> TraceEvent {
-        let p = self.phys(i);
         TraceEvent {
-            time: SimTime::from_ns(self.times[p]),
-            resource: res_unslot(self.res[p]),
-            kind: decode_kind(self.tags[p], self.pa[p], self.pb[p]),
+            time: SimTime::from_ns(self.times[i]),
+            resource: res_unslot(self.res[i]),
+            kind: decode_kind(self.tags[i], self.pa[i], self.pb[i]),
         }
     }
 
-    /// Iterates retained events oldest → newest.
+    /// Iterates recorded events oldest → newest.
     pub fn iter(&self) -> TraceIter<'_> {
         TraceIter {
             buf: self,
@@ -548,21 +425,19 @@ impl TraceBuffer {
         self.len().checked_sub(1).map(|i| self.get(i))
     }
 
-    /// Drops all recorded events (and the dropped-event count), keeping
-    /// the enabled flag, capacity bound, symbol table, and column
-    /// capacity (so a reused buffer records its next run allocation-free).
+    /// Drops all recorded events, keeping the enabled flag, symbol
+    /// table, and column capacity (so a reused buffer records its next
+    /// run allocation-free).
     pub fn clear(&mut self) {
         self.times.clear();
         self.res.clear();
         self.tags.clear();
         self.pa.clear();
         self.pb.clear();
-        self.head = 0;
-        self.dropped = 0;
     }
 
     /// Resets the buffer to the [`TraceBuffer::disabled`] starting state
-    /// — recording off, unbounded, no events, symbol table emptied —
+    /// — recording off, no events, symbol table emptied —
     /// while retaining the event columns' and symbol vector's heap
     /// capacity. A machine reusing this buffer starts its next run
     /// exactly where a fresh one would (symbol numbering restarts at 0,
@@ -571,7 +446,6 @@ impl TraceBuffer {
     pub fn reset(&mut self) {
         self.clear();
         self.enabled = false;
-        self.cap = 0;
         self.symbols.clear();
     }
 
@@ -579,8 +453,7 @@ impl TraceBuffer {
     ///
     /// Pairs each `ExecStart` with the next `ExecEnd` for the same task on
     /// the same resource. Unclosed intervals (still running at trace end)
-    /// are dropped — as are intervals whose `ExecStart` was evicted by
-    /// ring wraparound (their `ExecEnd` finds no matching open start).
+    /// are dropped, as are `ExecEnd`s with no matching open start.
     pub fn exec_intervals(&self) -> Vec<ExecInterval> {
         let (out, _open) = self.collect_intervals();
         sort_intervals(out)
@@ -625,8 +498,7 @@ impl TraceBuffer {
     ) {
         let mut open: Vec<Vec<(TraceResource, u64, SimTime, Symbol)>> = Vec::new();
         let mut out = Vec::new();
-        for i in 0..self.len() {
-            let p = self.phys(i);
+        for p in 0..self.len() {
             let slot = usize::from(self.res[p]);
             let task = self.pa[p];
             match self.tags[p] {
@@ -669,7 +541,7 @@ impl<'a> IntoIterator for &'a TraceBuffer {
     }
 }
 
-/// Iterator over a [`TraceBuffer`]'s retained events, oldest → newest.
+/// Iterator over a [`TraceBuffer`]'s recorded events, oldest → newest.
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
     buf: &'a TraceBuffer,
@@ -720,8 +592,6 @@ pub struct ExecInterval {
     /// Interval end.
     pub end: SimTime,
 }
-
-impl ExecInterval {}
 
 #[cfg(test)]
 mod tests {
@@ -871,7 +741,7 @@ mod tests {
 
     #[test]
     fn reset_matches_disabled_starting_state() {
-        let mut buf = TraceBuffer::enabled_ring(4);
+        let mut buf = TraceBuffer::enabled();
         let s = buf.intern("old-label");
         for i in 0..9 {
             buf.record(
@@ -880,12 +750,9 @@ mod tests {
                 TraceKind::ExecStart { task: i, label: s },
             );
         }
-        assert!(buf.dropped() > 0);
         buf.reset();
         assert!(!buf.is_enabled());
-        assert_eq!(buf.capacity(), None);
         assert_eq!(buf.len(), 0);
-        assert_eq!(buf.dropped(), 0);
         assert!(buf.symbols().is_empty());
         // Re-enabled, the buffer numbers symbols like a fresh one.
         buf.set_enabled(true);
@@ -1008,71 +875,5 @@ mod tests {
             assert_eq!(ev.resource, resources[i % resources.len()]);
             assert_eq!(ev.kind, kinds[i], "kind {i} did not round-trip");
         }
-    }
-
-    #[test]
-    fn ring_keeps_only_the_newest_events() {
-        let mut buf = TraceBuffer::enabled_ring(4);
-        assert_eq!(buf.capacity(), Some(4));
-        for i in 0..10u64 {
-            buf.record(
-                SimTime::from_ns(i),
-                TraceResource::Axi,
-                TraceKind::AxiBurst { bytes: i },
-            );
-        }
-        assert_eq!(buf.len(), 4);
-        assert_eq!(buf.dropped(), 6);
-        let times: Vec<u64> = buf.iter().map(|e| e.time.as_ns()).collect();
-        assert_eq!(times, vec![6, 7, 8, 9], "oldest evicted, order preserved");
-        assert_eq!(buf.last().unwrap().time.as_ns(), 9);
-    }
-
-    #[test]
-    fn ring_clear_resets_window_and_dropped_count() {
-        let mut buf = TraceBuffer::enabled_ring(2);
-        for i in 0..5u64 {
-            buf.record(
-                SimTime::from_ns(i),
-                TraceResource::Dsp,
-                TraceKind::ContextSwitch,
-            );
-        }
-        assert_eq!(buf.dropped(), 3);
-        buf.clear();
-        assert_eq!(buf.dropped(), 0);
-        assert!(buf.is_empty());
-        buf.record(
-            SimTime::from_ns(9),
-            TraceResource::Dsp,
-            TraceKind::ContextSwitch,
-        );
-        assert_eq!(buf.iter().next().unwrap().time.as_ns(), 9);
-        assert_eq!(buf.dropped(), 0, "within capacity nothing drops");
-    }
-
-    #[test]
-    fn bounding_a_full_buffer_evicts_the_oldest() {
-        let mut buf = TraceBuffer::enabled();
-        for i in 0..6u64 {
-            buf.record(
-                SimTime::from_ns(i),
-                TraceResource::Gpu,
-                TraceKind::AxiBurst { bytes: i },
-            );
-        }
-        buf.set_capacity(Some(3));
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.dropped(), 3);
-        let times: Vec<u64> = buf.iter().map(|e| e.time.as_ns()).collect();
-        assert_eq!(times, vec![3, 4, 5]);
-        // And the ring keeps rolling from the compacted state.
-        buf.record(
-            SimTime::from_ns(6),
-            TraceResource::Gpu,
-            TraceKind::AxiBurst { bytes: 6 },
-        );
-        let times: Vec<u64> = buf.iter().map(|e| e.time.as_ns()).collect();
-        assert_eq!(times, vec![4, 5, 6]);
     }
 }

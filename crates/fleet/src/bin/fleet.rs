@@ -33,7 +33,8 @@ const USAGE: &str =
      \x20                       do not depend on this\n\
      \x20 --threads N           worker threads (default: AITAX_THREADS or all cores)\n\
      \x20 --seed N              root seed (default: AITAX_SEED or 1)\n\
-     \x20 --name S              population name for artifacts (default 'default')\n\
+     \x20 --name S              population name for artifacts, a plain file name\n\
+     \x20                       without '/' or '\\' (default 'default')\n\
      \x20 --fault-rate F        per-request fault probability in [0,1] (default 0.03)\n\
      \x20 --multi-tenant-rate F probability a device runs a co-resident tenant\n\
      \x20                       workload, in [0,1] (default 0: single-tenant)\n\
@@ -80,6 +81,18 @@ fn print_summary(report: &FleetReport) {
     println!();
 }
 
+/// A population name: it names the artifact files, so it must be one
+/// plain path component, or they would land outside `--out`.
+fn population_name(name: &str, v: &str) -> Result<String, String> {
+    if v.is_empty() || v == "." || v == ".." || v.contains(['/', '\\']) {
+        Err(format!(
+            "{name} must be one plain file name (not empty, '.' or '..', no '/' or '\\'), got '{v}'"
+        ))
+    } else {
+        Ok(v.to_string())
+    }
+}
+
 fn fleet(mut args: Args) -> Result<(), CliError> {
     let mut name = "default".to_string();
     let (mut population, mut requests, mut shards) = (256, 100_000, 64);
@@ -93,7 +106,7 @@ fn fleet(mut args: Args) -> Result<(), CliError> {
                 println!("{USAGE}");
                 return Ok(());
             }
-            "--name" => name = args.value("--name")?,
+            "--name" => name = args.parsed("--name", population_name)?,
             "--population" => population = args.parsed("--population", cli::count)?,
             "--requests" => requests = args.parsed("--requests", cli::count)?,
             "--shards" => shards = args.parsed("--shards", cli::count)?,

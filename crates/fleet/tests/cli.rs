@@ -1,6 +1,6 @@
 //! Exit codes of the `fleet` binary: 2 for any usage error — an unknown
-//! flag, a missing value, a zero count, an out-of-range rate or a bad
-//! `AITAX_*` default — and 0 for `--help` and a clean run.
+//! flag, a missing value, a zero count, an out-of-range rate, a
+//! `--name` that is not one plain file name or a bad `AITAX_*` default — and 0 for `--help` and a clean run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -40,6 +40,8 @@ fn exit_codes_follow_the_shared_rule() {
     let cases: &[Case] = &[
         ("unknown flag", &[], &["--bogus"], 2),
         ("missing value", &[], &["--name"], 2),
+        ("name ../x", &[], &[RUN, &["--name", "../x"]].concat(), 2),
+        ("name a/b", &[], &[RUN, &["--name", "a/b"]].concat(), 2),
         ("zero requests", &[], &["--requests", "0"], 2),
         ("zero population", &[], &["--population", "0"], 2),
         ("zero shards", &[], &["--shards", "0"], 2),

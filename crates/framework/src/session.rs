@@ -48,8 +48,6 @@ pub enum Engine {
     },
     /// Qualcomm SNPE targeting the DSP runtime (quantized models).
     SnpeDsp,
-    /// Qualcomm SNPE targeting the GPU runtime.
-    SnpeGpu,
 }
 
 impl Engine {
@@ -74,7 +72,6 @@ impl Engine {
             Engine::TfLiteHexagon { .. } => "hexagon-delegate".into(),
             Engine::Nnapi { .. } => "nnapi".into(),
             Engine::SnpeDsp => "snpe-dsp".into(),
-            Engine::SnpeGpu => "snpe-gpu".into(),
         }
     }
 }
@@ -465,7 +462,6 @@ fn build_plan(engine: Engine, graph: &Graph, soc: &SocSpec) -> Plan {
             preference,
         } => crate::nnapi::plan_nnapi(graph, soc, preference, threads),
         Engine::SnpeDsp => crate::snpe::plan_dsp(graph, soc),
-        Engine::SnpeGpu => crate::snpe::plan_gpu(graph),
     }
 }
 

@@ -6,9 +6,9 @@
 //! The SoC vendor-specific software is highly tuned for the SoC and
 //! provides optimized support for the neural network operators."
 //!
-//! We model that as: complete operator coverage on the chosen runtime
-//! (no partition churn — the whole graph runs as one fused DSP/GPU
-//! program) at a higher delivered efficiency than the generic stacks.
+//! We model that as: complete operator coverage on the DSP runtime (no
+//! partition churn — the whole graph runs as one fused DSP program) at a
+//! higher delivered efficiency than the generic stacks.
 
 use aitax_des::SimSpan;
 use aitax_models::Graph;
@@ -36,24 +36,6 @@ pub(crate) fn plan_dsp(graph: &Graph, soc: &SocSpec) -> Plan {
     Plan {
         partitions,
         compile_span: compile,
-        dsp_probe: false,
-    }
-}
-
-/// Plans a graph as one fused program on the GPU runtime.
-pub(crate) fn plan_gpu(graph: &Graph) -> Plan {
-    let partitions = vec![Partition {
-        target: ExecTarget::Gpu {
-            efficiency: cost::GPU_DELEGATE_EFFICIENCY * 1.3,
-        },
-        ops: (0, graph.len()),
-        macs: graph.total_macs(),
-        in_bytes: graph.input_bytes(),
-        out_bytes: graph.output_bytes(),
-    }];
-    Plan {
-        partitions,
-        compile_span: base_compile_span(graph) + SimSpan::from_ms(40.0),
         dsp_probe: false,
     }
 }

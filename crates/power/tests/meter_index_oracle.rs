@@ -5,9 +5,9 @@
 //! two searches must get right: out-of-order timestamps (so the AXI
 //! bursts take the linear path), intervals spanning many windows, empty,
 //! inverted and overlapping windows, bursts exactly on window edges,
-//! DVFS changes mid-window and ring-evicted traces whose `ExecEnd` has no
-//! matching start. Every ledger must have the reference's rail key set
-//! and the same `f64::to_bits` per rail.
+//! DVFS changes mid-window and `ExecEnd`s with no matching open start.
+//! Every ledger must have the reference's rail key set and the same
+//! `f64::to_bits` per rail.
 
 mod oracle;
 
@@ -54,16 +54,11 @@ fn random_spec(rng: &mut SimRng) -> PowerSpec {
 
 /// A synthetic trace over `cores + 1` CPU slots (one past the spec's
 /// rails) and every accelerator, plus its horizon. Half the traces step
-/// time backwards now and then; a quarter record into a ring too small
-/// to keep every `ExecStart`.
+/// time backwards now and then.
 fn random_trace(rng: &mut SimRng, cores: usize) -> (TraceBuffer, SimTime) {
     let ordered = rng.chance(0.5);
     let events = rng.uniform_u64(0, 300);
-    let mut buf = if events > 1 && rng.chance(0.25) {
-        TraceBuffer::enabled_ring(rng.uniform_u64(1, events) as usize)
-    } else {
-        TraceBuffer::enabled()
-    };
+    let mut buf = TraceBuffer::enabled();
     let label = buf.intern("task");
     let mut resources: Vec<TraceResource> = (0..=cores as u8).map(TraceResource::CpuCore).collect();
     resources.extend([
@@ -176,11 +171,31 @@ fn timeline_bits(t: &PowerTimeline) -> Vec<(Rail, Vec<u64>)> {
         .collect()
 }
 
+/// Whether `trace` holds an `ExecEnd` with no open `ExecStart` for its
+/// task on its resource.
+fn has_orphan_end(trace: &TraceBuffer) -> bool {
+    let mut open = Vec::new();
+    trace.iter().any(|ev| match ev.kind {
+        TraceKind::ExecStart { task, .. } => {
+            open.push((ev.resource, task));
+            false
+        }
+        TraceKind::ExecEnd { task } => match open.iter().position(|&o| o == (ev.resource, task)) {
+            Some(i) => {
+                open.swap_remove(i);
+                false
+            }
+            None => true,
+        },
+        _ => false,
+    })
+}
+
 /// What the generated cases exercised, so a generator change cannot
 /// quietly stop covering one of them.
 #[derive(Default)]
 struct Coverage {
-    evicted: usize,
+    orphan_end: usize,
     unsorted_axi: usize,
     empty_or_inverted: usize,
     burst_on_edge: usize,
@@ -227,7 +242,7 @@ fn indexed_meter_matches_full_scan_bit_for_bit() {
             .filter(|ev| matches!(ev.kind, TraceKind::Dvfs { .. }))
             .map(|ev| ev.time)
             .collect();
-        seen.evicted += usize::from(trace.dropped() > 0);
+        seen.orphan_end += usize::from(has_orphan_end(&trace));
         seen.unsorted_axi += usize::from(axi.windows(2).any(|w| w[0] > w[1]));
         for &(from, to) in &windows {
             seen.empty_or_inverted += usize::from(to <= from);
@@ -236,7 +251,7 @@ fn indexed_meter_matches_full_scan_bit_for_bit() {
             seen.dvfs_mid_window += usize::from(dvfs.iter().any(|&t| from < t && t < to));
         }
     }
-    assert!(seen.evicted > 0, "no ring-evicted trace generated");
+    assert!(seen.orphan_end > 0, "no ExecEnd without an open start");
     assert!(
         seen.unsorted_axi > 0,
         "no out-of-order AXI bursts generated"

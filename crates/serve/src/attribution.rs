@@ -18,7 +18,6 @@
 //! lab pool and merge in input order: artifact bytes are identical for
 //! any `--threads`.
 
-use aitax_core::stage::TaxReport;
 use aitax_core::stats::DistStats;
 use aitax_core::tenant::TenantTax;
 use aitax_core::{QosClass, SimContext};
@@ -87,20 +86,12 @@ pub struct ServeReport {
 impl ServeReport {
     /// The per-tenant attribution as core [`TenantTax`] records (the
     /// interface the testkit conservation invariant consumes).
-    pub fn tenant_taxes(&self, multi: &ScenarioRun) -> Vec<TenantTax> {
+    pub fn tenant_taxes(&self) -> Vec<TenantTax> {
         self.tenants
             .iter()
-            .enumerate()
-            .map(|(k, t)| TenantTax {
+            .map(|t| TenantTax {
                 tenant: t.label.clone(),
                 qos: t.qos,
-                tax: TaxReport::new(
-                    multi.tenants[k]
-                        .completed
-                        .iter()
-                        .map(|r| r.breakdown)
-                        .collect(),
-                ),
                 suffered_ms: t.suffered_ms,
                 caused_ms: t.caused_ms,
                 self_ms: t.self_ms,

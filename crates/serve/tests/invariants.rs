@@ -16,8 +16,8 @@ use aitax_tensor::DType;
 fn conservation_holds_on_every_scenario() {
     for name in scenarios::NAMES {
         let cfg = scenarios::by_name(name).unwrap();
-        let (report, runs) = run_report(&cfg, 2);
-        let taxes = report.tenant_taxes(runs.last().unwrap());
+        let report = run_report(&cfg, 2).0;
+        let taxes = report.tenant_taxes();
         let violations = aitax_testkit::check_attribution_conservation(&taxes);
         assert!(violations.is_empty(), "scenario '{name}': {violations:?}");
         let leak = (report.added_ms - report.attributed_ms).abs();
@@ -32,8 +32,8 @@ fn conservation_holds_on_every_scenario() {
 fn conservation_is_seed_independent() {
     for seed in [2, 9, 23] {
         let cfg = scenarios::smoke().seed(seed);
-        let (report, runs) = run_report(&cfg, 2);
-        let taxes = report.tenant_taxes(runs.last().unwrap());
+        let report = run_report(&cfg, 2).0;
+        let taxes = report.tenant_taxes();
         let violations = aitax_testkit::check_attribution_conservation(&taxes);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }

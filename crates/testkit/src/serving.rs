@@ -103,14 +103,12 @@ pub fn check_queue_bound(tenant: &str, waits_ms: &[(f64, f64)], bound: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aitax_core::stage::TaxReport;
     use aitax_core::QosClass;
 
     fn tenant(suffered: f64, caused: f64, own: f64) -> TenantTax {
         TenantTax {
             tenant: "t".into(),
             qos: QosClass::BestEffort,
-            tax: TaxReport::new(Vec::new()),
             suffered_ms: suffered,
             caused_ms: caused,
             self_ms: own,

@@ -55,8 +55,8 @@ fn emitted_artifacts_are_valid_json() {
 #[test]
 fn contention_protects_interactive_and_conserves_tax() {
     for name in scenarios::NAMES {
-        let (report, runs) = run_report(&scenarios::by_name(name).unwrap(), 2);
-        let taxes = report.tenant_taxes(runs.last().unwrap());
+        let report = run_report(&scenarios::by_name(name).unwrap(), 2).0;
+        let taxes = report.tenant_taxes();
         let violations = aitax::testkit::check_attribution_conservation(&taxes);
         assert!(violations.is_empty(), "scenario '{name}': {violations:?}");
     }
