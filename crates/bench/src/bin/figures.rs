@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Runs the named exhibits in the order given, or every exhibit in table
-//! order when none is named (EXPERIMENTS.md is generated from that
-//! output). Environment: `AITAX_ITERS`, `AITAX_SEED`, `AITAX_THREADS`,
+//! order when none is named. That full output at `AITAX_ITERS=500` is
+//! committed as `docs/reference_output.txt`, which CI regenerates and
+//! compares byte for byte; EXPERIMENTS.md quotes its numbers by hand.
+//! Environment: `AITAX_ITERS`, `AITAX_SEED`, `AITAX_THREADS`,
 //! `AITAX_TSV=1` (see [`aitax_bench::Knobs`]).
 
 use std::process::ExitCode;
