@@ -25,7 +25,7 @@ const USAGE: &str = "usage: figures [--list] [EXHIBIT...]\n\
      \x20 --list  print the exhibit names and exit\n\
      \n\
      environment: AITAX_ITERS (iterations, default 100), AITAX_SEED (default 1),\n\
-     AITAX_THREADS (sweep workers), AITAX_TSV=1 (TSV tables)";
+     AITAX_THREADS (pool workers), AITAX_TSV=1 (TSV tables)";
 
 fn figures(args: Args) -> Result<(), CliError> {
     let mut selected: Vec<Exhibit> = Vec::new();
@@ -55,7 +55,7 @@ fn figures(args: Args) -> Result<(), CliError> {
         selected = EXHIBITS.to_vec();
     }
     for (_, run) in selected {
-        run(knobs);
+        print!("{}", run(knobs));
     }
     Ok(())
 }

@@ -24,8 +24,6 @@
 //! * [`energy`] — per-rail energy attribution of traced runs: the AI
 //!   tax mirrored onto the energy axis (joules per stage, energy per
 //!   inference, EDP),
-//! * [`experiment`] — one pre-configured experiment per table/figure of
-//!   the paper,
 //! * [`tenant`] — QoS classes and per-tenant tax attribution for the
 //!   multi-tenant serving layer (`aitax-serve`),
 //! * [`report`] — plain-text / TSV rendering.
@@ -55,8 +53,6 @@ pub mod artifact;
 mod context;
 mod degradation;
 pub mod energy;
-pub mod experiment;
-pub mod extras;
 pub mod pipeline;
 pub mod report;
 pub mod runmode;

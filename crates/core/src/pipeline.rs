@@ -9,7 +9,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use aitax_capture::{CameraConfig, StdlibFlavor};
+use aitax_capture::CameraConfig;
+/// The C++ standard library flavor [`E2eConfig::stdlib`] selects.
+pub use aitax_capture::StdlibFlavor;
 use aitax_des::{FaultPlan, SimSpan, SimTime, TraceBuffer};
 use aitax_framework::{Engine, Plan, Session};
 use aitax_kernel::{Machine, MachineStats, NoiseConfig, TaskSpec, Work};
@@ -135,7 +137,7 @@ impl E2eConfig {
 
     /// Overrides the scheduler's wander probability for NNAPI-fallback
     /// threads (ablation: set 0 to pin the fallback thread).
-    pub(crate) fn wander_probability(mut self, p: f64) -> Self {
+    pub fn wander_probability(mut self, p: f64) -> Self {
         self.wander_probability = Some(p);
         self
     }

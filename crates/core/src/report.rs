@@ -106,7 +106,7 @@ pub fn fmt_ms(ms: f64) -> String {
 }
 
 /// Formats a ratio like `2.3x`.
-pub(crate) fn fmt_ratio(r: f64) -> String {
+pub fn fmt_ratio(r: f64) -> String {
     format!("{r:.2}x")
 }
 

@@ -111,7 +111,7 @@ impl Summary {
     }
 
     /// Sum of all samples in ms.
-    pub(crate) fn total_ms(&self) -> f64 {
+    pub fn total_ms(&self) -> f64 {
         self.samples_ms.iter().sum()
     }
 
@@ -164,7 +164,7 @@ impl Summary {
     }
 
     /// Smallest sample in ms.
-    pub(crate) fn min_ms(&self) -> f64 {
+    pub fn min_ms(&self) -> f64 {
         self.sorted_ms.first().copied().unwrap_or(0.0)
     }
 

@@ -140,7 +140,10 @@ fn lab(mut args: Args) -> Result<(), CliError> {
         "faults" => render::fault_table(&report),
         _ => render::distribution_table(&report),
     };
-    cli::emit(&format!("lab sweep — {}", grid.name), &table);
+    print!(
+        "{}",
+        cli::section(&format!("lab sweep — {}", grid.name), &table)
+    );
     Ok(())
 }
 

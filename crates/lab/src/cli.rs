@@ -145,15 +145,13 @@ pub fn threads_or_env(flag: Option<usize>) -> Result<usize, String> {
     })
 }
 
-/// Prints `table` on stdout: under a `## title` heading, or as bare TSV
-/// when `AITAX_TSV=1`.
-pub fn emit(title: &str, table: &Table) {
+/// `table` as the front ends print it: under a `## title` heading, or as
+/// bare TSV when `AITAX_TSV=1`.
+pub fn section(title: &str, table: &Table) -> String {
     if tsv() {
-        print!("{}", table.render_tsv());
+        table.render_tsv()
     } else {
-        println!("## {title}\n");
-        print!("{}", table.render_text());
-        println!();
+        format!("## {title}\n\n{}\n", table.render_text())
     }
 }
 
@@ -286,10 +284,15 @@ mod tests {
     }
 
     #[test]
-    fn emit_does_not_panic() {
+    fn section_heads_the_table_unless_tsv() {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1".into()]);
-        emit("test", &t);
+        let text = section("test", &t);
+        if tsv() {
+            assert_eq!(text, t.render_tsv());
+        } else {
+            assert_eq!(text, format!("## test\n\n{}\n", t.render_text()));
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! conversion"). The simulator prices that data by element type and count
 //! rather than holding it, so this crate is small:
 //!
-//! * [`DType`] — the element types that appear in Table I (FP32, FP16,
-//!   INT8/UINT8, INT32), which key the model zoo, the runtimes and the
+//! * [`DType`] — the two element types Table I's configurations run in
+//!   (FP32 and INT8), which key the model zoo, the runtimes and the
 //!   prices of every stage,
 //! * [`Tensor`] and [`QuantParams`] — an owned F32 or affine-quantized
 //!   I8 buffer, what `aitax-capture`'s random-input generator returns.

@@ -20,7 +20,7 @@
 //! | [`pipeline`] | `aitax-pipeline` | pre-/post-processing cost models |
 //! | [`capture`] | `aitax-capture` | camera cadence, random-input capture cost |
 //! | [`framework`] | `aitax-framework` | TFLite/NNAPI/SNPE-like runtimes |
-//! | [`core`] | `aitax-core` | AI-tax taxonomy, E2E runner, experiments |
+//! | [`core`] | `aitax-core` | AI-tax taxonomy, E2E runner, statistics, energy attribution |
 //! | [`profiler`] | `aitax-profiler` | utilization timelines, Fig. 6 profiles |
 //! | [`power`] | `aitax-power` | per-rail power specs, energy metering, battery |
 //! | [`lab`] | `aitax-lab` | parallel deterministic sweeps, distribution stats, Chrome traces |

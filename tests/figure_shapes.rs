@@ -2,7 +2,6 @@
 //! paper reports — who wins, by roughly what factor, and in which
 //! direction the trends run (absolute numbers are simulator-calibrated).
 
-use aitax::core::experiment::{self, ExperimentOpts};
 use aitax::core::pipeline::E2eConfig;
 use aitax::core::runmode::RunMode;
 use aitax::core::stage::Stage;
@@ -11,6 +10,7 @@ use aitax::lab::{render, run_jobs, scenarios, Grid, SweepReport};
 use aitax::models::zoo::ModelId;
 use aitax::tensor::DType;
 use aitax::testkit::{assert_monotone, assert_ratio_within, assert_within, Direction};
+use aitax_bench::Knobs;
 
 /// Runs a registered lab grid the way the `figures` exhibits do:
 /// expanded, run on the pool and aggregated.
@@ -18,10 +18,12 @@ fn sweep(grid: &Grid) -> SweepReport {
     SweepReport::aggregate(grid, &run_jobs(grid.expand(), 2))
 }
 
-fn opts() -> ExperimentOpts {
-    ExperimentOpts {
-        iterations: 30,
+/// The exhibits' knobs at `iterations`, seed 1, on two pool workers.
+fn knobs(iterations: usize) -> Knobs {
+    Knobs {
+        iterations,
         seed: 1,
+        threads: 2,
     }
 }
 
@@ -56,15 +58,9 @@ fn capture_and_preprocessing_dominate_apps_not_benchmarks() {
 /// EfficientNet-Lite0, and the ordering is hexagon < cpu4 < cpu1 << nnapi.
 #[test]
 fn fig5_nnapi_fallback_is_roughly_7x() {
-    let r = experiment::fig5(opts());
-    assert_within(
-        "fig5 NNAPI vs cpu-1t degradation",
-        r.nnapi_vs_cpu1,
-        4.5,
-        11.0,
-    );
-    let ms: Vec<f64> = r
-        .table
+    let (table, nnapi_vs_cpu1) = aitax_bench::fig5(knobs(30));
+    assert_within("fig5 NNAPI vs cpu-1t degradation", nnapi_vs_cpu1, 4.5, 11.0);
+    let ms: Vec<f64> = table
         .rows()
         .iter()
         .map(|row| row[1].parse().unwrap())
@@ -77,10 +73,7 @@ fn fig5_nnapi_fallback_is_roughly_7x() {
 /// counts and amortizes away with consecutive inferences.
 #[test]
 fn fig8_offload_amortizes() {
-    let t = experiment::fig8(ExperimentOpts {
-        iterations: 30,
-        seed: 1,
-    });
+    let t = aitax_bench::fig8(knobs(30));
     let per_inf: Vec<f64> = t.rows().iter().map(|r| r[2].parse().unwrap()).collect();
     assert!(per_inf.len() >= 5);
     // First inference pays setup: much more expensive than steady state.
@@ -105,11 +98,7 @@ fn fig8_offload_amortizes() {
 /// opposite.
 #[test]
 fn fig9_fig10_multitenancy_shapes() {
-    let quick = ExperimentOpts {
-        iterations: 12,
-        seed: 1,
-    };
-    let dsp = experiment::fig9(quick);
+    let dsp = aitax_bench::fig9(knobs(12));
     let rows = dsp.rows();
     let inf = |i: usize| rows[i][3].parse::<f64>().unwrap();
     let pre = |i: usize| rows[i][2].parse::<f64>().unwrap();

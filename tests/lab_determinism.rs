@@ -8,7 +8,6 @@
 //! * the Chrome-trace export of the Fig. 7 FastRPC flow is golden-pinned
 //!   exactly (`tests/goldens/fig7_chrome_trace.tsv`).
 
-use aitax::core::experiment;
 use aitax::core::pipeline::E2eConfig;
 use aitax::core::runmode::RunMode;
 use aitax::framework::Engine;
@@ -56,7 +55,7 @@ fn emitted_artifacts_are_valid_json() {
 
 #[test]
 fn fig7_chrome_trace_matches_golden() {
-    let (trace, _t0) = experiment::fig7_trace();
+    let (trace, _t0) = aitax_bench::fig7_trace();
     let json = chrome_trace(&trace, "fig7 · fastrpc invoke");
     assert_valid_json("fig7_chrome_trace", &json);
     check_golden("fig7_chrome_trace", &json, Tolerance::EXACT);

@@ -8,7 +8,6 @@
 //! physically plausible, and that their rendered signatures only change
 //! when someone deliberately blesses a new golden.
 
-use aitax::core::experiment::{self, ExperimentOpts};
 use aitax::core::pipeline::{E2eConfig, E2eReport};
 use aitax::core::runmode::RunMode;
 use aitax::des::fault::{FaultKind, FaultPlan};
@@ -23,6 +22,7 @@ use aitax::tensor::DType;
 use aitax::testkit::invariant::{check_stats_agreement, check_trace};
 use aitax::testkit::json::assert_valid_json;
 use aitax::testkit::{assert_report_ok, check_golden, Tolerance};
+use aitax_bench::Knobs;
 
 fn traced(cfg: E2eConfig) -> E2eReport {
     cfg.iterations(8).seed(3).tracing(true).run()
@@ -229,12 +229,12 @@ fn faulted_runs_satisfy_invariants() {
 fn golden_table1_and_table2() {
     check_golden(
         "table1",
-        &experiment::table1().render_tsv(),
+        &aitax_bench::table1().render_tsv(),
         Tolerance::EXACT,
     );
     check_golden(
         "table2",
-        &experiment::table2().render_tsv(),
+        &aitax_bench::table2().render_tsv(),
         Tolerance::EXACT,
     );
 }
@@ -244,7 +244,7 @@ fn golden_table1_and_table2() {
 fn golden_fig7_phase_timeline() {
     check_golden(
         "fig7_phases",
-        &experiment::fig7().render_tsv(),
+        &aitax_bench::fig7().render_tsv(),
         Tolerance::DEFAULT,
     );
 }
@@ -305,15 +305,16 @@ fn golden_degradation_dsp_outage() {
     );
 }
 
-/// The experiment helper used by `aitax-bench` emits stable ordering:
+/// The `aitax-bench` Fig. 5 exhibit emits stable ordering:
 /// fig5's table rows keep the paper's target order under any seed.
 #[test]
 fn fig5_experiment_rows_keep_target_order() {
-    let r = experiment::fig5(ExperimentOpts {
+    let (table, _) = aitax_bench::fig5(Knobs {
         iterations: 6,
         seed: 2,
+        threads: 2,
     });
-    let targets: Vec<&str> = r.table.rows().iter().map(|row| row[0].as_str()).collect();
+    let targets: Vec<&str> = table.rows().iter().map(|row| row[0].as_str()).collect();
     assert_eq!(
         targets,
         ["hexagon-delegate", "cpu-4threads", "cpu-1thread", "nnapi"]
