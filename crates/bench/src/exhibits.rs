@@ -776,12 +776,12 @@ fn taxonomy_trees(k: Knobs) -> String {
     out
 }
 
-/// A traced CLI-benchmark run of MobileNet v1 on the SD845 (the
+/// A metered CLI-benchmark run of MobileNet v1 on the SD845 (the
 /// configuration's defaults) through `engine`.
-fn traced_bench(k: Knobs, engine: Engine, dtype: DType) -> E2eConfig {
+fn metered_bench(k: Knobs, engine: Engine, dtype: DType) -> E2eConfig {
     k.config(ModelId::MobileNetV1, dtype)
         .engine(engine)
-        .tracing(true)
+        .energy()
 }
 
 /// The energy shootout: what latency numbers hide.
@@ -803,7 +803,7 @@ fn energy(k: Knobs) -> String {
         ("hexagon", Engine::TfLiteHexagon { threads: 4 }, DType::I8),
         ("nnapi", Engine::nnapi(), DType::I8),
     ];
-    let reports = k.run_all(backends.map(|(_, engine, dtype)| traced_bench(k, engine, dtype)));
+    let reports = k.run_all(backends.map(|(_, engine, dtype)| metered_bench(k, engine, dtype)));
     let mut t = Table::new(vec![
         "backend",
         "latency_ms",
@@ -813,7 +813,7 @@ fn energy(k: Knobs) -> String {
         "energy_tax",
     ]);
     for ((name, _, _), r) in backends.iter().zip(&reports) {
-        let e = r.energy.as_ref().expect("tracing enabled");
+        let e = r.energy.as_ref().expect("metering enabled");
         let lat_ms = r.e2e_summary().mean_ms();
         let mj = e.energy_per_inference_j() * 1e3;
         // EDP in mJ·ms: energy per inference × mean e2e latency.
@@ -828,7 +828,7 @@ fn energy(k: Knobs) -> String {
         ]);
     }
 
-    let reports = k.run_all(SocId::ALL.map(|soc| nnapi_app(k, soc).tracing(true)));
+    let reports = k.run_all(SocId::ALL.map(|soc| nnapi_app(k, soc).energy()));
     let mut sweep = Table::new(vec![
         "soc",
         "latency_ms",
@@ -837,7 +837,7 @@ fn energy(k: Knobs) -> String {
         "energy_tax",
     ]);
     for (soc, r) in SocId::ALL.iter().zip(&reports) {
-        let e = r.energy.as_ref().expect("tracing enabled");
+        let e = r.energy.as_ref().expect("metering enabled");
         sweep.row(vec![
             format!("{soc:?}"),
             format!("{:.2}", r.e2e_summary().mean_ms()),
@@ -1067,7 +1067,7 @@ mod tests {
     #[test]
     fn dsp_beats_cpu4_beats_cpu1_on_energy() {
         let energy_mj = |engine: Engine, dtype: DType| {
-            let r = traced_bench(ENERGY, engine, dtype).run();
+            let r = metered_bench(ENERGY, engine, dtype).run();
             r.energy.unwrap().energy_per_inference_j() * 1e3
         };
         let cpu1 = energy_mj(Engine::tflite_cpu(1), DType::I8);
@@ -1083,8 +1083,8 @@ mod tests {
     /// on energy — the point latency-only comparisons miss.
     #[test]
     fn dsp_energy_win_does_not_require_latency_win() {
-        let r_dsp = traced_bench(ENERGY, Engine::TfLiteHexagon { threads: 4 }, DType::I8).run();
-        let r_cpu = traced_bench(ENERGY, Engine::tflite_cpu(4), DType::I8).run();
+        let r_dsp = metered_bench(ENERGY, Engine::TfLiteHexagon { threads: 4 }, DType::I8).run();
+        let r_cpu = metered_bench(ENERGY, Engine::tflite_cpu(4), DType::I8).run();
         let e_dsp = r_dsp.energy.as_ref().unwrap().energy_per_inference_j();
         let e_cpu = r_cpu.energy.as_ref().unwrap().energy_per_inference_j();
         assert!(

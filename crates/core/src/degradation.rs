@@ -21,7 +21,7 @@ pub struct DegradationReport {
     /// accelerator execution.
     pub added_tax_ms: f64,
     /// The added tax priced at the run's mean package power, in mJ.
-    /// `None` when the run had no energy metering (tracing off).
+    /// `None` when the run had no energy metering (neither tracing nor metering).
     pub added_energy_mj: Option<f64>,
 }
 

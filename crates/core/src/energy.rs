@@ -2,18 +2,20 @@
 //! onto the energy axis.
 //!
 //! The paper's latency decomposition asks *where the time goes*; this
-//! module asks *where the joules go*. When tracing is enabled, the
-//! runner records a `(stage, start, end)` window for every pipeline
-//! stage of every iteration, and [`EnergyReport::from_trace`] prices
-//! those windows with the per-rail energy meter ([`MeterIndex`]): C·V²·f
-//! dynamic CPU power at the DVFS-chosen operating point, gated
-//! accelerator rails, AXI transfer energy and the always-on idle floor.
+//! module asks *where the joules go*. When tracing or metering
+//! ([`E2eConfig::energy`]) is enabled, the runner records a
+//! `(stage, start, end)` window for every pipeline stage of every
+//! iteration, and [`EnergyReport::from_trace`] prices those windows
+//! with the per-rail energy meter ([`MeterIndex`]): C·V²·f dynamic CPU
+//! power at the DVFS-chosen operating point, gated accelerator rails,
+//! AXI transfer energy and the always-on idle floor.
 //! The result supports the paper-adjacent questions latency alone
 //! cannot answer — most importantly that DSP offload wins on energy per
 //! inference even where it loses on latency (race-to-idle plus a
 //! power-gated rail).
 //!
 //! [`TaxReport`]: crate::stage::TaxReport
+//! [`E2eConfig::energy`]: crate::pipeline::E2eConfig::energy
 
 use std::collections::BTreeMap;
 
@@ -36,8 +38,9 @@ pub struct EnergyReport {
 }
 
 impl EnergyReport {
-    /// Prices every stage window of a traced run with `spec`'s power
-    /// model. `end` bounds the whole-run total (idle floor included).
+    /// Prices every stage window of a traced or metered run with
+    /// `spec`'s power model. `end` bounds the whole-run total (idle floor
+    /// included).
     pub fn from_trace(
         spec: &PowerSpec,
         trace: &TraceBuffer,

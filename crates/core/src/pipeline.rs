@@ -12,7 +12,7 @@ use std::sync::Arc;
 use aitax_capture::CameraConfig;
 /// The C++ standard library flavor [`E2eConfig::stdlib`] selects.
 pub use aitax_capture::StdlibFlavor;
-use aitax_des::{FaultPlan, SimSpan, SimTime, TraceBuffer};
+use aitax_des::{FaultPlan, SimSpan, SimTime, TraceBuffer, TraceMode};
 use aitax_framework::{Engine, Plan, Session};
 use aitax_kernel::{Machine, MachineStats, NoiseConfig, TaskSpec, Work};
 use aitax_models::zoo::{MlTask, ModelId, PostTask, PreTask, Zoo, ZooEntry};
@@ -38,7 +38,7 @@ pub struct E2eConfig {
     iterations: usize,
     seed: u64,
     background: Option<(usize, Engine)>,
-    tracing: bool,
+    tracing: TraceMode,
     trace_bound: usize,
     stdlib: StdlibFlavor,
     initial_temp_c: Option<f64>,
@@ -60,7 +60,7 @@ impl E2eConfig {
             iterations: 500,
             seed: 1,
             background: None,
-            tracing: false,
+            tracing: TraceMode::Off,
             trace_bound: TRACE_PRESIZE_CAP,
             stdlib: StdlibFlavor::LibCxx,
             initial_temp_c: None,
@@ -107,15 +107,25 @@ impl E2eConfig {
         self
     }
 
-    /// Enables structured tracing (for profiler views).
+    /// Enables structured tracing (for profiler views): the report
+    /// carries the full trace and the energy priced from it.
     pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
+        self.tracing = if on { TraceMode::Full } else { TraceMode::Off };
         self
     }
 
-    /// Caps the trace events a traced run reserves up front (default
-    /// 2^20). The trace itself is never truncated: a run that outgrows
-    /// the reservation keeps recording, growing amortized.
+    /// Meters energy without keeping a trace: the run records only what
+    /// the energy meter reads ([`TraceMode::Meter`]), interns no label,
+    /// and reports `energy` bit-identical to a traced run's with `trace`
+    /// left `None`.
+    pub fn energy(mut self) -> Self {
+        self.tracing = TraceMode::Meter;
+        self
+    }
+
+    /// Caps the trace events a traced or metered run reserves up front
+    /// (default 2^20). The trace itself is never truncated: a run that
+    /// outgrows the reservation keeps recording, growing amortized.
     pub fn trace_bound(mut self, cap: usize) -> Self {
         self.trace_bound = cap;
         self
@@ -204,17 +214,20 @@ impl E2eConfig {
         if let Some(p) = self.wander_probability {
             m.set_wander_probability(p);
         }
-        if self.tracing {
-            m.set_tracing(true);
-            // Size the event storage once, up front, so steady-state
-            // recording never reallocates mid-run; capacity is reused
-            // across iterations because the buffer is never dropped.
-            m.trace.reserve_events(presize(
-                self.iterations.max(1),
-                TRACE_EVENTS_PER_ITERATION,
-                self.trace_bound,
-            ));
-        }
+        let per_iteration = match self.tracing {
+            TraceMode::Off => 0,
+            TraceMode::Meter => METER_EVENTS_PER_ITERATION,
+            TraceMode::Full => TRACE_EVENTS_PER_ITERATION,
+        };
+        m.trace.set_mode(self.tracing);
+        // Size the event storage once, up front, so steady-state
+        // recording never reallocates mid-run; capacity is reused across
+        // iterations because the buffer is never dropped.
+        m.trace.reserve_events(presize(
+            self.iterations.max(1),
+            per_iteration,
+            self.trace_bound,
+        ));
         if let Some(plan) = self.fault_plan.take().filter(|plan| !plan.is_empty()) {
             m.install_fault_plan(plan);
         }
@@ -266,22 +279,21 @@ impl E2eConfig {
         }
 
         let config = &driver.config;
-        let trace = if config.tracing {
-            Some(std::mem::replace(&mut m.trace, TraceBuffer::disabled()))
-        } else {
-            None
-        };
+        let trace = (config.tracing == TraceMode::Full)
+            .then(|| std::mem::replace(&mut m.trace, TraceBuffer::disabled()));
         let (breakdowns, model_init) = {
             let mut st = driver.state.borrow_mut();
             // Move the per-iteration breakdowns out rather than cloning
             // them; the run is over and the state cell is about to drop.
             (std::mem::take(&mut st.breakdowns), st.model_init)
         };
-        let energy = trace.as_ref().map(|tr| {
+        let energy = (config.tracing != TraceMode::Off).then(|| {
+            // A metered run is priced in place, so a reused machine keeps
+            // its event columns' capacity for the next one.
             let st = driver.state.borrow();
             EnergyReport::from_trace(
                 &spec.power,
-                tr,
+                trace.as_ref().unwrap_or(&m.trace),
                 &st.stage_windows,
                 breakdowns.len(),
                 m.now(),
@@ -311,7 +323,7 @@ struct RunState {
     model_init: SimSpan,
     /// Timestamp of the camera frame consumed last.
     last_frame: SimTime,
-    /// Per-stage execution windows, recorded when tracing is enabled so
+    /// Per-stage execution windows, recorded when tracing or metering so
     /// the energy meter can price each stage.
     stage_windows: Vec<(Stage, SimTime, SimTime)>,
 }
@@ -329,10 +341,10 @@ struct Driver {
 
 impl Driver {
     /// Stamps the end of `stage`, keeping its window for the energy
-    /// meter when tracing.
+    /// meter when tracing or metering.
     fn stamp(&self, clock: &mut StageClock, m: &Machine, stage: Stage) {
         let window = clock.stamp(stage, m.now());
-        if self.config.tracing {
+        if self.config.tracing != TraceMode::Off {
             self.state.borrow_mut().stage_windows.push(window);
         }
     }
@@ -574,6 +586,10 @@ impl Driver {
 /// Trace events reserved per pipeline iteration of a traced run.
 const TRACE_EVENTS_PER_ITERATION: usize = 8192;
 
+/// Trace events reserved per pipeline iteration of a metered run. A fleet
+/// probe iteration records about 700 (its exec, DVFS and AXI events).
+const METER_EVENTS_PER_ITERATION: usize = 1024;
+
 /// Most trace events a run reserves up front unless
 /// [`E2eConfig::trace_bound`] says otherwise; a longer trace grows
 /// amortized.
@@ -615,7 +631,7 @@ pub struct E2eReport {
     pub plan: Plan,
     /// The structured trace, when tracing was enabled.
     pub trace: Option<TraceBuffer>,
-    /// Per-rail energy attribution, when tracing was enabled.
+    /// Per-rail energy attribution, when tracing or metering was enabled.
     pub energy: Option<EnergyReport>,
     /// Fault/retry/fallback accounting (all-clean without a fault plan).
     pub degradation: DegradationReport,

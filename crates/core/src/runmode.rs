@@ -6,6 +6,7 @@
 //! app is consistently slower end-to-end because of capture and
 //! pre-processing the benchmarks never perform.
 
+use aitax_capture::CameraConfig;
 use aitax_des::SimSpan;
 use aitax_kernel::NoiseConfig;
 use aitax_pipeline::RuntimeKind;
@@ -35,6 +36,19 @@ impl RunMode {
     /// Whether input comes from the camera (vs. random generation).
     pub(crate) fn uses_camera(self) -> bool {
         matches!(self, RunMode::AndroidApp)
+    }
+
+    /// A floor on the simulated seconds `iterations` iterations take:
+    /// in app mode each consumes a distinct camera frame, so the run
+    /// spans at least that many frame intervals. The benchmark modes
+    /// capture nothing and have no floor (zero). In seconds, so no count
+    /// overflows it.
+    pub fn frame_floor_secs(self, iterations: u64) -> f64 {
+        if self.uses_camera() {
+            iterations as f64 * CameraConfig::vga_preview().frame_interval().as_secs()
+        } else {
+            0.0
+        }
     }
 
     /// Which implementation path runs the pre-/post-processing.
@@ -99,6 +113,15 @@ mod tests {
         assert!(!RunMode::CliBenchmark.uses_camera());
         assert!(!RunMode::BenchmarkApp.uses_camera());
         assert!(RunMode::AndroidApp.uses_camera());
+    }
+
+    #[test]
+    fn only_the_app_has_a_frame_floor() {
+        assert_eq!(RunMode::CliBenchmark.frame_floor_secs(u64::MAX), 0.0);
+        assert_eq!(RunMode::BenchmarkApp.frame_floor_secs(u64::MAX), 0.0);
+        let floor = RunMode::AndroidApp.frame_floor_secs(30);
+        assert!((floor - 1.0).abs() < 1e-6, "30 frames at 30 fps: {floor}");
+        assert!(RunMode::AndroidApp.frame_floor_secs(u64::MAX).is_finite());
     }
 
     #[test]

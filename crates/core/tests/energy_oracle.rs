@@ -1,6 +1,8 @@
 //! End-to-end energy bit-identity: the `EnergyReport` of a traced run
 //! equals the one the full-scan reference meter prices from the same
-//! trace and stage windows, rail for rail and bit for bit.
+//! trace and stage windows, rail for rail and bit for bit. So do the
+//! report priced from the meter-only subset of that trace and the report
+//! of the same run metered (`E2eConfig::energy`) instead of traced.
 //!
 //! Covers several seeds, all four catalog SoCs, CPU, GPU, DSP and NNAPI
 //! engines, background inference loops, fault plans and a trace
@@ -18,12 +20,19 @@ use aitax_des::fault::{FaultKind, FaultPlan};
 use aitax_des::SimTime;
 use aitax_framework::Engine;
 use aitax_models::zoo::ModelId;
-use aitax_power::RailEnergy;
+use aitax_power::{Rail, RailEnergy};
 use aitax_soc::catalog::{SocCatalog, SocId};
 use aitax_tensor::DType;
 
 const SEEDS: [u64; 3] = [1, 77, 9001];
 const ITERATIONS: usize = 4;
+
+/// Per-stage then whole-run joules, as exact bits.
+fn energy_bits(e: &EnergyReport) -> Vec<Vec<(Rail, u64)>> {
+    let mut out: Vec<_> = Stage::ALL.map(|s| oracle::bits(e.stage_energy(s))).into();
+    out.push(oracle::bits(e.total()));
+    out
+}
 
 /// The app-mode stage windows a run recorded, rebuilt from its
 /// per-iteration breakdowns, plus the run's end.
@@ -79,7 +88,8 @@ fn traced_energy_report_matches_the_full_scan_meter() {
     for seed in SEEDS {
         for soc in SocId::ALL {
             for (engine, dtype) in engines() {
-                let r = config(seed, soc, engine, dtype, variant).run();
+                let cfg = config(seed, soc, engine, dtype, variant);
+                let r = cfg.clone().run();
                 variant += 1;
                 let label = format!("seed {seed} {soc} {engine}");
                 let trace = r.trace.as_ref().expect("tracing keeps the trace");
@@ -90,6 +100,23 @@ fn traced_energy_report_matches_the_full_scan_meter() {
                 let repriced =
                     EnergyReport::from_trace(spec, trace, &windows, r.tax.iterations(), end);
                 assert_eq!(&repriced, energy, "{label}: windows rebuilt exactly");
+                let meter = oracle::meter_only(trace);
+                assert!(meter.len() < trace.len(), "{label}: meter mode drops kinds");
+                let from_meter =
+                    EnergyReport::from_trace(spec, &meter, &windows, r.tax.iterations(), end);
+                assert_eq!(
+                    energy_bits(&from_meter),
+                    energy_bits(energy),
+                    "{label}: meter-only trace"
+                );
+                let metered = cfg.energy().run();
+                assert!(metered.trace.is_none(), "{label}: metering keeps no trace");
+                let metered = metered.energy.as_ref().expect("metering prices energy");
+                assert_eq!(
+                    energy_bits(metered),
+                    energy_bits(energy),
+                    "{label}: metered run"
+                );
 
                 for stage in Stage::ALL {
                     let spans: Vec<(SimTime, SimTime)> = windows

@@ -1,6 +1,8 @@
-//! Untraced runs never build trace labels: every label a run would
-//! intern is formatted and interned only while tracing is on, so an
-//! untraced `E2eConfig::run_in` leaves the machine's symbol table empty.
+//! Untraced and metered runs never build trace labels: every label a
+//! run would intern is formatted and interned only under full tracing,
+//! so an untraced or metered (`E2eConfig::energy`) `run_in` leaves the
+//! machine's symbol table empty. The metered run must still price the
+//! same joules as the traced one, stage for stage and bit for bit.
 //!
 //! The grid covers every label source in the pipeline: TFLite CPU
 //! gangs, NNAPI (DSP offload, its CPU reference path and, on the SD865,
@@ -11,11 +13,13 @@
 
 use aitax_core::pipeline::E2eConfig;
 use aitax_core::runmode::RunMode;
-use aitax_core::SimContext;
+use aitax_core::stage::Stage;
+use aitax_core::{EnergyReport, SimContext};
 use aitax_des::fault::{FaultKind, FaultPlan};
 use aitax_des::SimTime;
 use aitax_framework::Engine;
 use aitax_models::zoo::ModelId;
+use aitax_power::{Rail, RailEnergy};
 use aitax_soc::SocId;
 use aitax_tensor::DType;
 
@@ -67,6 +71,18 @@ fn cases() -> Vec<(&'static str, E2eConfig)> {
     ]
 }
 
+/// Every rail's joules as exact bits.
+fn bits(e: &RailEnergy) -> Vec<(Rail, u64)> {
+    e.iter().map(|(rail, j)| (rail, j.to_bits())).collect()
+}
+
+/// Per-stage then whole-run joules, as exact bits.
+fn energy_bits(e: &EnergyReport) -> Vec<Vec<(Rail, u64)>> {
+    let mut out: Vec<_> = Stage::ALL.map(|s| bits(e.stage_energy(s))).into();
+    out.push(bits(e.total()));
+    out
+}
+
 #[test]
 fn untraced_runs_intern_no_labels() {
     let mut ctx = SimContext::new();
@@ -82,6 +98,26 @@ fn untraced_runs_intern_no_labels() {
                 let traced = cfg.clone().tracing(true).run_in(&mut ctx);
                 let symbols = traced.trace.as_ref().map_or(0, |t| t.symbols().len());
                 assert!(symbols > 0, "{case}: a traced run must intern its labels");
+
+                let metered = cfg.clone().energy().run_in(&mut ctx);
+                assert!(metered.trace.is_none(), "{case}: metering keeps no trace");
+                let m = ctx.machine().expect("run_in leaves its machine cached");
+                assert!(
+                    m.trace.symbols().is_empty(),
+                    "{case}: metered run interned {} label(s)",
+                    m.trace.symbols().len(),
+                );
+                assert_eq!(
+                    metered.stats, traced.stats,
+                    "{case}: metering changed the run"
+                );
+                let (want, got) = (traced.energy.as_ref(), metered.energy.as_ref());
+                assert_eq!(
+                    got.map(energy_bits),
+                    want.map(energy_bits),
+                    "{case}: metered joules differ from the traced run's"
+                );
+                assert!(got.is_some(), "{case}: metering prices energy");
 
                 let untraced = cfg.run_in(&mut ctx);
                 assert!(untraced.trace.is_none(), "{case}");

@@ -44,4 +44,4 @@ pub use fault::{FaultKind, FaultPlan};
 pub use rng::SimRng;
 pub use symbol::Symbol;
 pub use time::{SimSpan, SimTime};
-pub use trace::{TraceBuffer, TraceEvent};
+pub use trace::{TraceBuffer, TraceEvent, TraceMode};

@@ -3,16 +3,23 @@
 //! The simulated kernel and frameworks emit these events while running;
 //! `aitax-profiler` consumes them to build Snapdragon-Profiler-style views
 //! (per-core utilization strips, context-switch counts, CDSP activity, AXI
-//! traffic — Figure 6 of the paper).
+//! traffic — Figure 6 of the paper), and `aitax-power` prices them.
 //!
-//! Tracing is opt-in: a disabled [`TraceBuffer`] drops events with a single
-//! branch, and work submitted while it is off neither formats nor interns
-//! a label ([`TraceBuffer::label`], [`TraceBuffer::intern`]), keeping
-//! the probe effect of the *simulator itself* at zero, in the spirit of the
-//! paper's §III-D probe-effect discussion. When enabled, the
-//! probe effect is one append per event: labels are interned [`Symbol`]s, so
-//! recording never touches the heap once the event storage is warm (see
-//! [`TraceBuffer::intern`] and [`TraceBuffer::reserve_events`]).
+//! A [`TraceBuffer`] records in one of three [`TraceMode`]s, keeping the
+//! probe effect of the *simulator itself* no larger than its caller needs,
+//! in the spirit of the paper's §III-D probe-effect discussion:
+//!
+//! - **Off** drops events with a single branch, and work submitted while
+//!   it is off neither formats nor interns a label ([`TraceBuffer::label`],
+//!   [`TraceBuffer::intern`]).
+//! - **Meter** keeps only the four kinds the energy meter reads —
+//!   `ExecStart`, `ExecEnd`, `Dvfs` and `AxiBurst` — and formats and
+//!   interns no label, like off. A run that wants energy but no trace
+//!   records this.
+//! - **Full** records every event. The probe effect is one append per
+//!   event: labels are interned [`Symbol`]s, so recording never touches
+//!   the heap once the event storage is warm (see [`TraceBuffer::intern`]
+//!   and [`TraceBuffer::reserve_events`]).
 //!
 //! # Columnar storage
 //!
@@ -271,6 +278,31 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
+/// What a [`TraceBuffer`] records (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TraceMode {
+    /// Nothing, and no label is formatted or interned.
+    #[default]
+    Off,
+    /// Only the events the energy meter reads (`ExecStart`, `ExecEnd`,
+    /// `Dvfs`, `AxiBurst`), and no label: exec starts carry
+    /// [`Symbol::UNTRACED`].
+    Meter,
+    /// Every event, with interned labels.
+    Full,
+}
+
+/// Whether a meter-mode buffer keeps `kind`.
+fn metered(kind: &TraceKind) -> bool {
+    matches!(
+        kind,
+        TraceKind::ExecStart { .. }
+            | TraceKind::ExecEnd { .. }
+            | TraceKind::Dvfs { .. }
+            | TraceKind::AxiBurst { .. }
+    )
+}
+
 /// A columnar buffer of trace events plus the symbol table their labels
 /// are interned into.
 ///
@@ -291,9 +323,9 @@ pub struct TraceEvent {
 /// assert_eq!(buf.len(), 2);
 /// assert_eq!(buf.resolve(label), "inference");
 /// ```
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct TraceBuffer {
-    enabled: bool,
+    mode: TraceMode,
     times: Vec<u64>,
     res: Vec<u16>,
     tags: Vec<u8>,
@@ -308,51 +340,72 @@ impl TraceBuffer {
         TraceBuffer::default()
     }
 
-    /// Creates an unbounded buffer that records events.
+    /// Creates an unbounded buffer that records every event.
     pub fn enabled() -> Self {
+        TraceBuffer::with_mode(TraceMode::Full)
+    }
+
+    /// Creates an empty buffer recording in `mode`.
+    pub fn with_mode(mode: TraceMode) -> Self {
         TraceBuffer {
-            enabled: true,
+            mode,
             ..TraceBuffer::default()
         }
     }
 
-    /// Whether events are being recorded.
+    /// Whether any events are being recorded (meter or full mode).
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.mode != TraceMode::Off
     }
 
-    /// Turns recording on or off in place.
+    /// Whether labels are formatted and interned (full mode only).
+    pub fn labels_on(&self) -> bool {
+        self.mode == TraceMode::Full
+    }
+
+    /// Switches the recording mode in place.
     ///
-    /// Disabling drops any recorded events; the symbol table (and thus
-    /// every previously minted [`Symbol`]) survives, so labels interned
-    /// before the toggle stay valid when tracing is re-enabled.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
+    /// Turning recording off drops any recorded events; the symbol table
+    /// (and thus every previously minted [`Symbol`]) survives, so labels
+    /// interned before the switch stay valid when full tracing resumes.
+    pub fn set_mode(&mut self, mode: TraceMode) {
+        self.mode = mode;
+        if mode == TraceMode::Off {
             self.clear();
         }
     }
 
-    /// Interns `label` while tracing is on, returning a [`Symbol`] valid
+    /// Turns full recording on or off in place (see
+    /// [`TraceBuffer::set_mode`]).
+    pub fn set_enabled(&mut self, enabled: bool) {
+        self.set_mode(if enabled {
+            TraceMode::Full
+        } else {
+            TraceMode::Off
+        });
+    }
+
+    /// Interns `label` while labels are on, returning a [`Symbol`] valid
     /// for this buffer; otherwise returns [`Symbol::UNTRACED`] without
-    /// touching the table, so untraced runs never pay for labels.
+    /// touching the table, so untraced and metered runs never pay for
+    /// labels.
     ///
     /// Callers intern once at submission time and record cheap symbols
     /// thereafter.
     pub fn intern(&mut self, label: &str) -> Symbol {
-        if self.enabled {
+        if self.labels_on() {
             self.symbols.intern(label)
         } else {
             Symbol::UNTRACED
         }
     }
 
-    /// Formats a dynamic work label while tracing is on; otherwise yields
+    /// Formats a dynamic work label while labels are on; otherwise yields
     /// an empty label without formatting or allocating. Paired with
-    /// [`TraceBuffer::intern`], untraced runs never build a label string
-    /// nobody reads.
+    /// [`TraceBuffer::intern`], untraced and metered runs never build a
+    /// label string nobody reads.
     pub fn label(&self, args: fmt::Arguments<'_>) -> Cow<'static, str> {
-        if self.enabled {
+        if self.labels_on() {
             Cow::Owned(fmt::format(args))
         } else {
             Cow::Borrowed("")
@@ -379,9 +432,15 @@ impl TraceBuffer {
         self.pb.reserve(additional);
     }
 
-    /// Records one event (no-op when disabled).
+    /// Records one event: every event in full mode, the metered kinds
+    /// in meter mode, none when off.
     pub fn record(&mut self, time: SimTime, resource: TraceResource, kind: TraceKind) {
-        if !self.enabled {
+        let keep = match self.mode {
+            TraceMode::Off => false,
+            TraceMode::Meter => metered(&kind),
+            TraceMode::Full => true,
+        };
+        if !keep {
             return;
         }
         let (tag, pa, pb) = encode_kind(kind);
@@ -425,8 +484,8 @@ impl TraceBuffer {
         self.len().checked_sub(1).map(|i| self.get(i))
     }
 
-    /// Drops all recorded events, keeping the enabled flag, symbol
-    /// table, and column capacity (so a reused buffer records its next
+    /// Drops all recorded events, keeping the mode, symbol table, and
+    /// column capacity (so a reused buffer records its next
     /// run allocation-free).
     pub fn clear(&mut self) {
         self.times.clear();
@@ -445,7 +504,7 @@ impl TraceBuffer {
     /// the allocations again.
     pub fn reset(&mut self) {
         self.clear();
-        self.enabled = false;
+        self.mode = TraceMode::Off;
         self.symbols.clear();
     }
 
@@ -455,7 +514,15 @@ impl TraceBuffer {
     /// the same resource. Unclosed intervals (still running at trace end)
     /// are dropped, as are `ExecEnd`s with no matching open start.
     pub fn exec_intervals(&self) -> Vec<ExecInterval> {
-        let (out, _open) = self.collect_intervals();
+        self.scan(|_, _| {})
+    }
+
+    /// [`TraceBuffer::exec_intervals`], visiting every other event in the
+    /// same pass: `visit` gets each non-exec event's time and kind, oldest
+    /// first. The energy meter reads a trace this way, in one pass over
+    /// the columns.
+    pub fn scan(&self, visit: impl FnMut(SimTime, TraceKind)) -> Vec<ExecInterval> {
+        let (out, _open) = self.collect_intervals(visit);
         sort_intervals(out)
     }
 
@@ -467,7 +534,7 @@ impl TraceBuffer {
     /// Open intervals that start after `end` are clamped to zero length
     /// at their own start.
     pub fn exec_intervals_until(&self, end: SimTime) -> Vec<ExecInterval> {
-        let (mut out, open) = self.collect_intervals();
+        let (mut out, open) = self.collect_intervals(|_, _| {});
         for per_resource in open {
             for (resource, task, start, label) in per_resource {
                 out.push(ExecInterval {
@@ -483,15 +550,17 @@ impl TraceBuffer {
     }
 
     /// Single O(n) pass pairing starts with ends via per-resource open
-    /// lists. Reads the tag column directly, decoding only exec events.
-    /// Returns the closed intervals in `ExecEnd` encounter order plus
-    /// whatever remained open, grouped by resource slot.
+    /// lists. Reads the exec events straight from the columns and decodes
+    /// every other one for `visit`. Returns the closed intervals in
+    /// `ExecEnd` encounter order plus whatever remained open, grouped by
+    /// resource slot.
     #[expect(
         clippy::type_complexity,
         reason = "private helper; both callers destructure the pair immediately"
     )]
     fn collect_intervals(
         &self,
+        mut visit: impl FnMut(SimTime, TraceKind),
     ) -> (
         Vec<ExecInterval>,
         Vec<Vec<(TraceResource, u64, SimTime, Symbol)>>,
@@ -525,10 +594,32 @@ impl TraceBuffer {
                         }
                     }
                 }
-                _ => {}
+                tag => visit(
+                    SimTime::from_ns(self.times[p]),
+                    decode_kind(tag, task, self.pb[p]),
+                ),
             }
         }
         (out, open)
+    }
+}
+
+/// Renders an off or full buffer as the two-state `enabled` flag did, so
+/// report fingerprints of traced and untraced runs keep their bytes.
+impl fmt::Debug for TraceBuffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("TraceBuffer");
+        match self.mode {
+            TraceMode::Meter => d.field("mode", &self.mode),
+            mode => d.field("enabled", &(mode == TraceMode::Full)),
+        };
+        d.field("times", &self.times)
+            .field("res", &self.res)
+            .field("tags", &self.tags)
+            .field("pa", &self.pa)
+            .field("pb", &self.pb)
+            .field("symbols", &self.symbols)
+            .finish()
     }
 }
 
@@ -798,6 +889,80 @@ mod tests {
         let s = buf.intern("op#3");
         assert_eq!(buf.resolve(s), "op#3");
         assert_eq!(buf.resolve(Symbol::UNTRACED), "<untraced>");
+    }
+
+    #[test]
+    fn meter_mode_keeps_only_metered_kinds_and_no_labels() {
+        let mut full = TraceBuffer::enabled();
+        let mut meter = TraceBuffer::with_mode(TraceMode::Meter);
+        assert!(meter.is_enabled() && !meter.labels_on());
+        assert_eq!(meter.label(format_args!("op#{}", 3)), "");
+        assert_eq!(meter.intern("op#3"), Symbol::UNTRACED);
+        let label = full.intern("op#3");
+        let kinds = [
+            TraceKind::ExecStart { task: 1, label },
+            TraceKind::ContextSwitch,
+            TraceKind::Dvfs {
+                core: 0,
+                freq_hz: 1_000,
+            },
+            TraceKind::Rpc {
+                phase: RpcPhase::DoorbellRing,
+            },
+            TraceKind::AxiBurst { bytes: 64 },
+            TraceKind::Marker { label },
+            TraceKind::ExecEnd { task: 1 },
+        ];
+        for (i, &kind) in kinds.iter().enumerate() {
+            let at = SimTime::from_ns(i as u64);
+            full.record(at, TraceResource::CpuCore(0), kind);
+            meter.record(at, TraceResource::CpuCore(0), kind);
+        }
+        assert!(meter.symbols().is_empty());
+        let kept: Vec<TraceEvent> = full.iter().filter(|ev| metered(&ev.kind)).collect();
+        assert_eq!(meter.iter().collect::<Vec<_>>(), kept);
+        assert_eq!(meter.len(), 4);
+        assert_eq!(meter.exec_intervals().len(), 1);
+    }
+
+    #[test]
+    fn scan_visits_every_other_event_in_order() {
+        let mut buf = TraceBuffer::enabled();
+        let r = TraceResource::CpuCore(0);
+        let k = start(&mut buf, 1, "job");
+        buf.record(SimTime::from_ns(1), r, TraceKind::ContextSwitch);
+        buf.record(SimTime::from_ns(2), r, k);
+        buf.record(SimTime::from_ns(3), r, TraceKind::AxiBurst { bytes: 8 });
+        buf.record(SimTime::from_ns(4), r, TraceKind::ExecEnd { task: 1 });
+        let mut seen = Vec::new();
+        let ivs = buf.scan(|t, kind| seen.push((t.as_ns(), kind)));
+        assert_eq!(ivs, buf.exec_intervals());
+        assert_eq!(
+            seen,
+            [
+                (1, TraceKind::ContextSwitch),
+                (3, TraceKind::AxiBurst { bytes: 8 })
+            ]
+        );
+    }
+
+    #[test]
+    fn debug_renders_off_and_full_as_the_enabled_flag() {
+        let off = format!("{:?}", TraceBuffer::disabled());
+        assert!(
+            off.starts_with("TraceBuffer { enabled: false, times: []"),
+            "{off}"
+        );
+        let full = format!("{:?}", TraceBuffer::enabled());
+        assert!(
+            full.starts_with("TraceBuffer { enabled: true, times: []"),
+            "{full}"
+        );
+        let meter = format!("{:?}", TraceBuffer::with_mode(TraceMode::Meter));
+        assert!(
+            meter.starts_with("TraceBuffer { mode: Meter, times: []"),
+            "{meter}"
+        );
     }
 
     #[test]

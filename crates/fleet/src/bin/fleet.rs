@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use aitax_fleet::{artifact, FleetReport, PopulationSpec};
+use aitax_fleet::{artifact, device, FleetReport, PopulationSpec};
 use aitax_lab::cli::{self, Args, CliError};
 
 const USAGE: &str =
@@ -28,7 +28,9 @@ const USAGE: &str =
      \n\
      options:\n\
      \x20 --population N        devices to sample (default 256)\n\
-     \x20 --requests N          total requests across the fleet (default 100000)\n\
+     \x20 --requests N          total requests across the fleet (default 100000); the\n\
+     \x20                       busiest device's camera frames must fit half the\n\
+     \x20                       simulated clock (about 2.8e11 requests per device)\n\
      \x20 --shards N            deterministic work split (default 64); artifact bytes\n\
      \x20                       do not depend on this\n\
      \x20 --threads N           worker threads (default: AITAX_THREADS or all cores)\n\
@@ -128,6 +130,8 @@ fn fleet(mut args: Args) -> Result<(), CliError> {
         .seed(cli::seed_or_env(seed)?)
         .fault_rate(fault_rate)
         .multi_tenant_rate(multi_tenant_rate);
+    device::check_requests(&spec, requests as u64)
+        .map_err(|e| format!("--requests {requests} over {population} device(s): {e}"))?;
     let (report, secs) = cli::run_product(
         "fleet",
         verify,

@@ -1,13 +1,15 @@
-//! Per-device execution: one latency run plus one traced energy probe.
+//! Per-device execution: one latency run plus one metered energy probe.
 //!
 //! A device's share of the fleet's requests runs as a single
 //! [`E2eConfig`] invocation in `AndroidApp` mode (the packaging real
 //! fleets ship, and the only one whose frame pacing keeps million-request
-//! populations CI-runnable). Tracing is off for the main run — traced
-//! runs reserve event buffers per iteration and would make large request
-//! counts memory-bound — so energy metrics come from a second, tiny
-//! traced probe run ([`PROBE_ITERS`] iterations) under an independent
-//! derived seed.
+//! populations CI-runnable). Metering is off for the main run — metered
+//! runs record events per iteration and would make large request counts
+//! memory-bound — so energy metrics come from a second, tiny probe run
+//! ([`PROBE_ITERS`] iterations) under an independent derived seed. The
+//! probe is metered ([`E2eConfig::energy`]): it records only the events
+//! the energy meter reads and no labels, and its joules are bit-identical
+//! to a fully traced probe's.
 
 use aitax_core::pipeline::E2eConfig;
 use aitax_core::{RunMode, SimContext, StreamDist};
@@ -17,14 +19,16 @@ use aitax_framework::Engine;
 use aitax_lab::agg::DegradationTotals;
 use aitax_soc::SocId;
 
-use crate::population::{DeviceSpec, ThermalBand};
+use crate::population::{DeviceSpec, PopulationSpec, ThermalBand};
 
-/// Iterations of the traced energy-probe run.
+/// Iterations of the energy-probe run.
 pub const PROBE_ITERS: usize = 5;
 
-/// Most trace events the probe reserves up front. It only caps the
-/// reservation: a probe that records more grows its trace, so the energy
-/// report never depends on it (asserted by
+/// Most trace events the probe reserves up front. A metered probe
+/// reserves about a thousand per iteration, far below it; a fully traced
+/// re-derivation of the probe reserves 8,192 per iteration. It only caps
+/// the reservation: a probe that records more grows its trace, so the
+/// energy report never depends on it (asserted by
 /// `trace_bound_only_caps_the_reservation`).
 pub const PROBE_TRACE_EVENTS: usize = 1 << 20;
 
@@ -84,6 +88,26 @@ fn base_config(spec: &DeviceSpec, iterations: usize, seed: u64) -> E2eConfig {
     cfg
 }
 
+/// Checks that `total` requests over `population` fit the simulated
+/// clock. Each request consumes a distinct camera frame, so the busiest
+/// device's requests times the frame interval are a floor on its
+/// simulated end; that floor must not pass half of [`SimTime`]'s range,
+/// the horizon `serve` holds its arrivals to. Checked without simulating,
+/// so a count that could never finish fails at once.
+pub fn check_requests(population: &PopulationSpec, total: u64) -> Result<(), String> {
+    let busiest = population.requests_for(0, total);
+    let floor = RunMode::AndroidApp.frame_floor_secs(busiest);
+    let horizon = SimTime::from_ns(u64::MAX / 2).as_secs();
+    if floor > horizon {
+        return Err(format!(
+            "{busiest} requests on one device take at least {floor:.3e} simulated s of \
+             camera frames, past the {horizon:.3e} s horizon (half of the simulated \
+             clock's range)"
+        ));
+    }
+    Ok(())
+}
+
 /// Runs device `spec` for `requests` requests in a throwaway
 /// [`SimContext`].
 ///
@@ -97,7 +121,7 @@ pub fn run_device(spec: &DeviceSpec, requests: u64) -> DevicePartial {
 
 /// Runs device `spec` in `ctx`, reusing its machine when possible.
 ///
-/// The main run and the traced energy probe share the context, so the
+/// The main run and the metered energy probe share the context, so the
 /// probe's machine is a reset of the main run's rather than a second
 /// allocation; shard workers thread one context through every device
 /// they execute. Byte-identical to [`run_device`] — context reuse only
@@ -126,7 +150,7 @@ pub fn run_device_in(ctx: &mut SimContext, spec: &DeviceSpec, requests: u64) -> 
         degradation.added_tax_ms = main.degradation.added_tax_ms;
 
         let probe = base_config(spec, PROBE_ITERS, spec.probe_seed)
-            .tracing(true)
+            .energy()
             .trace_bound(PROBE_TRACE_EVENTS)
             .run_in(ctx);
         if let Some(e) = probe.energy.as_ref() {
@@ -187,7 +211,7 @@ mod tests {
         // The probe's bound sizes the up-front reservation and nothing
         // else: with it, with a bound the trace far outgrows, and without
         // one, the probe records the same events and meters the same
-        // energy.
+        // energy, traced or metered.
         let spec = any_device();
         let probe = |bound: Option<usize>| {
             let cfg = base_config(&spec, PROBE_ITERS, spec.probe_seed).tracing(true);
@@ -212,7 +236,69 @@ mod tests {
                 "bound {cap} changed the probe energy"
             );
             assert_eq!(be.mean_power_w().to_bits(), ue.mean_power_w().to_bits());
+            let metered = base_config(&spec, PROBE_ITERS, spec.probe_seed)
+                .energy()
+                .trace_bound(cap)
+                .run();
+            assert!(metered.trace.is_none(), "a metered probe keeps no trace");
+            let me = metered.energy.as_ref().expect("probe energy present");
+            assert_eq!(
+                me.energy_per_inference_j().to_bits(),
+                ue.energy_per_inference_j().to_bits(),
+                "bound {cap} changed the metered probe energy"
+            );
+            assert_eq!(me.mean_power_w().to_bits(), ue.mean_power_w().to_bits());
         }
+    }
+
+    #[test]
+    fn metered_probe_partials_match_full_trace_probes() {
+        // Faulty devices with and without co-tenants, at two seeds: the
+        // metered probe must hand the aggregation the same partial, bit
+        // for bit, as the fully traced probe the fleet ran before.
+        let mut ctx = SimContext::new();
+        let mut co_tenants = 0;
+        for seed in [1, 9001] {
+            let pop = PopulationSpec::new("t")
+                .devices(12)
+                .seed(seed)
+                .fault_rate(1.0)
+                .multi_tenant_rate(0.5);
+            for k in 0..pop.devices {
+                let spec = pop.device(k);
+                co_tenants += usize::from(spec.co_tenant.is_some());
+                let metered = run_device_in(&mut ctx, &spec, 3);
+                let full = base_config(&spec, PROBE_ITERS, spec.probe_seed)
+                    .tracing(true)
+                    .trace_bound(PROBE_TRACE_EVENTS)
+                    .run_in(&mut ctx);
+                let e = full.energy.as_ref().expect("a traced probe meters");
+                let want = DevicePartial {
+                    energy_mj: e.energy_per_inference_j() * 1e3,
+                    energy_tax: e.energy_tax_fraction(),
+                    mean_power_w: e.mean_power_w(),
+                    ..metered.clone()
+                };
+                let bits = |p: &DevicePartial| {
+                    [p.energy_mj, p.energy_tax, p.mean_power_w].map(f64::to_bits)
+                };
+                assert_eq!(bits(&metered), bits(&want), "seed {seed} device {k}");
+                assert_eq!(metered, want, "seed {seed} device {k}");
+            }
+        }
+        assert!(co_tenants > 0, "the sample never drew a co-tenant");
+    }
+
+    #[test]
+    fn requests_past_half_the_clock_are_refused() {
+        let one = PopulationSpec::new("t").devices(1);
+        // 30 fps: about 2.77e11 frames fit in half of the clock's range.
+        assert!(check_requests(&one, 270_000_000_000).is_ok());
+        assert!(check_requests(&one, 280_000_000_000).is_err());
+        assert!(check_requests(&one, u64::MAX).is_err());
+        // Spread over enough devices, the same total fits.
+        let many = PopulationSpec::new("t").devices(1 << 27);
+        assert!(check_requests(&many, u64::MAX).is_ok());
     }
 
     #[test]

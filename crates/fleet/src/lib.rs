@@ -18,7 +18,7 @@
 //!    work-stealing pool; each task lazily samples and runs its devices
 //!    and returns raw per-device partials, never pre-merging;
 //! 3. [`device`] — one `AndroidApp`-mode latency run per device plus a
-//!    tiny traced energy probe;
+//!    tiny metered energy probe;
 //! 4. `agg` — partials fold in canonical device order into streaming
 //!    cohorts ([`StreamDist`] + [`Welford`], constant memory);
 //! 5. [`artifact`] — canonical `aitax-fleet/v1` JSON/CSV and the

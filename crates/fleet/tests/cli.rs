@@ -1,6 +1,8 @@
 //! Exit codes of the `fleet` binary: 2 for any usage error — an unknown
 //! flag, a missing value, a zero count, an out-of-range rate, a
-//! `--name` that is not one plain file name or a bad `AITAX_*` default — and 0 for `--help` and a clean run.
+//! `--name` that is not one plain file name, a `--requests` whose
+//! busiest device cannot fit the simulated clock or a bad `AITAX_*`
+//! default — and 0 for `--help` and a clean run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -44,6 +46,18 @@ fn exit_codes_follow_the_shared_rule() {
         ("name a/b", &[], &[RUN, &["--name", "a/b"]].concat(), 2),
         ("zero requests", &[], &["--requests", "0"], 2),
         ("zero population", &[], &["--population", "0"], 2),
+        (
+            "3e11 requests on one device",
+            &[],
+            &["--population", "1", "--requests", "300000000000"],
+            2,
+        ),
+        (
+            "u64::MAX requests over 4096 devices",
+            &[],
+            &["--population", "4096", "--requests", "18446744073709551615"],
+            2,
+        ),
         ("zero shards", &[], &["--shards", "0"], 2),
         ("zero threads", &[], &["--threads", "0"], 2),
         ("fault rate above 1", &[], &["--fault-rate", "1.5"], 2),
@@ -66,4 +80,16 @@ fn exit_codes_follow_the_shared_rule() {
     for (what, env, args, code) in cases {
         assert_eq!(fleet_exit_code(env, args), Some(*code), "{what}");
     }
+}
+
+/// `u64::MAX` requests on one device: a usage error naming the flag.
+#[test]
+fn requests_past_the_clock_name_the_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--population", "1", "--requests", "18446744073709551615"])
+        .output()
+        .expect("fleet binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--requests"), "{stderr}");
 }

@@ -101,9 +101,10 @@ struct RpcCall {
     invoke: RpcInvoke,
     /// Retries issued so far.
     attempt: u32,
-    /// Whether tracing was on when the call was issued. An untraced call
-    /// never formatted its label, so it is marked: every phase it submits
-    /// carries [`Symbol::UNTRACED`], also once tracing turns on mid-call,
+    /// Whether trace labels were on (full tracing) when the call was
+    /// issued. A call issued untraced or metered never formatted its
+    /// label, so it is marked: every phase it submits carries
+    /// [`Symbol::UNTRACED`], also once full tracing turns on mid-call,
     /// instead of a bare `ioctl:`/`cacheflush:` prefix or an empty label.
     traced: bool,
     on_done: RpcCallback,
@@ -223,7 +224,7 @@ impl Machine {
         let call = RpcCall {
             invoke,
             attempt: 0,
-            traced: self.trace.is_enabled(),
+            traced: self.trace.labels_on(),
             on_done: Box::new(on_done),
         };
         self.rpc_attempt(call);

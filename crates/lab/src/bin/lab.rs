@@ -39,13 +39,12 @@ const USAGE: &str = "usage: lab --grid NAME [--threads N] [--repeats N] [--iters
      \x20 --verify-determinism  re-run serially and byte-compare artifacts (~2x runtime)\n\
      \x20 --help, -h            print this help";
 
-/// The Chrome trace of the grid's first job, run with tracing forced on.
+/// The Chrome trace of the grid's first job, run with full tracing.
 fn first_job_trace(grid: &Grid) -> Result<String, String> {
-    let Some(mut job) = grid.expand().into_iter().next() else {
+    let Some(job) = grid.expand().into_iter().next() else {
         return Err(format!("grid '{}' has no jobs", grid.name));
     };
-    job.scenario = job.scenario.tracing(true);
-    let Some(trace) = job.config().run().trace else {
+    let Some(trace) = job.config().tracing(true).run().trace else {
         return Err("the traced run recorded no trace".into());
     };
     Ok(chrome::chrome_trace(

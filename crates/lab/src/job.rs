@@ -28,7 +28,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The end-to-end configuration this job runs: the scenario under
-    /// the job's seed.
+    /// the job's seed, metered when the scenario asks for energy (a
+    /// result keeps energy only, so no job keeps a trace).
     pub fn config(&self) -> E2eConfig {
         let s = &self.scenario;
         let mut cfg = E2eConfig::new(s.model, s.dtype)
@@ -37,8 +38,10 @@ impl JobSpec {
             .soc(s.soc)
             .iterations(s.iterations)
             .seed(self.seed)
-            .preproc_on_dsp(s.preproc_on_dsp)
-            .tracing(s.tracing);
+            .preproc_on_dsp(s.preproc_on_dsp);
+        if s.tracing {
+            cfg = cfg.energy();
+        }
         if let Some((count, engine)) = s.background {
             cfg = cfg.background(count, engine);
         }
@@ -103,7 +106,7 @@ pub struct JobResult {
     pub degradation: DegradationStats,
     /// Wall time attributed to degradation handling.
     pub added_tax_ms: f64,
-    /// Energy per inference in mJ (tracing-enabled scenarios only).
+    /// Energy per inference in mJ (metered scenarios only).
     pub energy_mj: Option<f64>,
     /// Non-inference share of total energy.
     pub energy_tax: Option<f64>,

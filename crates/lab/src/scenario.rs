@@ -63,7 +63,8 @@ pub struct Scenario {
     pub fault: Option<FaultSpec>,
     /// Route pre-processing through the DSP.
     pub preproc_on_dsp: bool,
-    /// Record a structured trace (required for energy metrics).
+    /// Meter energy per job (records what the energy meter reads; a job
+    /// keeps no trace).
     pub tracing: bool,
 }
 
@@ -122,7 +123,7 @@ impl Scenario {
         self
     }
 
-    /// Enables tracing (and thereby energy metering) per job.
+    /// Enables energy metering per job.
     pub fn tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self

@@ -160,8 +160,12 @@ pub struct MeterIndex {
 }
 
 impl MeterIndex {
-    /// Indexes `trace` for metering against `spec`: one pass over the
-    /// events for DVFS steps and AXI bursts, one interval extraction.
+    /// Indexes `trace` for metering against `spec` in one pass over its
+    /// columns ([`TraceBuffer::scan`]): the DVFS steps and AXI bursts in
+    /// trace order, and the closed execution intervals in
+    /// [`TraceBuffer::exec_intervals`] order. Reads only the four kinds a
+    /// meter-mode trace keeps, so it prices a meter-mode trace exactly as
+    /// the full trace of the same run.
     pub fn new(spec: &PowerSpec, trace: &TraceBuffer) -> Self {
         let cores = spec.core_rails.len();
         let mut rails: Vec<Rail> = (0..cores).map(|i| Rail::Cpu(i as u8)).collect();
@@ -178,7 +182,7 @@ impl MeterIndex {
         floor_w.push(spec.interconnect.uncore_w);
 
         // Per-core busy increments at each DVFS step (nominal clock until
-        // the first change) and the AXI bursts, in one pass.
+        // the first change) and the AXI bursts, beside the intervals.
         let busy_w = |r: &CoreRailSpec, freq_hz: f64| r.active_power_w(freq_hz) - r.idle_power_w();
         let mut steps: Vec<Vec<(SimTime, f64)>> = spec
             .core_rails
@@ -187,22 +191,19 @@ impl MeterIndex {
             .collect();
         let epb = spec.interconnect.energy_per_byte_j;
         let mut axi: Vec<(SimTime, f64)> = Vec::new();
-        for ev in trace.iter() {
-            match ev.kind {
-                TraceKind::Dvfs { core, freq_hz } => {
-                    if let Some(track) = steps.get_mut(core as usize) {
-                        let r = &spec.core_rails[core as usize];
-                        track.push((ev.time, busy_w(r, freq_hz as f64)));
-                    }
+        let intervals = trace.scan(|time, kind| match kind {
+            TraceKind::Dvfs { core, freq_hz } => {
+                if let Some(track) = steps.get_mut(core as usize) {
+                    let r = &spec.core_rails[core as usize];
+                    track.push((time, busy_w(r, freq_hz as f64)));
                 }
-                TraceKind::AxiBurst { bytes } => axi.push((ev.time, bytes as f64 * epb)),
-                _ => {}
             }
-        }
+            TraceKind::AxiBurst { bytes } => axi.push((time, bytes as f64 * epb)),
+            _ => {}
+        });
         let axi_sorted = axi.windows(2).all(|w| w[0].0 <= w[1].0);
 
-        let busy: Vec<BusySpan> = trace
-            .exec_intervals()
+        let busy: Vec<BusySpan> = intervals
             .into_iter()
             .filter_map(|iv| {
                 let (slot, watts) = match iv.resource {

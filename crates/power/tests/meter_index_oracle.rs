@@ -7,7 +7,8 @@
 //! inverted and overlapping windows, bursts exactly on window edges,
 //! DVFS changes mid-window and `ExecEnd`s with no matching open start.
 //! Every ledger must have the reference's rail key set and the same
-//! `f64::to_bits` per rail.
+//! `f64::to_bits` per rail, whether the index reads the full trace or
+//! only its meter-mode subset (`TraceMode::Meter`).
 
 mod oracle;
 
@@ -213,12 +214,18 @@ fn indexed_meter_matches_full_scan_bit_for_bit() {
         let windows = random_windows(&mut rng, &trace, horizon);
 
         let index = MeterIndex::new(&spec, &trace);
+        let metered = MeterIndex::new(&spec, &oracle::meter_only(&trace));
         let reference = oracle::attribute(&spec, &trace, &windows);
         for (&(from, to), want) in windows.iter().zip(&reference) {
             assert_eq!(
                 oracle::bits(&index.energy_between(from, to)),
                 oracle::bits(want),
                 "case {case}: window [{from}, {to})"
+            );
+            assert_eq!(
+                oracle::bits(&metered.energy_between(from, to)),
+                oracle::bits(want),
+                "case {case}: meter-only trace, window [{from}, {to})"
             );
         }
         let attributed: Vec<RailEnergy> = windows
@@ -269,6 +276,7 @@ fn indexed_timeline_matches_full_scan_bit_for_bit() {
         let spec = random_spec(&mut rng);
         let (trace, horizon) = random_trace(&mut rng, spec.core_rails.len());
         let index = MeterIndex::new(&spec, &trace);
+        let metered = MeterIndex::new(&spec, &oracle::meter_only(&trace));
         let ends = [
             SimTime::ZERO,
             horizon,
@@ -277,10 +285,16 @@ fn indexed_timeline_matches_full_scan_bit_for_bit() {
         for end in ends {
             let bins = rng.uniform_u64(1, 64);
             let width = SimSpan::from_ns(end.as_ns().div_ceil(bins).max(1));
+            let want = timeline_bits(&oracle::power_timeline(&spec, &trace, width, end));
             assert_eq!(
                 timeline_bits(&index.power_timeline(width, end)),
-                timeline_bits(&oracle::power_timeline(&spec, &trace, width, end)),
+                want,
                 "case {case}: end {end}, width {width:?}"
+            );
+            assert_eq!(
+                timeline_bits(&metered.power_timeline(width, end)),
+                want,
+                "case {case}: meter-only trace, end {end}, width {width:?}"
             );
         }
     }

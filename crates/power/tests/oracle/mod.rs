@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use aitax_des::trace::{ExecInterval, TraceKind, TraceResource};
-use aitax_des::{SimSpan, SimTime, TraceBuffer};
+use aitax_des::trace::{ExecInterval, TraceKind, TraceMode, TraceResource};
+use aitax_des::{SimSpan, SimTime, Symbol, TraceBuffer};
 use aitax_power::{PowerSpec, PowerTimeline, Rail, RailEnergy};
 
 /// Per-core `(time, freq)` DVFS changepoints in trace order.
@@ -186,4 +186,22 @@ pub fn power_timeline(
 /// match and every cell is bit-identical.
 pub fn bits(e: &RailEnergy) -> Vec<(Rail, u64)> {
     e.iter().map(|(r, j)| (r, j.to_bits())).collect()
+}
+
+/// What a meter-mode run records of `trace`: its events re-recorded into
+/// a meter-mode buffer, exec starts unlabelled as a metered run leaves
+/// them.
+pub fn meter_only(trace: &TraceBuffer) -> TraceBuffer {
+    let mut meter = TraceBuffer::with_mode(TraceMode::Meter);
+    for ev in trace {
+        let kind = match ev.kind {
+            TraceKind::ExecStart { task, .. } => TraceKind::ExecStart {
+                task,
+                label: Symbol::UNTRACED,
+            },
+            kind => kind,
+        };
+        meter.record(ev.time, ev.resource, kind);
+    }
+    meter
 }
