@@ -2,7 +2,7 @@
 //! one static name → function table that the `figures` binary runs.
 //!
 //! Each exhibit returns the text `figures` prints. Sweep-shaped exhibits
-//! (the measured Tables I/II, Figs. 10 and 11 and the fault sweep) run a
+//! (the measured Tables I/II, Figs. 9–11 and the fault sweep) run a
 //! registered lab grid through [`Knobs::sweep`]; every other exhibit
 //! builds its configurations and runs them through [`Knobs::run_all`] on
 //! the same pool. Both merge results in input order, so the text is
@@ -10,9 +10,10 @@
 //!
 //! The extension studies go beyond the paper's numbered exhibits: the
 //! §III-D thermal methodology, §IV-C cold start per engine, NNAPI
-//! execution preferences, the cross-chipset sweep the paper says its
-//! trends generalize over (§III-C), two ablations, the measured Fig. 1
-//! taxonomy, the energy shootout and the serving scenarios.
+//! execution preferences, two ablations, the measured Fig. 1 taxonomy,
+//! the energy shootout and the serving scenarios. The cross-chipset
+//! sweep the paper says its trends generalize over (§III-C) is Table II
+//! (measured).
 
 use aitax_core::pipeline::{E2eConfig, E2eReport, StdlibFlavor};
 use aitax_core::report::{fmt_ms, fmt_pct, fmt_ratio, Table};
@@ -124,7 +125,7 @@ pub const EXHIBITS: [Exhibit; 16] = [
     ("fig9", |k| {
         section(
             "Figure 9 — multi-tenancy, background inferences on the DSP",
-            &fig9(k),
+            &render::multitenancy_table(&k.sweep("fig9")),
         )
     }),
     ("fig10", |k| {
@@ -454,39 +455,6 @@ pub fn fig8(k: Knobs) -> Table {
     t
 }
 
-/// **Figure 9** — latency breakdown of the classification app with
-/// increasing background inferences on the **DSP** (inference stalls on
-/// the single DSP; pre-processing stays flat).
-pub fn fig9(k: Knobs) -> Table {
-    let mut t = Table::new(vec![
-        "background_inferences",
-        "capture_ms",
-        "preproc_ms",
-        "inference_ms",
-        "postproc_ms",
-        "e2e_ms",
-    ]);
-    let loads = [0usize, 1, 2, 4, 6, 8];
-    // Zero background loops is the same run as none.
-    let reports = k.run_all(loads.map(|b| {
-        k.config(ModelId::MobileNetV1, DType::I8)
-            .engine(Engine::nnapi())
-            .run_mode(RunMode::AndroidApp)
-            .background(b, Engine::TfLiteHexagon { threads: 4 })
-    }));
-    for (b, r) in loads.iter().zip(&reports) {
-        t.row(vec![
-            b.to_string(),
-            fmt_ms(r.summary(Stage::DataCapture).mean_ms()),
-            fmt_ms(r.summary(Stage::PreProcessing).mean_ms()),
-            fmt_ms(r.summary(Stage::Inference).mean_ms()),
-            fmt_ms(r.summary(Stage::PostProcessing).mean_ms()),
-            fmt_ms(r.e2e_summary().mean_ms()),
-        ]);
-    }
-    t
-}
-
 /// **Figure 11** — run-to-run variability: each mode repeated over
 /// independent seeds and pooled into one distribution per mode.
 fn fig11(k: Knobs) -> String {
@@ -533,8 +501,8 @@ fn stdlib_asymmetry(k: Knobs) -> Table {
 }
 
 /// Thermal methodology (§III-D), cold start per engine (§IV-C), NNAPI
-/// execution preferences (§II-D), the cross-chipset sweep (§III-C), the
-/// two ablations and the Figure 1 taxonomy, measured.
+/// execution preferences (§II-D), the two ablations and the Figure 1
+/// taxonomy, measured.
 fn extras(k: Knobs) -> String {
     [
         section(
@@ -546,10 +514,6 @@ fn extras(k: Knobs) -> String {
             &cold_start(k),
         ),
         section("NNAPI execution preferences (§II-D)", &preference_sweep(k)),
-        section(
-            "Chipset sweep — same app across Table II platforms (§III-C)",
-            &chipset_sweep(k),
-        ),
         section(
             "Ablation — migration share of the Fig. 5 NNAPI slowdown",
             &migration_ablation(k),
@@ -656,41 +620,6 @@ fn preference_sweep(k: Knobs) -> Table {
     t
 }
 
-/// MobileNet v1 int8 through NNAPI in app mode on `soc`: the app pipeline
-/// both chipset sweeps run.
-fn nnapi_app(k: Knobs, soc: SocId) -> E2eConfig {
-    k.config(ModelId::MobileNetV1, DType::I8)
-        .engine(Engine::nnapi())
-        .run_mode(RunMode::AndroidApp)
-        .soc(soc)
-}
-
-/// §III-C — "our experimental results indicate that the trends are
-/// representative across the other, older and newer, chipsets": the same
-/// app pipeline across all four Table II platforms.
-fn chipset_sweep(k: Knobs) -> Table {
-    let mut t = Table::new(vec![
-        "chipset",
-        "capture_ms",
-        "preproc_ms",
-        "inference_ms",
-        "e2e_ms",
-        "ai_tax",
-    ]);
-    let reports = k.run_all(SocId::ALL.map(|soc| nnapi_app(k, soc)));
-    for (soc, r) in SocId::ALL.iter().zip(&reports) {
-        t.row(vec![
-            soc.to_string(),
-            fmt_ms(r.summary(Stage::DataCapture).mean_ms()),
-            fmt_ms(r.summary(Stage::PreProcessing).mean_ms()),
-            fmt_ms(r.summary(Stage::Inference).mean_ms()),
-            fmt_ms(r.e2e_summary().mean_ms()),
-            fmt_pct(r.ai_tax_fraction()),
-        ]);
-    }
-    t
-}
-
 /// Ablation: how much of the Fig. 5 NNAPI slowdown comes from CPU
 /// migrations (the scheduler bouncing the fallback thread) versus the
 /// reference kernels themselves.
@@ -786,11 +715,10 @@ fn metered_bench(k: Knobs, engine: Engine, dtype: DType) -> E2eConfig {
 
 /// The energy shootout: what latency numbers hide.
 ///
-/// First, per-backend energy per inference on the SD845 for quantized
+/// Per-backend energy per inference on the SD845 for quantized
 /// MobileNet: the DSP wins energy outright (race-to-idle on a
 /// power-gated rail), and CPU ×4 beats CPU ×1 despite burning more watts.
-/// Then the §III-C chipset sweep: the energy tax grows alongside the
-/// time tax as inference gets cheaper faster than the pipeline around it.
+/// The energy tax across chipsets is a column of Table II (measured).
 fn energy(k: Knobs) -> String {
     let k = Knobs {
         iterations: k.iterations.clamp(10, 60),
@@ -827,31 +755,9 @@ fn energy(k: Knobs) -> String {
             fmt_pct(e.energy_tax_fraction()),
         ]);
     }
-
-    let reports = k.run_all(SocId::ALL.map(|soc| nnapi_app(k, soc).energy()));
-    let mut sweep = Table::new(vec![
-        "soc",
-        "latency_ms",
-        "energy_mj",
-        "time_tax",
-        "energy_tax",
-    ]);
-    for (soc, r) in SocId::ALL.iter().zip(&reports) {
-        let e = r.energy.as_ref().expect("metering enabled");
-        sweep.row(vec![
-            format!("{soc:?}"),
-            format!("{:.2}", r.e2e_summary().mean_ms()),
-            format!("{:.2}", e.energy_per_inference_j() * 1e3),
-            fmt_pct(r.ai_tax_fraction()),
-            fmt_pct(e.energy_tax_fraction()),
-        ]);
-    }
     section(
         "Energy shootout — MobileNet v1 on SD845 (quantized where supported)",
         &t,
-    ) + &section(
-        "Chipset sweep — NNAPI app mode, time tax vs energy tax",
-        &sweep,
     )
 }
 
@@ -1095,20 +1001,5 @@ mod tests {
         // be accounted in both runs.
         assert!(r_dsp.summary(Stage::Inference).mean_ms() > 0.0);
         assert!(r_cpu.summary(Stage::Inference).mean_ms() > 0.0);
-    }
-
-    #[test]
-    fn ai_tax_persists_across_chipset_generations() {
-        // The core claim generalizes: faster accelerators do not shrink
-        // the tax stages, so the tax *fraction* grows on newer chips.
-        let t = chipset_sweep(quick(15));
-        let tax = |i: usize| -> f64 { t.rows()[i][5].trim_end_matches('%').parse().unwrap() };
-        assert!(tax(0) > 30.0, "sd835 tax {}", tax(0));
-        assert!(
-            tax(3) >= tax(0) - 5.0,
-            "tax fraction should not collapse on newer chips: {} vs {}",
-            tax(0),
-            tax(3)
-        );
     }
 }

@@ -8,4 +8,4 @@
 
 mod exhibits;
 
-pub use exhibits::{fig5, fig7, fig7_trace, fig8, fig9, table1, table2, Exhibit, Knobs, EXHIBITS};
+pub use exhibits::{fig5, fig7, fig7_trace, fig8, table1, table2, Exhibit, Knobs, EXHIBITS};

@@ -170,6 +170,30 @@ impl E2eConfig {
         self
     }
 
+    /// A floor on the simulated seconds the run's iterations take,
+    /// computed without simulating. In app mode each iteration consumes a
+    /// distinct camera frame ([`RunMode::frame_floor_secs`]). In the
+    /// benchmark modes each one first generates its random input: one CPU
+    /// task of [`StdlibFlavor::input_cycles`] cycles, which no core runs
+    /// faster than the SoC's fastest clock plus the scheduler's ±1% rate
+    /// jitter. In seconds, so no count overflows it.
+    pub fn sim_floor_secs(&self) -> f64 {
+        let iterations = self.iterations as u64;
+        if self.run_mode.uses_camera() {
+            return self.run_mode.frame_floor_secs(iterations);
+        }
+        let elements = aitax_models::cached_graph(self.model, self.dtype).input_elements();
+        let cycles = self
+            .stdlib
+            .input_cycles(self.dtype, (elements as usize).max(1));
+        let fastest_hz = SocCatalog::get(self.soc)
+            .cores()
+            .iter()
+            .map(|c| c.freq_hz)
+            .fold(0.0, f64::max);
+        iterations as f64 * cycles / (fastest_hz * 1.01)
+    }
+
     /// Runs the experiment in a throwaway [`SimContext`].
     ///
     /// # Panics
@@ -671,6 +695,33 @@ mod tests {
         assert_eq!(presize(30, 8192, TRACE_PRESIZE_CAP), 30 * 8192);
         assert_eq!(presize(usize::MAX, 1, BREAKDOWN_PRESIZE_CAP), 64 * 1024);
         assert_eq!(presize(usize::MAX, 8192, TRACE_PRESIZE_CAP), 1 << 20);
+    }
+
+    /// The floor is one: random-input generation alone takes at least
+    /// as long in the benchmark modes, the whole run in app mode.
+    #[test]
+    fn sim_floor_bounds_the_simulated_run() {
+        for (mode, dtype, flavor) in [
+            (RunMode::CliBenchmark, DType::F32, StdlibFlavor::LibCxx),
+            (RunMode::CliBenchmark, DType::I8, StdlibFlavor::LibStdCxx),
+            (RunMode::BenchmarkApp, DType::I8, StdlibFlavor::LibCxx),
+            (RunMode::AndroidApp, DType::I8, StdlibFlavor::LibCxx),
+        ] {
+            let cfg = quick(ModelId::MobileNetV1, dtype)
+                .run_mode(mode)
+                .stdlib(flavor);
+            let floor_ms = cfg.sim_floor_secs() * 1e3;
+            let r = cfg.run();
+            let bound_ms = if mode.uses_camera() {
+                r.e2e_summary().total_ms()
+            } else {
+                r.summary(Stage::DataCapture).total_ms()
+            };
+            assert!(
+                floor_ms > 0.0 && floor_ms <= bound_ms,
+                "{mode} {dtype}: floor {floor_ms} ms vs {bound_ms} ms"
+            );
+        }
     }
 
     #[test]

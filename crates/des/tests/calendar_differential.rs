@@ -16,9 +16,9 @@
 //! tombstones leave the heap); equality is checked through caller-side
 //! logical event ids, never raw tokens.
 //!
-//! The full run replays ≥1M operations (seconds, even unoptimized). CI
-//! smoke can shrink it via `AITAX_DIFF_OPS=<total>`; any failure names
-//! the script seed and operation index, and reproduces bit-exactly.
+//! The full run replays ≥1M operations (seconds, even unoptimized). A
+//! quicker run can shrink it via `AITAX_DIFF_OPS=<total>`; any failure
+//! names the script seed and operation index, and reproduces bit-exactly.
 
 use std::collections::BTreeMap;
 

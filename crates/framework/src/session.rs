@@ -489,9 +489,12 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
     let next: DoneCb = Box::new(move |m: &mut Machine| {
         run_partition(next_inner, idx + 1, m, done);
     });
-    match part.target {
+    // The offload targets: the span the accelerator works for, the
+    // FastRPC device it goes through and the trace label's prefix.
+    let (work, device, prefix) = match part.target {
         ExecTarget::TfLiteCpu { threads } => {
             run_cpu_op(inner, part.ops.0, part.ops.1, threads, m, next);
+            return;
         }
         ExecTarget::NnapiRefCpu => {
             // One long single-threaded task on the driver's reference
@@ -508,31 +511,24 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
             let task = TaskSpec::nnapi_fallback(label, Work::Cycles(cycles))
                 .with_priority(inner.qos_priority.get());
             m.submit_cpu(task, next);
+            return;
         }
-        ExecTarget::Dsp { efficiency } => {
-            let work = cost::dsp_exec_span(&m.spec().dsp, part.macs, efficiency);
-            if inner.accel_broken.get() {
-                run_cpu_fallback(inner, part.macs, work, m, next);
-                return;
-            }
-            let invoke = RpcInvoke {
-                label: partition_label(m, "dsp", &inner, &part),
-                in_bytes: part.in_bytes,
-                out_bytes: part.out_bytes,
-                dsp_work: work,
-                device: RpcDevice::Dsp,
-                priority: inner.qos_priority.get(),
-                burst: inner.burst_flag(),
+        ExecTarget::Gpu { efficiency } => {
+            let exec = cost::gpu_exec_span(&m.spec().gpu, part.macs, efficiency)
+                + m.spec().memory.transfer_span(part.in_bytes)
+                + m.spec().memory.transfer_span(part.out_bytes);
+            let job = GpuJob {
+                label: partition_label(m, "gpu", &inner, &part),
+                exec,
             };
-            let macs = part.macs;
-            m.fastrpc_invoke_result(invoke, move |m, outcome| match outcome {
-                RpcOutcome::Ok => next(m),
-                RpcOutcome::Failed(_) => {
-                    inner.accel_broken.set(true);
-                    run_cpu_fallback(inner, macs, work, m, next);
-                }
-            });
+            m.submit_gpu(job, next);
+            return;
         }
+        ExecTarget::Dsp { efficiency } => (
+            cost::dsp_exec_span(&m.spec().dsp, part.macs, efficiency),
+            RpcDevice::Dsp,
+            "dsp",
+        ),
         ExecTarget::Npu { efficiency } => {
             #[expect(
                 clippy::expect_used,
@@ -544,39 +540,30 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 .expect("Npu partition compiled for a chipset without an NPU");
             let work =
                 aitax_des::SimSpan::from_secs(2.0 * part.macs as f64 / (npu.int8_ops * efficiency));
-            if inner.accel_broken.get() {
-                run_cpu_fallback(inner, part.macs, work, m, next);
-                return;
-            }
-            let invoke = RpcInvoke {
-                label: partition_label(m, "npu", &inner, &part),
-                in_bytes: part.in_bytes,
-                out_bytes: part.out_bytes,
-                dsp_work: work,
-                device: RpcDevice::Npu,
-                priority: inner.qos_priority.get(),
-                burst: inner.burst_flag(),
-            };
-            let macs = part.macs;
-            m.fastrpc_invoke_result(invoke, move |m, outcome| match outcome {
-                RpcOutcome::Ok => next(m),
-                RpcOutcome::Failed(_) => {
-                    inner.accel_broken.set(true);
-                    run_cpu_fallback(inner, macs, work, m, next);
-                }
-            });
+            (work, RpcDevice::Npu, "npu")
         }
-        ExecTarget::Gpu { efficiency } => {
-            let exec = cost::gpu_exec_span(&m.spec().gpu, part.macs, efficiency)
-                + m.spec().memory.transfer_span(part.in_bytes)
-                + m.spec().memory.transfer_span(part.out_bytes);
-            let job = GpuJob {
-                label: partition_label(m, "gpu", &inner, &part),
-                exec,
-            };
-            m.submit_gpu(job, next);
-        }
+    };
+    if inner.accel_broken.get() {
+        run_cpu_fallback(inner, part.macs, work, m, next);
+        return;
     }
+    let invoke = RpcInvoke {
+        label: partition_label(m, prefix, &inner, &part),
+        in_bytes: part.in_bytes,
+        out_bytes: part.out_bytes,
+        dsp_work: work,
+        device,
+        priority: inner.qos_priority.get(),
+        burst: inner.burst_flag(),
+    };
+    let macs = part.macs;
+    m.fastrpc_invoke_result(invoke, move |m, outcome| match outcome {
+        RpcOutcome::Ok => next(m),
+        RpcOutcome::Failed(_) => {
+            inner.accel_broken.set(true);
+            run_cpu_fallback(inner, macs, work, m, next);
+        }
+    });
 }
 
 /// Re-runs an accelerator partition on the vendor driver's CPU

@@ -78,6 +78,12 @@ fn lab(mut args: Args) -> Result<(), CliError> {
             other => return Err(format!("unknown argument '{other}'").into()),
         }
     }
+    // The horizon check names where the iteration count came from.
+    let iters_from = if iters.is_some() {
+        "--iters"
+    } else {
+        "AITAX_ITERS"
+    };
     let iters = cli::iters_or_env(iters, 30)?;
     let seed = cli::seed_or_env(seed)?;
     let threads = cli::threads_or_env(threads)?;
@@ -109,6 +115,8 @@ fn lab(mut args: Args) -> Result<(), CliError> {
     if let Some(r) = repeats {
         grid = grid.repeats(r);
     }
+    grid.check_horizon()
+        .map_err(|e| format!("{iters_from} {iters}: {e}"))?;
     let (report, secs) = cli::run_product(
         "lab",
         verify,
@@ -133,7 +141,7 @@ fn lab(mut args: Args) -> Result<(), CliError> {
     );
     // The presentation table each grid renders best with.
     let table = match grid.name.as_str() {
-        "fig10" => render::multitenancy_table(&report),
+        "fig9" | "fig10" => render::multitenancy_table(&report),
         "table1" => render::model_latency_table(&report),
         "table2" => render::platform_table(&report),
         "faults" => render::fault_table(&report),

@@ -28,14 +28,9 @@ fn tid(resource: TraceResource) -> u32 {
     }
 }
 
-/// Microsecond timestamp with nanosecond precision (Chrome `ts` is µs).
-fn ts_us(t: SimTime) -> String {
-    let ns = t.as_ns();
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn span_us(start: SimTime, end: SimTime) -> String {
-    let ns = end.since(start).as_ns();
+/// Nanoseconds as microseconds at nanosecond precision (Chrome's `ts`
+/// and `dur` are µs).
+fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
@@ -74,8 +69,8 @@ pub fn chrome_trace(trace: &TraceBuffer, process_name: &str) -> String {
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"cat\":\"exec\",\
              \"name\":\"{}\",\"args\":{{\"task\":{}}}}}",
             tid(iv.resource),
-            ts_us(iv.start),
-            span_us(iv.start, iv.end),
+            us(iv.start.as_ns()),
+            us(iv.end.since(iv.start).as_ns()),
             json_escape(trace.resolve(iv.label)),
             iv.task,
         ));
@@ -84,53 +79,47 @@ pub fn chrome_trace(trace: &TraceBuffer, process_name: &str) -> String {
     // Instants and counters, in trace emission order.
     let mut axi_total: u64 = 0;
     for ev in trace.iter() {
-        let t = tid(ev.resource);
-        match &ev.kind {
-            TraceKind::Rpc { phase } => lines.push(format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{t},\"ts\":{},\"s\":\"t\",\"cat\":\"rpc\",\
-                 \"name\":\"{phase}\"}}",
-                ts_us(ev.time),
-            )),
-            TraceKind::Irq { source } => lines.push(format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{t},\"ts\":{},\"s\":\"t\",\"cat\":\"irq\",\
-                 \"name\":\"irq:{}\"}}",
-                ts_us(ev.time),
-                json_escape(trace.resolve(*source)),
-            )),
-            TraceKind::ContextSwitch => lines.push(format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{t},\"ts\":{},\"s\":\"t\",\"cat\":\"sched\",\
-                 \"name\":\"context-switch\"}}",
-                ts_us(ev.time),
-            )),
-            TraceKind::Migration { task, from, to } => lines.push(format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{t},\"ts\":{},\"s\":\"t\",\"cat\":\"sched\",\
-                 \"name\":\"migration\",\"args\":{{\"task\":{task},\"from\":{from},\"to\":{to}}}}}",
-                ts_us(ev.time),
-            )),
-            TraceKind::Marker { label } => lines.push(format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{t},\"ts\":{},\"s\":\"t\",\"cat\":\"marker\",\
-                 \"name\":\"{}\"}}",
-                ts_us(ev.time),
-                json_escape(trace.resolve(*label)),
-            )),
-            TraceKind::Dvfs { core, freq_hz } => lines.push(format!(
-                "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"cpu{core}-freq\",\
+        let ts = us(ev.time.as_ns());
+        let instant = |cat: &str, name: &str, args: &str| {
+            format!(
+                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"s\":\"t\",\"cat\":\"{cat}\",\
+                 \"name\":\"{name}\"{args}}}",
+                tid(ev.resource),
+            )
+        };
+        let line = match &ev.kind {
+            TraceKind::Rpc { phase } => instant("rpc", &phase.to_string(), ""),
+            TraceKind::Irq { source } => instant(
+                "irq",
+                &format!("irq:{}", json_escape(trace.resolve(*source))),
+                "",
+            ),
+            TraceKind::ContextSwitch => instant("sched", "context-switch", ""),
+            TraceKind::Migration { task, from, to } => instant(
+                "sched",
+                "migration",
+                &format!(",\"args\":{{\"task\":{task},\"from\":{from},\"to\":{to}}}"),
+            ),
+            TraceKind::Marker { label } => {
+                instant("marker", &json_escape(trace.resolve(*label)), "")
+            }
+            TraceKind::Dvfs { core, freq_hz } => format!(
+                "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":\"cpu{core}-freq\",\
                  \"args\":{{\"mhz\":{}}}}}",
                 tid(TraceResource::CpuCore(*core)),
-                ts_us(ev.time),
                 freq_hz / 1_000_000,
-            )),
+            ),
             TraceKind::AxiBurst { bytes } => {
                 axi_total += bytes;
-                lines.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"axi-bytes\",\
+                format!(
+                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":\"axi-bytes\",\
                      \"args\":{{\"total\":{axi_total}}}}}",
                     tid(TraceResource::Axi),
-                    ts_us(ev.time),
-                ));
+                )
             }
-            TraceKind::ExecStart { .. } | TraceKind::ExecEnd { .. } => {}
-        }
+            TraceKind::ExecStart { .. } | TraceKind::ExecEnd { .. } => continue,
+        };
+        lines.push(line);
     }
 
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");

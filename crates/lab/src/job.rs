@@ -28,27 +28,9 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The end-to-end configuration this job runs: the scenario under
-    /// the job's seed, metered when the scenario asks for energy (a
-    /// result keeps energy only, so no job keeps a trace).
+    /// the job's seed.
     pub fn config(&self) -> E2eConfig {
-        let s = &self.scenario;
-        let mut cfg = E2eConfig::new(s.model, s.dtype)
-            .engine(s.engine)
-            .run_mode(s.mode)
-            .soc(s.soc)
-            .iterations(s.iterations)
-            .seed(self.seed)
-            .preproc_on_dsp(s.preproc_on_dsp);
-        if s.tracing {
-            cfg = cfg.energy();
-        }
-        if let Some((count, engine)) = s.background {
-            cfg = cfg.background(count, engine);
-        }
-        if let Some(fault) = &s.fault {
-            cfg = cfg.fault_plan(fault.plan(self.seed));
-        }
-        cfg
+        self.scenario.config(self.seed)
     }
 
     /// Runs the job to completion in a throwaway [`SimContext`].

@@ -5,13 +5,17 @@
 //! and the numbers in the JSON/CSV artifacts are the same aggregate —
 //! there is no second ad-hoc statistics path.
 
-use aitax_core::report::{fmt_ms, Table};
+use aitax_core::report::{fmt_ms, fmt_pct, Table};
 use aitax_core::Stage;
 
-use crate::agg::SweepReport;
+use crate::agg::{ScenarioStats, SweepReport};
 
-fn fmt_pct(f: f64) -> String {
-    format!("{:.1}%", f * 100.0)
+/// The scenario's mean latency of `stage` (0 when the stage never ran).
+fn stage_mean(s: &ScenarioStats, stage: Stage) -> f64 {
+    s.stages
+        .iter()
+        .find(|(st, _)| *st == stage)
+        .map_or(0.0, |(_, d)| d.mean)
 }
 
 /// Fig. 9/10-style multitenancy breakdown: one row per background count.
@@ -25,19 +29,12 @@ pub fn multitenancy_table(report: &SweepReport) -> Table {
         "e2e_ms",
     ]);
     for s in &report.scenarios {
-        let stage = |which: Stage| {
-            s.stages
-                .iter()
-                .find(|(st, _)| *st == which)
-                .map(|(_, d)| d.mean)
-                .unwrap_or(0.0)
-        };
         t.row(vec![
             s.label.clone(),
-            fmt_ms(stage(Stage::DataCapture)),
-            fmt_ms(stage(Stage::PreProcessing)),
-            fmt_ms(stage(Stage::Inference)),
-            fmt_ms(stage(Stage::PostProcessing)),
+            fmt_ms(stage_mean(s, Stage::DataCapture)),
+            fmt_ms(stage_mean(s, Stage::PreProcessing)),
+            fmt_ms(stage_mean(s, Stage::Inference)),
+            fmt_ms(stage_mean(s, Stage::PostProcessing)),
             fmt_ms(s.e2e.mean),
         ]);
     }
@@ -93,10 +90,14 @@ pub fn model_latency_table(report: &SweepReport) -> Table {
     t
 }
 
-/// Table II companion: measured latency/energy per platform.
+/// Table II companion: measured stage latencies, AI tax and energy per
+/// platform — the §III-C chipset sweep.
 pub fn platform_table(report: &SweepReport) -> Table {
     let mut t = Table::new(vec![
         "platform",
+        "capture_ms",
+        "preproc_ms",
+        "inference_ms",
         "e2e_mean_ms",
         "tax_fraction",
         "energy_mj",
@@ -114,6 +115,9 @@ pub fn platform_table(report: &SweepReport) -> Table {
         };
         t.row(vec![
             s.label.clone(),
+            fmt_ms(stage_mean(s, Stage::DataCapture)),
+            fmt_ms(stage_mean(s, Stage::PreProcessing)),
+            fmt_ms(stage_mean(s, Stage::Inference)),
             fmt_ms(s.e2e.mean),
             fmt_pct(s.tax_fraction),
             mj,
@@ -193,6 +197,6 @@ mod tests {
     fn platform_table_reports_energy() {
         let t = platform_table(&report("table2"));
         assert_eq!(t.len(), 4);
-        assert_ne!(t.rows()[0][3], "n/a", "traced sweep must report energy");
+        assert_ne!(t.rows()[0][6], "n/a", "traced sweep must report energy");
     }
 }

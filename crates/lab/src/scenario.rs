@@ -8,6 +8,7 @@
 //! `(base_seed, job_id)` — independent of thread count, scheduling order,
 //! or which other jobs exist.
 
+use aitax_core::pipeline::E2eConfig;
 use aitax_core::RunMode;
 use aitax_des::fault::{FaultKind, FaultPlan};
 use aitax_des::{SimRng, SimTime};
@@ -128,6 +129,29 @@ impl Scenario {
         self.tracing = on;
         self
     }
+
+    /// The end-to-end configuration of this scenario under `seed`,
+    /// metered when the scenario asks for energy (a job result keeps
+    /// energy only, so no job keeps a trace).
+    pub(crate) fn config(&self, seed: u64) -> E2eConfig {
+        let mut cfg = E2eConfig::new(self.model, self.dtype)
+            .engine(self.engine)
+            .run_mode(self.mode)
+            .soc(self.soc)
+            .iterations(self.iterations)
+            .seed(seed)
+            .preproc_on_dsp(self.preproc_on_dsp);
+        if self.tracing {
+            cfg = cfg.energy();
+        }
+        if let Some((count, engine)) = self.background {
+            cfg = cfg.background(count, engine);
+        }
+        if let Some(fault) = &self.fault {
+            cfg = cfg.fault_plan(fault.plan(seed));
+        }
+        cfg
+    }
 }
 
 /// A named, ordered sweep: scenarios × independent repeats.
@@ -189,6 +213,26 @@ impl Grid {
     /// Total number of jobs (`scenarios × repeats`).
     pub fn job_count(&self) -> usize {
         self.scenarios.len() * self.repeats
+    }
+
+    /// Checks, without simulating, that every scenario fits the
+    /// simulated clock: its floor ([`E2eConfig::sim_floor_secs`]) must
+    /// not pass half of [`SimTime`]'s range, the horizon `serve` and
+    /// `fleet` hold their runs to. The error names the first scenario
+    /// that does not fit.
+    pub fn check_horizon(&self) -> Result<(), String> {
+        let horizon = SimTime::from_ns(u64::MAX / 2).as_secs();
+        for s in &self.scenarios {
+            let floor = s.config(self.base_seed).sim_floor_secs();
+            if floor > horizon {
+                return Err(format!(
+                    "scenario '{}' needs at least {floor:.3e} simulated s for {} iterations, \
+                     past the {horizon:.3e} s horizon (half of the simulated clock's range)",
+                    s.label, s.iterations
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Flattens the grid into independent jobs, scenario-major.
@@ -263,6 +307,22 @@ mod tests {
         let _ = Grid::new("t")
             .push(Scenario::new("a", ModelId::MobileNetV1, DType::F32))
             .push(Scenario::new("a", ModelId::SqueezeNet, DType::F32));
+    }
+
+    #[test]
+    fn horizon_check_refuses_runs_past_half_the_clock() {
+        let horizon = SimTime::from_ns(u64::MAX / 2).as_secs();
+        for mode in [RunMode::CliBenchmark, RunMode::AndroidApp] {
+            let scenario = Scenario::new("b", ModelId::MobileNetV1, DType::I8).mode(mode);
+            let per_iteration = scenario.clone().iterations(1).config(1).sim_floor_secs();
+            let fits = (horizon / per_iteration) as usize;
+            let grid = |n| Grid::new("t").push(scenario.clone().iterations(n));
+            assert!(grid(fits).check_horizon().is_ok(), "{mode}: {fits} fit");
+            for n in [fits * 2, usize::MAX] {
+                let e = grid(n).check_horizon().unwrap_err();
+                assert!(e.starts_with("scenario 'b' "), "{mode}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -14,13 +14,26 @@ use aitax_tensor::DType;
 use crate::scenario::{FaultSpec, Grid, Scenario};
 
 /// Names of every registered grid, CLI order.
-pub const NAMES: [&str; 6] = ["smoke", "fig10", "fig11", "table1", "table2", "faults"];
+pub const NAMES: [&str; 7] = [
+    "smoke", "fig9", "fig10", "fig11", "table1", "table2", "faults",
+];
 
 /// Looks a grid up by its registry name.
 pub fn by_name(name: &str, iterations: usize, seed: u64) -> Option<Grid> {
     match name {
         "smoke" => Some(smoke(iterations, seed)),
-        "fig10" => Some(fig10(iterations, seed)),
+        "fig9" => Some(multitenancy(
+            "fig9",
+            Engine::TfLiteHexagon { threads: 4 },
+            iterations,
+            seed,
+        )),
+        "fig10" => Some(multitenancy(
+            "fig10",
+            Engine::tflite_cpu(2),
+            iterations,
+            seed,
+        )),
         "fig11" => Some(fig11(iterations, seed)),
         "table1" => Some(table1(iterations, seed)),
         "table2" => Some(table2(iterations, seed)),
@@ -44,17 +57,18 @@ pub fn smoke(iterations: usize, seed: u64) -> Grid {
         )
 }
 
-/// Fig. 10 — the classification app with 0..8 background inference loops
-/// contending for the CPU (quantized MobileNet via NNAPI, app mode).
-pub(crate) fn fig10(iterations: usize, seed: u64) -> Grid {
-    let mut grid = Grid::new("fig10").base_seed(seed);
-    for &b in &[0usize, 1, 2, 4, 6, 8] {
+/// Figs. 9 and 10 — the classification app (quantized MobileNet via
+/// NNAPI, app mode) with 0..8 background inference loops on
+/// `background`: the Hexagon DSP for Fig. 9, the CPU for Fig. 10.
+fn multitenancy(name: &str, background: Engine, iterations: usize, seed: u64) -> Grid {
+    let mut grid = Grid::new(name).base_seed(seed);
+    for b in [0usize, 1, 2, 4, 6, 8] {
         let mut s = Scenario::new(b.to_string(), ModelId::MobileNetV1, DType::I8)
             .engine(Engine::nnapi())
             .mode(RunMode::AndroidApp)
             .iterations(iterations);
         if b > 0 {
-            s = s.background(b, Engine::tflite_cpu(2));
+            s = s.background(b, background);
         }
         grid = grid.push(s);
     }
@@ -119,33 +133,17 @@ pub(crate) fn table2(iterations: usize, seed: u64) -> Grid {
 /// Fault sweep — the Fig. 6 streaming scenario under each fault kind
 /// (plus a healthy baseline), traced for the added-energy column.
 pub(crate) fn faults(iterations: usize, seed: u64) -> Grid {
-    let ten_ms = 10_000_000u64;
-    let specs: [(&str, Option<FaultSpec>); 7] = [
+    use FaultKind::*;
+    use FaultSpec::{At, Sustained};
+    let ten_ms = 10_000_000;
+    let specs = [
         ("none", None),
-        (
-            "rpc-ioctl-error",
-            Some(FaultSpec::Sustained(FaultKind::RpcIoctlError)),
-        ),
-        (
-            "dsp-signal-timeout",
-            Some(FaultSpec::Sustained(FaultKind::DspSignalTimeout)),
-        ),
-        (
-            "dsp-response-dropped",
-            Some(FaultSpec::Sustained(FaultKind::DspResponseDropped)),
-        ),
-        (
-            "thermal-emergency",
-            Some(FaultSpec::At(FaultKind::ThermalEmergency, ten_ms)),
-        ),
-        (
-            "cache-flush-storm",
-            Some(FaultSpec::Sustained(FaultKind::CacheFlushStorm)),
-        ),
-        (
-            "background-burst",
-            Some(FaultSpec::At(FaultKind::BackgroundBurst, ten_ms)),
-        ),
+        ("rpc-ioctl-error", Some(Sustained(RpcIoctlError))),
+        ("dsp-signal-timeout", Some(Sustained(DspSignalTimeout))),
+        ("dsp-response-dropped", Some(Sustained(DspResponseDropped))),
+        ("thermal-emergency", Some(At(ThermalEmergency, ten_ms))),
+        ("cache-flush-storm", Some(Sustained(CacheFlushStorm))),
+        ("background-burst", Some(At(BackgroundBurst, ten_ms))),
     ];
     let mut grid = Grid::new("faults").base_seed(seed);
     for (label, fault) in specs {
@@ -177,11 +175,16 @@ mod tests {
     }
 
     #[test]
-    fn fig10_sweeps_background_counts() {
-        let g = fig10(4, 1);
-        assert_eq!(g.scenarios().len(), 6);
-        assert!(g.scenarios()[0].background.is_none());
-        assert_eq!(g.scenarios()[5].background.unwrap().0, 8);
+    fn multitenancy_grids_sweep_background_counts() {
+        for (name, engine) in [
+            ("fig9", Engine::TfLiteHexagon { threads: 4 }),
+            ("fig10", Engine::tflite_cpu(2)),
+        ] {
+            let g = by_name(name, 4, 1).unwrap();
+            assert_eq!(g.scenarios().len(), 6);
+            assert!(g.scenarios()[0].background.is_none());
+            assert_eq!(g.scenarios()[5].background, Some((8, engine)));
+        }
     }
 
     #[test]

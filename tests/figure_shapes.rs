@@ -98,7 +98,8 @@ fn fig8_offload_amortizes() {
 /// opposite.
 #[test]
 fn fig9_fig10_multitenancy_shapes() {
-    let dsp = aitax_bench::fig9(knobs(12));
+    let fig9 = scenarios::by_name("fig9", 12, 1).unwrap();
+    let dsp = render::multitenancy_table(&sweep(&fig9));
     let rows = dsp.rows();
     let inf = |i: usize| rows[i][3].parse::<f64>().unwrap();
     let pre = |i: usize| rows[i][2].parse::<f64>().unwrap();
@@ -137,6 +138,22 @@ fn fig9_fig10_multitenancy_shapes() {
         inf(0),
         0.0,
         1.25,
+    );
+}
+
+/// §III-C: the trends hold across chipsets. Faster accelerators do not
+/// shrink the tax stages, so the AI-tax fraction of Table II (measured)
+/// does not collapse on newer chips.
+#[test]
+fn ai_tax_persists_across_chipset_generations() {
+    let report = sweep(&scenarios::by_name("table2", 15, 1).unwrap());
+    let tax = |i: usize| report.scenarios[i].tax_fraction * 100.0;
+    assert!(tax(0) > 30.0, "sd835 tax {}", tax(0));
+    assert!(
+        tax(3) >= tax(0) - 5.0,
+        "tax fraction should not collapse on newer chips: {} vs {}",
+        tax(0),
+        tax(3)
     );
 }
 
