@@ -48,13 +48,23 @@ pub struct Knobs {
 impl Knobs {
     /// `AITAX_ITERS` (default 100; the paper used 500), `AITAX_SEED`
     /// (default 1) and `AITAX_THREADS` (default: every core), each
-    /// checked like the `lab` flag it mirrors.
+    /// checked like the `lab` flag it mirrors. Like `lab --iters`, an
+    /// iteration count is refused when a registered grid's scenarios at
+    /// that count would run past the simulated clock's horizon
+    /// ([`aitax_lab::Grid::check_horizon`]).
     pub fn from_env() -> Result<Self, String> {
-        Ok(Knobs {
+        let knobs = Knobs {
             iterations: cli::iters_or_env(None, 100)?,
             seed: cli::seed_or_env(None)?,
             threads: cli::threads_or_env(None)?,
-        })
+        };
+        for name in scenarios::NAMES {
+            if let Some(grid) = scenarios::by_name(name, knobs.iterations, knobs.seed) {
+                grid.check_horizon()
+                    .map_err(|e| format!("AITAX_ITERS {}: {e}", knobs.iterations))?;
+            }
+        }
+        Ok(knobs)
     }
 
     /// Runs the registered lab grid `name` at these knobs.

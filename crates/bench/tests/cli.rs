@@ -1,6 +1,7 @@
 //! Exit codes and determinism of the `figures` binary: 2 for an unknown
-//! flag, a bad `AITAX_*` default or an unknown exhibit, 0 for `--list`,
-//! and a tiny run prints the same bytes twice.
+//! flag, a bad `AITAX_*` default, an iteration count past the simulated
+//! clock's horizon or an unknown exhibit, 0 for `--list`, and a tiny run
+//! prints the same bytes twice.
 
 use std::process::{Command, Output};
 
@@ -30,11 +31,32 @@ fn exit_codes_follow_the_shared_rule() {
         ("AITAX_ITERS=x", &[("AITAX_ITERS", "x")], &["fig7"], 2),
         ("AITAX_SEED=x", &[("AITAX_SEED", "x")], &["fig7"], 2),
         ("AITAX_THREADS=0", &[("AITAX_THREADS", "0")], &["fig7"], 2),
+        (
+            "AITAX_ITERS=u64::MAX",
+            &[("AITAX_ITERS", HUGE)],
+            &["table1"],
+            2,
+        ),
         ("list", &[], &["--list"], 0),
     ];
     for (what, env, args, code) in cases {
         assert_eq!(figures(env, args).status.code(), Some(*code), "{what}");
     }
+}
+
+/// `u64::MAX` as an iteration count.
+const HUGE: &str = "18446744073709551615";
+
+/// A count past the horizon is refused at once, naming `AITAX_ITERS`.
+#[test]
+fn iteration_counts_past_the_horizon_name_the_variable() {
+    let out = figures(&[("AITAX_ITERS", HUGE)], &["table1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("error: AITAX_ITERS {HUGE}: scenario '")),
+        "{stderr}"
+    );
 }
 
 #[test]

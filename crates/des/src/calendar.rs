@@ -48,14 +48,17 @@ impl Token {
     /// [`Calendar::pending`] + the outstanding tombstones distinct values
     /// exist at once, and callers can use the slot as a small dense index
     /// for per-event side tables.
+    #[inline]
     pub fn slot(self) -> u32 {
         self.0 as u32
     }
 
+    #[inline]
     fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
 
+    #[inline]
     fn pack(generation: u32, slot: u32) -> Token {
         Token((u64::from(generation) << 32) | u64::from(slot))
     }
@@ -133,6 +136,7 @@ impl Calendar {
     }
 
     /// The current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -158,6 +162,7 @@ impl Calendar {
     }
 
     /// Schedules an event `delay` after the current time.
+    #[inline]
     pub fn schedule_after(&mut self, delay: SimSpan) -> Token {
         self.schedule_at(self.now + delay)
     }
@@ -168,6 +173,7 @@ impl Calendar {
     ///
     /// Panics if `at` is in the past (before [`Calendar::now`]); scheduling
     /// into the past would violate causality.
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime) -> Token {
         assert!(
             at >= self.now,
@@ -201,6 +207,7 @@ impl Calendar {
     /// Returns `true` if the event was still pending, `false` if it already
     /// fired or was already cancelled. O(1): the heap entry stays behind as
     /// a tombstone and is discarded when it reaches the head.
+    #[inline]
     pub fn cancel(&mut self, token: Token) -> bool {
         match self.slots.get_mut(token.slot() as usize) {
             Some(s) if s.live && s.generation == token.generation() => {
@@ -215,6 +222,7 @@ impl Calendar {
     /// Recycles a slot whose heap entry just popped: the generation bump
     /// invalidates every outstanding token for it, and only now — with no
     /// heap entry referencing it — may the slot be handed out again.
+    #[inline]
     fn retire(&mut self, slot: u32) -> (u32, bool) {
         let s = &mut self.slots[slot as usize];
         let generation = s.generation;
@@ -233,6 +241,7 @@ impl Calendar {
         clippy::should_implement_trait,
         reason = "`next` advances the simulation clock; the calendar is deliberately not an Iterator"
     )]
+    #[inline]
     pub fn next(&mut self) -> Option<(SimTime, Token)> {
         while let Some(Reverse((at, _seq, slot))) = self.heap.pop() {
             let (generation, was_live) = self.retire(slot);

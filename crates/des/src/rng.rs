@@ -64,6 +64,7 @@ impl SimRng {
     }
 
     /// xoshiro256** core step.
+    #[inline]
     fn next_raw(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -77,6 +78,7 @@ impl SimRng {
     }
 
     /// Uniform sample in `[0, 1)` with 53 bits of precision.
+    #[inline]
     fn next_f64(&mut self) -> f64 {
         (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -121,6 +123,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "uniform bounds must satisfy lo < hi");
         let x = lo + (hi - lo) * self.next_f64();
@@ -137,6 +140,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "uniform bounds must satisfy lo < hi");
         let range = hi - lo;
@@ -147,11 +151,13 @@ impl SimRng {
     }
 
     /// Bernoulli trial with probability `p` of `true`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
 
     /// Standard normal sample (Box–Muller).
+    #[inline]
     pub(crate) fn standard_normal(&mut self) -> f64 {
         // Box–Muller transform; map u1 into (0, 1] to avoid ln(0).
         let u1 = 1.0 - self.next_f64();
@@ -168,6 +174,7 @@ impl SimRng {
     /// spread `sigma` (standard deviation of the underlying normal).
     ///
     /// Heavy-tailed delays (interrupt latency, scheduler wakeups) use this.
+    #[inline]
     pub fn lognormal(&mut self, median: f64, sigma: f64) -> f64 {
         median * (sigma * self.standard_normal()).exp()
     }
@@ -177,6 +184,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `mean` is not positive.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         let u = 1.0 - self.next_f64(); // (0, 1]
@@ -186,6 +194,7 @@ impl SimRng {
     /// Multiplicative jitter factor in `[1 - frac, 1 + frac]`.
     ///
     /// `jitter(0.05)` returns a factor within ±5%. `frac == 0` returns 1.
+    #[inline]
     pub fn jitter(&mut self, frac: f64) -> f64 {
         assert!(
             (0.0..1.0).contains(&frac),
@@ -210,6 +219,7 @@ impl SimRng {
     }
 
     /// Raw 64-bit sample (for hashing/salting).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.next_raw()
     }

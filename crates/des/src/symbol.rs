@@ -25,6 +25,7 @@ impl Symbol {
     pub const UNTRACED: Symbol = Symbol(u32::MAX);
 
     /// Raw table index (useful for logging).
+    #[inline]
     pub(crate) fn index(self) -> u32 {
         self.0
     }
@@ -33,6 +34,7 @@ impl Symbol {
     /// [`Symbol::index`], used by the columnar trace store to decode
     /// label columns back into symbols. The index must have come from
     /// the same table the symbol will be resolved against.
+    #[inline]
     pub(crate) fn from_index(index: u32) -> Symbol {
         Symbol(index)
     }

@@ -42,26 +42,31 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from raw nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Raw nanoseconds since simulation start.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// This instant expressed in milliseconds.
+    #[inline]
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// This instant expressed in seconds.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Span since `earlier`, saturating to zero if `earlier` is later.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimSpan {
         SimSpan(self.0.saturating_sub(earlier.0))
     }
@@ -72,6 +77,7 @@ impl SimSpan {
     pub const ZERO: SimSpan = SimSpan(0);
 
     /// Creates a span from raw nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimSpan(ns)
     }
@@ -81,6 +87,7 @@ impl SimSpan {
     /// # Panics
     ///
     /// Panics if `us` is negative or not finite.
+    #[inline]
     pub fn from_us(us: f64) -> Self {
         Self::from_ns_f64(us * 1_000.0)
     }
@@ -90,6 +97,7 @@ impl SimSpan {
     /// # Panics
     ///
     /// Panics if `ms` is negative or not finite.
+    #[inline]
     pub fn from_ms(ms: f64) -> Self {
         Self::from_ns_f64(ms * 1_000_000.0)
     }
@@ -99,10 +107,12 @@ impl SimSpan {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_secs(secs: f64) -> Self {
         Self::from_ns_f64(secs * 1_000_000_000.0)
     }
 
+    #[inline]
     fn from_ns_f64(ns: f64) -> Self {
         assert!(
             ns.is_finite() && ns >= 0.0,
@@ -112,31 +122,37 @@ impl SimSpan {
     }
 
     /// Raw nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// This span expressed in microseconds.
+    #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// This span expressed in milliseconds.
+    #[inline]
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// This span expressed in seconds.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Whether this is the empty span.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimSpan) -> SimSpan {
         SimSpan(self.0.saturating_sub(other.0))
     }
@@ -144,12 +160,14 @@ impl SimSpan {
 
 impl Add<SimSpan> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimSpan) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimSpan> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimSpan) {
         *self = *self + rhs;
     }
@@ -157,6 +175,7 @@ impl AddAssign<SimSpan> for SimTime {
 
 impl Sub<SimSpan> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimSpan) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -164,6 +183,7 @@ impl Sub<SimSpan> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimSpan;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimSpan {
         self.since(rhs)
     }
@@ -171,18 +191,21 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn add(self, rhs: SimSpan) -> SimSpan {
         SimSpan(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimSpan {
+    #[inline]
     fn add_assign(&mut self, rhs: SimSpan) {
         *self = *self + rhs;
     }
 }
 
 impl SubAssign for SimSpan {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimSpan) {
         *self = self.saturating_sub(rhs);
     }
@@ -190,6 +213,7 @@ impl SubAssign for SimSpan {
 
 impl Mul<f64> for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn mul(self, rhs: f64) -> SimSpan {
         SimSpan::from_ns_f64(self.0 as f64 * rhs)
     }
@@ -197,6 +221,7 @@ impl Mul<f64> for SimSpan {
 
 impl Div<f64> for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn div(self, rhs: f64) -> SimSpan {
         assert!(rhs > 0.0, "cannot divide a span by {rhs}");
         SimSpan::from_ns_f64(self.0 as f64 / rhs)
@@ -204,6 +229,7 @@ impl Div<f64> for SimSpan {
 }
 
 impl Sum for SimSpan {
+    #[inline]
     fn sum<I: Iterator<Item = SimSpan>>(iter: I) -> SimSpan {
         iter.fold(SimSpan::ZERO, |a, b| a + b)
     }

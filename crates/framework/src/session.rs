@@ -9,7 +9,7 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use aitax_des::SimSpan;
-use aitax_kernel::{GpuJob, Machine, RpcDevice, RpcInvoke, RpcOutcome, TaskSpec, Work};
+use aitax_kernel::{GangJoin, GpuJob, Machine, RpcDevice, RpcInvoke, RpcOutcome, TaskSpec, Work};
 use aitax_models::zoo::ModelId;
 use aitax_models::Graph;
 use aitax_soc::{SocCatalog, SocId, SocSpec};
@@ -493,7 +493,14 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
     // FastRPC device it goes through and the trace label's prefix.
     let (work, device, prefix) = match part.target {
         ExecTarget::TfLiteCpu { threads } => {
-            run_cpu_op(inner, part.ops.0, part.ops.1, threads, m, next);
+            let ops = Rc::new(CpuOps {
+                inner,
+                op: Cell::new(part.ops.0),
+                end: part.ops.1,
+                threads: threads.max(1),
+                done: Cell::new(Some(next)),
+            });
+            ops.run_next(m);
             return;
         }
         ExecTarget::NnapiRefCpu => {
@@ -588,46 +595,57 @@ fn run_cpu_fallback(inner: Rc<Inner>, macs: u64, planned: SimSpan, m: &mut Machi
     });
 }
 
-/// Executes ops `[op..end)` on the TFLite CPU backend, one fork-join gang
-/// per op, then fires `done`.
-fn run_cpu_op(
+/// A TFLite CPU partition in flight: runs ops `[op..end)` one fork-join
+/// gang per op, then fires `done`. The runner is the join of every gang it
+/// submits, so an op costs no allocation.
+struct CpuOps {
     inner: Rc<Inner>,
-    op: usize,
+    /// The next op to run.
+    op: Cell<usize>,
     end: usize,
     threads: usize,
-    m: &mut Machine,
-    done: DoneCb,
-) {
-    if op >= end {
-        done(m);
-        return;
-    }
-    let node = &inner.graph.nodes()[op];
-    let dtype = inner.graph.dtype();
-    let units = cost::tflite_cpu_work_units(&node.op, dtype);
-    let threads = threads.max(1);
-    // Dispatch + fork/join overheads folded in as equivalent work units
-    // (cycles × per-cycle throughput).
-    let per_cycle = if dtype.is_quantized() { 16.0 } else { 8.0 };
-    let overhead_units =
-        (cost::OP_DISPATCH_CYCLES / threads as f64 + cost::THREAD_FORK_JOIN_CYCLES) * per_cycle;
-    let per_thread = units / threads as f64 + overhead_units;
-    let work = if dtype.is_quantized() {
-        Work::Int8Ops(per_thread)
-    } else {
-        Work::Fp32Flops(per_thread)
-    };
-    let prio = inner.qos_priority.get();
-    let specs: Vec<TaskSpec> = (0..threads)
-        .map(|t| {
+    done: Cell<Option<DoneCb>>,
+}
+
+impl CpuOps {
+    /// Submits the next op's gang, or fires `done` after the last op.
+    fn run_next(self: Rc<Self>, m: &mut Machine) {
+        let op = self.op.get();
+        if op >= self.end {
+            if let Some(done) = self.done.take() {
+                done(m);
+            }
+            return;
+        }
+        self.op.set(op + 1);
+        let node = &self.inner.graph.nodes()[op];
+        let dtype = self.inner.graph.dtype();
+        let units = cost::tflite_cpu_work_units(&node.op, dtype);
+        let threads = self.threads;
+        // Dispatch + fork/join overheads folded in as equivalent work units
+        // (cycles × per-cycle throughput).
+        let per_cycle = if dtype.is_quantized() { 16.0 } else { 8.0 };
+        let overhead_units =
+            (cost::OP_DISPATCH_CYCLES / threads as f64 + cost::THREAD_FORK_JOIN_CYCLES) * per_cycle;
+        let per_thread = units / threads as f64 + overhead_units;
+        let work = if dtype.is_quantized() {
+            Work::Int8Ops(per_thread)
+        } else {
+            Work::Fp32Flops(per_thread)
+        };
+        let prio = self.inner.qos_priority.get();
+        let member = |m: &Machine, t: usize| {
             let label = m.trace.label(format_args!("{}#{t}", node.name));
             TaskSpec::foreground(label, work).with_priority(prio)
-        })
-        .collect();
-    let next_inner = inner.clone();
-    m.submit_cpu_parallel(specs, move |m| {
-        run_cpu_op(next_inner, op + 1, end, threads, m, done);
-    });
+        };
+        m.submit_gang(threads, member, self.clone());
+    }
+}
+
+impl GangJoin for CpuOps {
+    fn joined(self: Rc<Self>, m: &mut Machine) {
+        self.run_next(m);
+    }
 }
 
 #[cfg(test)]

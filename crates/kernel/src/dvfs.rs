@@ -137,6 +137,7 @@ mod tests {
     use super::*;
     use crate::task::{CoreMask, TaskSpec, Work};
     use aitax_soc::{SocCatalog, SocId};
+    use std::rc::Rc;
 
     fn machine() -> Machine {
         Machine::new(SocCatalog::get(SocId::Sd845), 3)
@@ -311,10 +312,13 @@ mod tests {
             let dsp_us = rng.uniform(50.0, 2_000.0);
             let priority = rng.uniform_u64(0, 3) as i8;
             m.after(at, move |m| {
-                let specs = vec![TaskSpec::foreground("fg", Work::Fp32Flops(flops)); width];
-                m.submit_cpu_parallel(specs, move |m| {
-                    m.submit_dsp_raw("dsp", SimSpan::from_us(dsp_us), |_| {});
-                });
+                m.submit_gang(
+                    width,
+                    |_, _| TaskSpec::foreground("fg", Work::Fp32Flops(flops)),
+                    Rc::new(move |m: &mut Machine| {
+                        m.submit_dsp_raw("dsp", SimSpan::from_us(dsp_us), |_| {});
+                    }),
+                );
                 m.submit_cpu(
                     TaskSpec::background("bg", Work::Cycles(cycles)).with_priority(priority),
                     |_| {},

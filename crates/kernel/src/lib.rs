@@ -49,6 +49,6 @@ mod sched;
 mod task;
 
 pub use fastrpc::{RpcDevice, RpcInvoke, RpcOutcome};
-pub use machine::{DegradationStats, GpuJob, Machine, MachineStats};
+pub use machine::{DegradationStats, GangJoin, GpuJob, Machine, MachineStats};
 pub use noise::NoiseConfig;
 pub use task::{CoreMask, TaskSpec, Work};

@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{
@@ -11,6 +12,7 @@ use aitax_soc::{SocSpec, ThermalState};
 
 use crate::dvfs::CoreGov;
 use crate::fastrpc::FastRpcCosts;
+use crate::noise::NoiseConfig;
 use crate::task::{CoreMask, TaskClass, TaskId, Work};
 
 /// A completion callback fired by the machine.
@@ -113,11 +115,28 @@ pub(crate) enum OnDone {
     Gang(usize),
 }
 
-/// The join of a fork-join gang: members still running, and the callback
-/// the last of them fires.
+/// What a fork-join gang fires when its last member completes.
+///
+/// The join is shared rather than consumed, so a submitter that runs gang
+/// after gang (a multi-threaded op chain) builds one join and hands the
+/// same `Rc` to every gang: a gang costs no allocation. Any
+/// `Fn(&mut Machine)` is a join.
+pub trait GangJoin {
+    /// Fires once per gang, after its last member completes.
+    fn joined(self: Rc<Self>, m: &mut Machine);
+}
+
+impl<F: Fn(&mut Machine)> GangJoin for F {
+    fn joined(self: Rc<Self>, m: &mut Machine) {
+        (*self)(m);
+    }
+}
+
+/// The join of a fork-join gang: members still running, and the join the
+/// last of them fires.
 pub(crate) struct Gang {
     pub remaining: usize,
-    pub on_done: Callback,
+    pub join: Rc<dyn GangJoin>,
 }
 
 /// A table whose slots are recycled through a free list, so it grows with
@@ -263,6 +282,7 @@ pub(crate) enum Ev {
     DspDone,
     GpuDone,
     NpuDone,
+    Noise { generation: u64 },
     Timer(Callback),
 }
 
@@ -296,6 +316,10 @@ pub struct Machine {
     pub(crate) thermal: ThermalState,
     pub(crate) governor: Vec<CoreGov>,
     pub(crate) rpc_costs: FastRpcCosts,
+    /// The ambient-load generator's parameters while one runs.
+    pub(crate) noise: Option<NoiseConfig>,
+    /// Bumped by every start and stop of the generator; a burst of an
+    /// older generation is dropped when it fires.
     pub(crate) noise_generation: u64,
     pub(crate) next_obj_id: u64,
     pub(crate) wander_probability: f64,
@@ -346,6 +370,7 @@ impl Machine {
             gpu: AccelState::default(),
             npu: AccelState::default(),
             rpc_costs: FastRpcCosts::default(),
+            noise: None,
             noise_generation: 0,
             next_obj_id: 1,
             wander_probability: crate::sched::DEFAULT_WANDER_PROBABILITY,
@@ -387,6 +412,7 @@ impl Machine {
             *gov = CoreGov::new(self.spec, core);
         }
         self.rpc_costs = FastRpcCosts::default();
+        self.noise = None;
         self.noise_generation = 0;
         self.next_obj_id = 1;
         self.wander_probability = crate::sched::DEFAULT_WANDER_PROBABILITY;
@@ -629,6 +655,7 @@ impl Machine {
             Ev::DspDone => self.on_accel_done(AccelKind::Dsp),
             Ev::GpuDone => self.on_accel_done(AccelKind::Gpu),
             Ev::NpuDone => self.on_accel_done(AccelKind::Npu),
+            Ev::Noise { generation } => self.on_noise_burst(generation),
             Ev::Timer(cb) => cb(self),
         }
     }

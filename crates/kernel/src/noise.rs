@@ -10,7 +10,7 @@
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::SimSpan;
 
-use crate::machine::Machine;
+use crate::machine::{Ev, Machine};
 use crate::task::{TaskSpec, Work};
 
 /// Parameters of the ambient background load.
@@ -61,14 +61,44 @@ impl Machine {
     /// drive the machine with [`Machine::step`] rather than
     /// `run_until_idle` while noise is active.
     pub fn start_noise(&mut self, config: NoiseConfig) {
+        self.noise = Some(config);
         self.noise_generation += 1;
-        let generation = self.noise_generation;
-        schedule_burst(self, config, generation);
+        self.schedule_burst(config);
     }
 
     /// Stops the ambient background generator.
     pub fn stop_noise(&mut self) {
+        self.noise = None;
         self.noise_generation += 1;
+    }
+
+    /// Draws the gap to the generator's next burst and schedules it as a
+    /// machine event, so a burst costs no allocation.
+    fn schedule_burst(&mut self, config: NoiseConfig) {
+        let gap_us = self.rng.exponential(config.mean_interarrival.as_us());
+        let token = self.cal.schedule_after(SimSpan::from_us(gap_us));
+        let generation = self.noise_generation;
+        self.set_event(token, Ev::Noise { generation });
+    }
+
+    /// Fires a burst: submits one background task and schedules the next
+    /// burst, unless the generator was stopped or restarted since this
+    /// burst was scheduled.
+    pub(crate) fn on_noise_burst(&mut self, generation: u64) {
+        let Some(config) = self.noise else {
+            return;
+        };
+        if generation != self.noise_generation {
+            return;
+        }
+        let cycles = self
+            .rng
+            .lognormal(config.median_burst_cycles, config.burst_sigma);
+        self.submit_cpu(
+            TaskSpec::background("sys-noise", Work::Cycles(cycles)),
+            |_| {},
+        );
+        self.schedule_burst(config);
     }
 
     /// Samples the extra latency an interrupt experiences right now.
@@ -85,23 +115,6 @@ impl Machine {
             .record(now, TraceResource::CpuCore(0), TraceKind::Irq { source });
         SimSpan::from_us(us)
     }
-}
-
-fn schedule_burst(m: &mut Machine, config: NoiseConfig, generation: u64) {
-    let gap_us = m.rng_mut().exponential(config.mean_interarrival.as_us());
-    m.after(SimSpan::from_us(gap_us), move |m| {
-        if m.noise_generation != generation {
-            return;
-        }
-        let cycles = m
-            .rng_mut()
-            .lognormal(config.median_burst_cycles, config.burst_sigma);
-        m.submit_cpu(
-            TaskSpec::background("sys-noise", Work::Cycles(cycles)),
-            |_| {},
-        );
-        schedule_burst(m, config, generation);
-    });
 }
 
 #[cfg(test)]

@@ -6,10 +6,12 @@
 //! CPU-fallback threads that Figure 6 of the paper captures (annotation 4:
 //! "frequent CPU migrations ... and the core utilization pattern").
 
+use std::rc::Rc;
+
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{SimSpan, Symbol};
 
-use crate::machine::{Ev, Gang, Machine, OnDone, Running, Task};
+use crate::machine::{Ev, Gang, GangJoin, Machine, OnDone, Running, Task};
 use crate::task::{CoreMask, TaskClass, TaskId, TaskSpec};
 
 /// Base scheduling quantum; actual slices scale with task weight.
@@ -45,32 +47,32 @@ impl Machine {
         self.submit_task(spec, label, OnDone::Callback(Box::new(on_done)))
     }
 
-    /// Submits a gang of CPU tasks; `on_all_done` fires when the last one
-    /// completes (fork-join, as a multi-threaded TFLite op does).
+    /// Submits a fork-join gang of `width` CPU tasks (as a multi-threaded
+    /// TFLite op runs); `join` fires when the last one completes.
+    ///
+    /// Member `t` is built by `member(m, t)` and queued before member
+    /// `t + 1` is built, so a gang needs no spec list; with a shared
+    /// `join` and untraced labels it costs no allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty.
-    pub fn submit_cpu_parallel(
+    /// Panics if `width` is zero.
+    pub fn submit_gang(
         &mut self,
-        specs: Vec<TaskSpec>,
-        on_all_done: impl FnOnce(&mut Machine) + 'static,
-    ) -> Vec<TaskId> {
-        assert!(
-            !specs.is_empty(),
-            "parallel submission needs at least one task"
-        );
+        width: usize,
+        mut member: impl FnMut(&Machine, usize) -> TaskSpec,
+        join: Rc<dyn GangJoin>,
+    ) {
+        assert!(width > 0, "a gang needs at least one task");
         let gang = self.gangs.insert(Gang {
-            remaining: specs.len(),
-            on_done: Box::new(on_all_done),
+            remaining: width,
+            join,
         });
-        specs
-            .into_iter()
-            .map(|spec| {
-                let label = self.trace.intern(&spec.name);
-                self.submit_task(spec, label, OnDone::Gang(gang))
-            })
-            .collect()
+        for t in 0..width {
+            let spec = member(self, t);
+            let label = self.trace.intern(&spec.name);
+            self.submit_task(spec, label, OnDone::Gang(gang));
+        }
     }
 
     /// Records a task under a fresh object id in a recycled slot, labelled
@@ -105,8 +107,7 @@ impl Machine {
                 let join = &mut self.gangs[gang];
                 join.remaining -= 1;
                 if join.remaining == 0 {
-                    let join = self.gangs.remove(gang);
-                    (join.on_done)(self);
+                    self.gangs.remove(gang).join.joined(self);
                 }
             }
         }
@@ -504,10 +505,11 @@ mod tests {
         let mut m = machine();
         let joined = Rc::new(Cell::new(0));
         let j = joined.clone();
-        let specs = (0..4)
-            .map(|i| TaskSpec::foreground(format!("g{i}"), Work::Fp32Flops(1e6)))
-            .collect();
-        m.submit_cpu_parallel(specs, move |_| j.set(j.get() + 1));
+        m.submit_gang(
+            4,
+            |_, i| TaskSpec::foreground(format!("g{i}"), Work::Fp32Flops(1e6)),
+            Rc::new(move |_: &mut Machine| j.set(j.get() + 1)),
+        );
         m.run_until_idle();
         assert_eq!(joined.get(), 1);
     }
@@ -561,8 +563,11 @@ mod tests {
         if GANGS_LEFT.with(|n| n.replace(n.get().saturating_sub(1))) == 0 {
             return;
         }
-        let specs = vec![TaskSpec::foreground("gang", Work::Fp32Flops(1e6)); 4];
-        m.submit_cpu_parallel(specs, gang_chain);
+        m.submit_gang(
+            4,
+            |_, _| TaskSpec::foreground("gang", Work::Fp32Flops(1e6)),
+            Rc::new(gang_chain),
+        );
     }
 
     #[test]

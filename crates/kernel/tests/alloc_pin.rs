@@ -18,8 +18,12 @@
 //! the peak number alive at once), `Machine::reset` keeps that storage, and
 //! the identical second pass must not allocate. Such pins cover the
 //! untraced submit path (a static label is neither formatted nor
-//! interned), QoS preemption (`preempt_running`) and fork-join gangs
-//! (`submit_cpu_parallel`, whose join lives in a recycled slot).
+//! interned), QoS preemption (`preempt_running`), fork-join gangs
+//! (`submit_gang`, whose members are built in place and whose shared join
+//! lives in a recycled slot), ambient noise bursts (a machine event, not
+//! a boxed timer) and a whole TFLite CPU inference, whose cost per op is
+//! zero: a warm `Session::invoke` allocates the same on models of very
+//! different op counts.
 //!
 //! The calendar is pinned on its own as well: on a warm calendar that
 //! `Calendar::reset` has cleared, a schedule/cancel/`next` churn at the
@@ -32,9 +36,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::rc::Rc;
+
 use aitax_des::{Calendar, SimRng, SimSpan, Token};
-use aitax_kernel::{CoreMask, Machine, TaskSpec, Work};
+use aitax_framework::{Engine, Session};
+use aitax_kernel::{CoreMask, GangJoin, Machine, NoiseConfig, TaskSpec, Work};
+use aitax_models::zoo::ModelId;
 use aitax_soc::{SocCatalog, SocId};
+use aitax_tensor::DType;
 
 struct CountingAlloc;
 
@@ -279,8 +288,7 @@ fn steady_state_preemption_never_allocates() {
 }
 
 thread_local! {
-    /// Gangs submitted on this thread: each brings one caller-built
-    /// `specs` vector, the only allocation a gang may cost.
+    /// Gangs submitted on this thread.
     static GANGS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -288,43 +296,98 @@ fn gangs() -> u64 {
     GANGS.with(Cell::get)
 }
 
-/// A 4-wide fork-join gang whose join (a zero-sized fn item) submits the
-/// next gang, as a multi-threaded TFLite op chain does.
-fn gang_chain(m: &mut Machine) {
-    GANGS.with(|n| n.set(n.get() + 1));
-    let specs = vec![TaskSpec::foreground("gang", Work::Cycles(2e6)); 4];
-    m.submit_cpu_parallel(specs, gang_chain);
+/// A chain of 4-wide fork-join gangs whose join submits the next gang
+/// with itself as that gang's join, as a multi-threaded TFLite op chain
+/// does: one join serves the whole chain.
+struct GangChain;
+
+impl GangJoin for GangChain {
+    fn joined(self: Rc<Self>, m: &mut Machine) {
+        GANGS.with(|n| n.set(n.get() + 1));
+        m.submit_gang(
+            4,
+            |_, _| TaskSpec::foreground("gang", Work::Cycles(2e6)),
+            self,
+        );
+    }
 }
 
 fn two_gang_chains(m: &mut Machine) {
-    gang_chain(m);
-    gang_chain(m);
+    Rc::new(GangChain).joined(m);
+    Rc::new(GangChain).joined(m);
 }
 
 #[test]
-fn steady_state_gangs_allocate_only_their_specs() {
-    const EVENTS: u64 = 20_000;
-    let steps = |m: &mut Machine| {
-        for _ in 0..EVENTS {
-            assert!(m.step(), "gang chains drained");
-        }
-    };
-    // Warm pass, then an identical measured pass on the reset machine.
-    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 42);
-    two_gang_chains(&mut m);
-    steps(&mut m);
-    m.reset(42);
-    two_gang_chains(&mut m);
-    let (allocs_before, gangs_before) = (allocs(), gangs());
-    steps(&mut m);
-    let during = allocs() - allocs_before;
-    let measured_gangs = gangs() - gangs_before;
-
-    assert!(measured_gangs > 1_000, "gangs must keep completing");
+fn steady_state_gangs_never_allocate() {
+    let before = gangs();
+    let (_, during) = warm_rerun_allocs(two_gang_chains, 20_000);
+    let measured_gangs = gangs() - before;
+    assert!(measured_gangs > 2_000, "gangs must keep completing");
     assert_eq!(
-        during, measured_gangs,
-        "{measured_gangs} steady-state gangs allocated {during} time(s); \
-         only each gang's caller-built `specs` vector may allocate"
+        during, 0,
+        "steady-state gangs allocated {during} time(s); a gang's members \
+         are built in place and its join is shared"
+    );
+}
+
+fn app_noise(m: &mut Machine) {
+    m.start_noise(NoiseConfig::android_app());
+}
+
+#[test]
+fn steady_state_noise_bursts_never_allocate() {
+    let (m, during) = warm_rerun_allocs(app_noise, 20_000);
+    assert_eq!(
+        during, 0,
+        "app-mode noise allocated {during} time(s) over 20000 events"
+    );
+    assert!(
+        m.stats().tasks_completed > 5_000,
+        "every burst must submit a background task"
+    );
+}
+
+/// Allocations of a warm `Session::invoke` of `model` (fp32) on
+/// `tflite_cpu(4)`, and the model's op count: a first invoke sizes every
+/// table, `Machine::reset` keeps them, and an identical second invoke is
+/// counted from submission to completion.
+#[expect(clippy::expect_used, reason = "a compile failure fails the test")]
+fn warm_invoke_allocs(model: ModelId) -> (u64, usize) {
+    let session = Session::compile_cached(Engine::tflite_cpu(4), model, DType::F32, SocId::Sd845)
+        .expect("TFLite CPU runs every fp32 model");
+    let done = Rc::new(Cell::new(0u32));
+    let invoke = |m: &mut Machine| {
+        let d = done.clone();
+        session.invoke(m, move |_| d.set(d.get() + 1));
+        m.run_until_idle();
+    };
+    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 42);
+    invoke(&mut m);
+    m.reset(42);
+    let before = allocs();
+    invoke(&mut m);
+    let during = allocs() - before;
+    assert_eq!(done.get(), 2, "both invokes must complete");
+    assert_eq!(m.stats().tasks_completed, 4 * session.graph().len() as u64);
+    (during, session.graph().len())
+}
+
+#[test]
+fn warm_cpu_invoke_allocates_nothing_per_op() {
+    let (mobilenet, mobilenet_ops) = warm_invoke_allocs(ModelId::MobileNetV1);
+    let (inception, inception_ops) = warm_invoke_allocs(ModelId::InceptionV3);
+    assert!(
+        inception_ops > 3 * mobilenet_ops,
+        "the two models must differ in op count: {mobilenet_ops} vs {inception_ops}"
+    );
+    assert_eq!(
+        mobilenet, inception,
+        "a warm invoke allocated {mobilenet} time(s) for {mobilenet_ops} ops and \
+         {inception} for {inception_ops}: an op must cost no allocation"
+    );
+    assert!(
+        mobilenet < 8,
+        "a warm invoke allocated {mobilenet} time(s); only per-invoke set-up may allocate"
     );
 }
 

@@ -114,6 +114,8 @@ fn lab(mut args: Args) -> Result<(), CliError> {
     })?;
     if let Some(r) = repeats {
         grid = grid.repeats(r);
+        grid.check_jobs()
+            .map_err(|e| format!("--repeats {r}: {e}"))?;
     }
     grid.check_horizon()
         .map_err(|e| format!("{iters_from} {iters}: {e}"))?;

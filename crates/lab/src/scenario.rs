@@ -154,6 +154,10 @@ impl Scenario {
     }
 }
 
+/// Most jobs one grid may expand to: the job list and every job's
+/// results are held in memory at once.
+const MAX_JOBS: usize = 1 << 20;
+
 /// A named, ordered sweep: scenarios × independent repeats.
 #[derive(Debug, Clone)]
 pub struct Grid {
@@ -213,6 +217,19 @@ impl Grid {
     /// Total number of jobs (`scenarios × repeats`).
     pub fn job_count(&self) -> usize {
         self.scenarios.len() * self.repeats
+    }
+
+    /// Checks, without expanding, that the grid's `scenarios × repeats`
+    /// jobs fit in memory at once: at most 2^20 of them.
+    pub fn check_jobs(&self) -> Result<(), String> {
+        match self.scenarios.len().checked_mul(self.repeats) {
+            Some(jobs) if jobs <= MAX_JOBS => Ok(()),
+            _ => Err(format!(
+                "{} scenarios × {} repeats is more than the {MAX_JOBS} jobs a grid may hold",
+                self.scenarios.len(),
+                self.repeats
+            )),
+        }
     }
 
     /// Checks, without simulating, that every scenario fits the

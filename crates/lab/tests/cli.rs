@@ -1,7 +1,8 @@
 //! Exit codes of the `lab` binary: 2 for any usage error — an unknown
 //! flag, a missing value, a zero count, a bad `AITAX_*` default, an
-//! unknown grid or an iteration count past the simulated clock's
-//! horizon — and 0 for `--help`, `--list` and a clean run.
+//! unknown grid, an iteration count past the simulated clock's horizon
+//! or a repeat count whose jobs do not fit in memory — and 0 for
+//! `--help`, `--list` and a clean run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -80,6 +81,26 @@ fn exit_codes_follow_the_shared_rule() {
     ];
     for (what, env, args, code) in cases {
         assert_eq!(lab_exit_code(env, args), Some(*code), "{what}");
+    }
+}
+
+/// A repeat count whose `scenarios × repeats` overflows, or passes the
+/// 2^20 jobs a grid may hold, is refused before any job list is built,
+/// naming `--repeats`.
+#[test]
+fn repeat_counts_past_the_job_bound_are_usage_errors() {
+    // `smoke` has 2 scenarios: 2 × 524,288 jobs is exactly the bound.
+    for repeats in [HUGE, "524289"] {
+        let out = lab(
+            &[],
+            &["--grid", "smoke", "--iters", "1", "--repeats", repeats],
+        );
+        assert_eq!(out.status.code(), Some(2), "--repeats {repeats}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: --repeats {repeats}: ")),
+            "--repeats {repeats}: {stderr}"
+        );
     }
 }
 

@@ -95,12 +95,14 @@ impl CoreRailSpec {
         clippy::expect_used,
         reason = "catalog rails always declare at least one operating point"
     )]
+    #[inline]
     pub fn nominal(&self) -> OperatingPoint {
         *self.opps.last().expect("rail has at least one OPP")
     }
 
     /// Supply voltage at a frequency, piecewise-linearly interpolated
     /// between operating points and clamped at the table ends.
+    #[inline]
     pub(crate) fn voltage_at(&self, freq_hz: f64) -> f64 {
         #[expect(
             clippy::expect_used,
@@ -121,12 +123,14 @@ impl CoreRailSpec {
     }
 
     /// Dynamic (switching) power at a frequency: `C·V(f)²·f`.
+    #[inline]
     pub(crate) fn dynamic_power_w(&self, freq_hz: f64) -> f64 {
         let v = self.voltage_at(freq_hz);
         self.capacitance_f * v * v * freq_hz
     }
 
     /// Total power while executing at a frequency: dynamic + leakage.
+    #[inline]
     pub fn active_power_w(&self, freq_hz: f64) -> f64 {
         self.dynamic_power_w(freq_hz) + self.leakage_w
     }
@@ -134,6 +138,7 @@ impl CoreRailSpec {
     /// Power while the core idles: zero if the rail power-gates,
     /// otherwise the leakage floor (the branes-ai "without power gating"
     /// case — every allocated unit leaks).
+    #[inline]
     pub fn idle_power_w(&self) -> f64 {
         if self.power_gated {
             0.0
@@ -146,6 +151,7 @@ impl CoreRailSpec {
     /// nominal (schedutil's `f = 1.25·util·f_max` rounded up to a real OPP).
     ///
     /// Fractions above 1 clamp to the nominal point.
+    #[inline]
     pub fn opp_for_target(&self, target_fraction: f64) -> OperatingPoint {
         let want = target_fraction * self.nominal().freq_hz;
         for &opp in &self.opps {
@@ -188,6 +194,7 @@ impl AccelRailSpec {
     }
 
     /// Effective idle power (zero when the block power-collapses).
+    #[inline]
     pub fn idle_power_w(&self) -> f64 {
         if self.power_gated {
             0.0

@@ -31,11 +31,13 @@ pub struct CpuCoreSpec {
 
 impl CpuCoreSpec {
     /// Peak fp32 throughput in FLOP/s at nominal frequency.
+    #[inline]
     pub fn peak_fp32_flops(&self) -> f64 {
         self.freq_hz * self.fp32_flops_per_cycle
     }
 
     /// Peak int8 throughput in op/s at nominal frequency.
+    #[inline]
     pub fn peak_int8_ops(&self) -> f64 {
         self.freq_hz * self.int8_ops_per_cycle
     }

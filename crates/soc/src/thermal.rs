@@ -32,6 +32,7 @@ impl ThermalModel {
     ///
     /// `1.0` below the soft limit, `0.85` between soft and hard limits,
     /// `0.7` above the hard limit — a coarse but representative governor.
+    #[inline]
     pub(crate) fn freq_multiplier(&self, temp_c: f64) -> f64 {
         if temp_c < self.soft_limit_c {
             1.0
@@ -43,6 +44,7 @@ impl ThermalModel {
     }
 
     /// Equilibrium temperature under a sustained power draw.
+    #[inline]
     pub(crate) fn equilibrium_c(&self, watts: f64) -> f64 {
         self.idle_temp_c + watts * self.rise_c_per_watt
     }
@@ -93,11 +95,13 @@ impl ThermalState {
 
     /// The instant the state was last integrated to (by
     /// [`ThermalState::advance`] or [`ThermalState::force_temp`]).
+    #[inline]
     pub fn last_update(&self) -> SimTime {
         self.last_update
     }
 
     /// Current frequency multiplier.
+    #[inline]
     pub fn freq_multiplier(&self) -> f64 {
         self.model.freq_multiplier(self.temp_c)
     }
@@ -111,6 +115,7 @@ impl ThermalState {
     /// # Panics
     ///
     /// Panics if `watts` is negative or not finite.
+    #[inline]
     pub fn advance(&mut self, now: SimTime, watts: f64) {
         assert!(
             watts.is_finite() && watts >= 0.0,
