@@ -1,6 +1,6 @@
 //! Pins the simulator's deterministic counters exactly, at two sizes.
 //!
-//! Nine seeded scenarios exercise the layers every experiment runs on:
+//! Ten seeded scenarios exercise the layers every experiment runs on:
 //!
 //! * `calendar-churn` — schedule/fire/cancel churn through [`Calendar`]
 //!   with a rolling population of pending events,
@@ -13,6 +13,9 @@
 //!   allocate (`steady_allocs`),
 //! * `machine-mixed` — noise timers, DSP ping-pong and wandering
 //!   NNAPI-fallback tasks,
+//! * `machine-drain` — seeded waves of fork-join gangs and background
+//!   tasks run until the machine idles; `events` over `tasks_completed`
+//!   is the scheduler's calendar cost per CPU task,
 //! * `init-tax-fresh` / `init-tax-reused` — repeated short runs that pay
 //!   graph build, plan compile and machine boot every run, against the
 //!   same runs through the compiled-artifact caches and one reset
@@ -93,11 +96,12 @@ const QUICK_EXPECTED: Table = &[
     ("far-timer-churn", &[("scheduled", 266731), ("fired", 200000), ("cancelled", 46846), ("pending_after", 19885)]),
     ("trace-record", &[("recorded", 425000), ("intervals", 200000), ("bytes_traced", 13600000)]),
     ("machine-hot", &[("events", 96000), ("steady_allocs", 0), ("context_switches", 120004), ("trace_events", 360008)]),
-    ("machine-mixed", &[("events", 80000), ("migrations", 6849), ("dsp_jobs", 24882), ("trace_events", 172548)]),
-    ("init-tax-fresh", &[("runs", 2000), ("digest", 8501767950363594374)]),
-    ("init-tax-reused", &[("runs", 2000), ("digest", 8501767950363594374)]),
-    ("init-tax-fleet-fresh", &[("devices", 6), ("digest", 1951174173030436353)]),
-    ("init-tax-fleet-reused", &[("devices", 6), ("digest", 1951174173030436353)]),
+    ("machine-mixed", &[("events", 80000), ("migrations", 6847), ("dsp_jobs", 26361), ("trace_events", 172449)]),
+    ("machine-drain", &[("events", 16661), ("tasks_completed", 6955)]),
+    ("init-tax-fresh", &[("runs", 2000), ("digest", 4064989676571707945)]),
+    ("init-tax-reused", &[("runs", 2000), ("digest", 4064989676571707945)]),
+    ("init-tax-fleet-fresh", &[("devices", 6), ("digest", 7485153777124778294)]),
+    ("init-tax-fleet-reused", &[("devices", 6), ("digest", 7485153777124778294)]),
 ];
 
 #[rustfmt::skip]
@@ -106,11 +110,12 @@ const FULL_EXPECTED: Table = &[
     ("far-timer-churn", &[("scheduled", 2666731), ("fired", 2000000), ("cancelled", 509612), ("pending_after", 157119)]),
     ("trace-record", &[("recorded", 4250000), ("intervals", 2000000), ("bytes_traced", 136000000)]),
     ("machine-hot", &[("events", 800000), ("steady_allocs", 0), ("context_switches", 1000004), ("trace_events", 3000008)]),
-    ("machine-mixed", &[("events", 600000), ("migrations", 52162), ("dsp_jobs", 187322), ("trace_events", 1298156)]),
-    ("init-tax-fresh", &[("runs", 20000), ("digest", 10819834386515935432)]),
-    ("init-tax-reused", &[("runs", 20000), ("digest", 10819834386515935432)]),
-    ("init-tax-fleet-fresh", &[("devices", 32), ("digest", 11575866573269817239)]),
-    ("init-tax-fleet-reused", &[("devices", 32), ("digest", 11575866573269817239)]),
+    ("machine-mixed", &[("events", 600000), ("migrations", 52402), ("dsp_jobs", 197147), ("trace_events", 1294329)]),
+    ("machine-drain", &[("events", 166622), ("tasks_completed", 69578)]),
+    ("init-tax-fresh", &[("runs", 20000), ("digest", 11158070960313227722)]),
+    ("init-tax-reused", &[("runs", 20000), ("digest", 11158070960313227722)]),
+    ("init-tax-fleet-fresh", &[("devices", 32), ("digest", 2391120338383374445)]),
+    ("init-tax-fleet-reused", &[("devices", 32), ("digest", 2391120338383374445)]),
 ];
 
 // ------------------------------------------------------------------ sizing
@@ -121,6 +126,7 @@ struct Sizes {
     trace_events: u64,
     hot_events: u64,
     mixed_events: u64,
+    drain_waves: u64,
     init_runs: u64,
     fleet_devices: usize,
 }
@@ -131,6 +137,7 @@ const QUICK: Sizes = Sizes {
     trace_events: 400_000,
     hot_events: 120_000,
     mixed_events: 80_000,
+    drain_waves: 2_000,
     init_runs: 2_000,
     fleet_devices: 6,
 };
@@ -141,6 +148,7 @@ const FULL: Sizes = Sizes {
     trace_events: 4_000_000,
     hot_events: 1_000_000,
     mixed_events: 600_000,
+    drain_waves: 20_000,
     init_runs: 20_000,
     fleet_devices: 32,
 };
@@ -330,6 +338,40 @@ fn machine_mixed(n: u64) -> Counters {
     ]
 }
 
+/// `waves` seeded arrivals, 2 ms apart on average, each a fork-join gang
+/// of one to four foreground members plus one background task, with
+/// work from a few microseconds to past a quantum. Runs until the
+/// machine idles and counts every event it fired.
+fn machine_drain(waves: u64) -> Counters {
+    let mut m = Machine::new(SocCatalog::get(SocId::Sd845), 91);
+    let mut rng = SimRng::seed_from(0xD7A1_0005);
+    for _ in 0..waves {
+        let at = SimSpan::from_us(rng.uniform(0.0, 2_000.0 * waves as f64));
+        let width = rng.uniform_u64(1, 5) as usize;
+        let flops = rng.uniform(1e5, 1.2e8);
+        let cycles = rng.uniform(1e4, 2e7);
+        m.after(at, move |m| {
+            m.submit_gang(
+                width,
+                |_, _| TaskSpec::foreground("drain-gang", Work::Fp32Flops(flops)),
+                std::rc::Rc::new(|_: &mut Machine| {}),
+            );
+            m.submit_cpu(
+                TaskSpec::background("drain-bg", Work::Cycles(cycles)),
+                |_| {},
+            );
+        });
+    }
+    let mut events = 0u64;
+    while m.step() {
+        events += 1;
+    }
+    vec![
+        ("events", events),
+        ("tasks_completed", m.stats().tasks_completed),
+    ]
+}
+
 /// Folds one 64-bit observation into an order-sensitive digest.
 fn fold(digest: &mut u64, bits: u64) {
     *digest = digest.rotate_left(7) ^ bits;
@@ -432,6 +474,7 @@ fn run_all(s: &Sizes) -> Vec<(&'static str, Counters)> {
         ("trace-record", trace_record(s.trace_events)),
         ("machine-hot", machine_hot(s.hot_events)),
         ("machine-mixed", machine_mixed(s.mixed_events)),
+        ("machine-drain", machine_drain(s.drain_waves)),
         ("init-tax-fresh", init_fresh),
         ("init-tax-reused", init_reused),
         ("init-tax-fleet-fresh", fleet_fresh),

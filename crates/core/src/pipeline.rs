@@ -611,7 +611,9 @@ impl Driver {
 const TRACE_EVENTS_PER_ITERATION: usize = 8192;
 
 /// Trace events reserved per pipeline iteration of a metered run. A fleet
-/// probe iteration records about 700 (its exec, DVFS and AXI events).
+/// probe iteration records 500–720 on average (its exec, DVFS and AXI
+/// events, over perfbench fleet-mix rounds at seeds 1 and 9001); a loaded
+/// device's iterations record up to several thousand and grow amortized.
 const METER_EVENTS_PER_ITERATION: usize = 1024;
 
 /// Most trace events a run reserves up front unless

@@ -282,10 +282,10 @@ mod tests {
     /// live) must leave every one unchanged; only a change to the
     /// thermal, DVFS or scheduling model itself may re-pin them.
     const PINNED: [[u64; 2]; 4] = [
-        [0xdc3bcab9deb36d73, 0xecf5802563d791a0],
-        [0xe5642dbea5fa2873, 0x6a64709eccdf4984],
-        [0x35c650ac73e9ea82, 0xfdcb8354c4143f2a],
-        [0x16569842a9f110b0, 0x4f0c5c483ff79c66],
+        [0x3b2777425bfeb889, 0xaf7decd418d5ffb3],
+        [0x773baf2ff5b4788b, 0x8d80da89afcb2987],
+        [0xfea1c7e819537452, 0x8af37a26a646d07b],
+        [0x64c851777c6fd822, 0x0672ee43b826f914],
     ];
 
     struct Fnv(u64);

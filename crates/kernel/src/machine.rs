@@ -224,6 +224,9 @@ pub(crate) struct Running {
     pub work_start: SimTime,
     /// Work units retired per second during this slice.
     pub rate: f64,
+    /// The slice was sized by the task's remaining work, not capped at
+    /// the quantum: its natural end completes the task.
+    pub finishes: bool,
     /// Calendar token of the pending `SliceEnd`, so a preemption can
     /// cancel it without disturbing any other scheduled event.
     pub slice_token: Token,

@@ -5,6 +5,16 @@
 //! cache-warmup migration penalty, and the "wandering" behaviour of NNAPI
 //! CPU-fallback threads that Figure 6 of the paper captures (annotation 4:
 //! "frequent CPU migrations ... and the core utilization pattern").
+//!
+//! **Slice rule.** A dispatch sizes the slice as the task's remaining work
+//! at this slice's rate, rounded to the nanosecond, or as the quantum if
+//! that is shorter. A slice sized by the remaining work completes the task
+//! at its end. No threshold on the remaining work judges completion: when
+//! the rounding goes down, the sub-nanosecond leftover would stay above
+//! any such threshold and cost the task a second dispatch, jitter draw and
+//! calendar event for a 1 ns slice. A slice capped at the quantum, or cut
+//! short by a preemption, banks the work it retired, and the next dispatch
+//! sizes the rest afresh.
 
 use std::rc::Rc;
 
@@ -24,12 +34,8 @@ pub(crate) const CONTEXT_SWITCH_COST: SimSpan = SimSpan::from_ns(8_000);
 /// another core at a slice boundary.
 pub(crate) const DEFAULT_WANDER_PROBABILITY: f64 = 0.35;
 
-/// Remaining-work threshold below which a task is complete.
-const WORK_EPSILON: f64 = 1e-6;
-
-/// Smallest schedulable slice. Guarantees forward progress: without it, a
-/// residue of work smaller than half a nanosecond at the current rate
-/// would round to a zero-length slice and loop forever at one timestamp.
+/// Smallest schedulable slice: a task with no work still occupies its
+/// core for a non-empty slice, so its completion is a later event.
 const MIN_SLICE: SimSpan = SimSpan::from_ns(1);
 
 impl Machine {
@@ -259,7 +265,7 @@ impl Machine {
             );
         }
 
-        let (rate, slice, label, penalty) = {
+        let (rate, slice, finishes, label, penalty) = {
             let task = &mut self.tasks[slot];
             let penalty = std::mem::replace(&mut task.pending_penalty, SimSpan::ZERO);
             let spec = &self.core_specs[core];
@@ -268,9 +274,10 @@ impl Machine {
             // benchmarks exhibit (Fig. 11's tight-but-nonzero spread).
             let rate = task.work_kind.rate_on(spec) * speed * self.rng.jitter(0.01);
             let quantum = BASE_QUANTUM * task.class.weight();
-            let run_secs = (task.remaining / rate).max(0.0);
-            let slice = SimSpan::from_secs(run_secs).min(quantum).max(MIN_SLICE);
-            (rate, slice, task.label, penalty)
+            let needed = SimSpan::from_secs((task.remaining / rate).max(0.0));
+            let finishes = needed <= quantum;
+            let slice = needed.min(quantum).max(MIN_SLICE);
+            (rate, slice, finishes, task.label, penalty)
         };
         overhead += penalty;
 
@@ -281,6 +288,7 @@ impl Machine {
             task: slot,
             work_start,
             rate,
+            finishes,
             slice_token: token,
         });
         self.cores[core].last_task = Some(id);
@@ -308,11 +316,7 @@ impl Machine {
         let slot = running.task;
         let task = &mut self.tasks[slot];
         task.remaining -= now.since(running.work_start).as_secs() * running.rate;
-        let (id, finished, wanders) = (
-            task.id,
-            task.remaining <= WORK_EPSILON,
-            task.class.wanders(),
-        );
+        let (id, finished, wanders) = (task.id, running.finishes, task.class.wanders());
         self.trace.record(
             now,
             TraceResource::CpuCore(core as u8),
@@ -456,6 +460,51 @@ mod tests {
         m.run_until_idle();
         // One context switch plus slice rounding.
         assert!((done.get() - 10.0).abs() < 0.1, "latency {}", done.get());
+    }
+
+    /// The slice rule: a lone task whose work fits in one quantum runs
+    /// one slice of exactly its work at that slice's rate, rounded to the
+    /// nanosecond, and completes at its end whichever way it rounded.
+    #[test]
+    fn work_sized_slice_completes_the_task() {
+        let mut rounded_down = 0;
+        for k in 0..32 {
+            let mut m = machine();
+            m.set_tracing(true);
+            let work = BIG_FLOPS * 1e-5 * (1.0 + 3.0 * f64::from(k));
+            let done = Rc::new(Cell::new(0));
+            let d = done.clone();
+            m.submit_cpu(
+                TaskSpec::foreground("t", Work::Fp32Flops(work)),
+                move |mm| d.set(mm.now().as_ns()),
+            );
+            let rate = m
+                .cores
+                .iter()
+                .find_map(|c| c.running.as_ref())
+                .expect("an idle machine dispatches at once")
+                .rate;
+            let needed = SimSpan::from_secs(work / rate);
+            assert!(
+                needed < BASE_QUANTUM,
+                "case {k}: {needed} exceeds a quantum"
+            );
+            if (needed.as_ns() as f64) < work / rate * 1e9 {
+                rounded_down += 1;
+            }
+            m.run_until_idle();
+            assert_eq!(
+                done.get(),
+                (CONTEXT_SWITCH_COST + needed).as_ns(),
+                "case {k}"
+            );
+            let count =
+                |want: fn(&TraceKind) -> bool| m.trace.iter().filter(|e| want(&e.kind)).count();
+            let starts = count(|k| matches!(k, TraceKind::ExecStart { .. }));
+            let ends = count(|k| matches!(k, TraceKind::ExecEnd { .. }));
+            assert_eq!((starts, ends), (1, 1), "case {k}: one slice");
+        }
+        assert!(rounded_down > 0, "no case rounded its slice down");
     }
 
     #[test]

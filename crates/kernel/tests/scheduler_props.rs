@@ -2,10 +2,12 @@
 //! structure and timing monotonicity. Randomized cases are driven by the
 //! deterministic simulator RNG.
 
-use aitax_des::{SimRng, SimSpan};
+use aitax_des::trace::{TraceKind, TraceResource};
+use aitax_des::{SimRng, SimSpan, SimTime};
 use aitax_kernel::{CoreMask, Machine, RpcDevice, RpcInvoke, TaskSpec, Work};
 use aitax_soc::{SocCatalog, SocId};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 fn machine(seed: u64) -> Machine {
@@ -158,4 +160,134 @@ fn timers_are_exact() {
         expect.sort_unstable();
         assert_eq!(&*fired.borrow(), &expect, "case {case}");
     }
+}
+
+/// The kernel's context-switch cost and smallest slice, mirrored here;
+/// `residue_test_constants_match_the_kernel` ties them to its behaviour.
+const SWITCH_COST: SimSpan = SimSpan::from_ns(8_000);
+const MIN_SLICE: SimSpan = SimSpan::from_ns(1);
+
+/// A task with no work runs one `MIN_SLICE` after the switch cost.
+#[test]
+fn residue_test_constants_match_the_kernel() {
+    let mut m = machine(5);
+    m.set_tracing(true);
+    m.submit_cpu(TaskSpec::foreground("empty", Work::Fp32Flops(0.0)), |_| {});
+    m.run_until_idle();
+    assert_eq!(m.now().as_ns(), (SWITCH_COST + MIN_SLICE).as_ns());
+}
+
+/// Seeded waves of fork-join gangs, background work, wandering
+/// NNAPI-fallback threads and high-priority arrivals that preempt them.
+fn mixed_waves(m: &mut Machine, rng: &mut SimRng) {
+    for _ in 0..24 {
+        let at = SimSpan::from_us(rng.uniform(0.0, 40_000.0));
+        let width = rng.uniform_u64(1, 5) as usize;
+        let gang = rng.uniform(1e5, 2e8);
+        let bg = rng.uniform(1e4, 2e7);
+        let fallback = rng.uniform(1e6, 3e8);
+        let urgent = rng.uniform(1e5, 2e7);
+        m.after(at, move |m| {
+            m.submit_gang(
+                width,
+                |_, _| TaskSpec::foreground("gang", Work::Fp32Flops(gang)),
+                Rc::new(|_: &mut Machine| {}),
+            );
+            m.submit_cpu(TaskSpec::background("bg", Work::Cycles(bg)), |_| {});
+            m.submit_cpu(
+                TaskSpec::nnapi_fallback("fallback", Work::Int8Ops(fallback)),
+                |_| {},
+            );
+            m.submit_cpu(
+                TaskSpec::foreground("urgent", Work::Fp32Flops(urgent)).with_priority(2),
+                |_| {},
+            );
+        });
+    }
+}
+
+/// Per task, in slice order, the useful time of each CPU slice: its
+/// traced interval less the switch cost (a `ContextSwitch` record just
+/// before its start) and the migration penalties the task collected
+/// since its previous slice.
+#[expect(
+    clippy::expect_used,
+    reason = "the kernel records every ExecEnd after its ExecStart"
+)]
+fn useful_slices(m: &Machine) -> BTreeMap<u64, Vec<SimSpan>> {
+    let penalty: Vec<SimSpan> = m
+        .spec()
+        .cores()
+        .iter()
+        .map(|c| c.migration_penalty)
+        .collect();
+    let mut pending: BTreeMap<u64, SimSpan> = BTreeMap::new();
+    let mut open: BTreeMap<u64, (SimTime, SimSpan)> = BTreeMap::new();
+    let mut slices: BTreeMap<u64, Vec<SimSpan>> = BTreeMap::new();
+    let mut switched_at = None;
+    for e in m.trace.iter() {
+        let TraceResource::CpuCore(core) = e.resource else {
+            continue;
+        };
+        match e.kind {
+            TraceKind::ContextSwitch => {
+                switched_at = Some((core, e.time));
+                continue;
+            }
+            TraceKind::Migration { task, to, .. } => {
+                *pending.entry(task).or_insert(SimSpan::ZERO) += penalty[usize::from(to)];
+            }
+            TraceKind::ExecStart { task, .. } => {
+                let switch = if switched_at == Some((core, e.time)) {
+                    SWITCH_COST
+                } else {
+                    SimSpan::ZERO
+                };
+                let overhead = switch + pending.remove(&task).unwrap_or(SimSpan::ZERO);
+                open.insert(task, (e.time, overhead));
+            }
+            TraceKind::ExecEnd { task } => {
+                let (start, overhead) = open.remove(&task).expect("an exec end follows its start");
+                let interval = e.time.since(start);
+                let useful = SimSpan::from_ns(interval.as_ns().saturating_sub(overhead.as_ns()));
+                slices.entry(task).or_default().push(useful);
+            }
+            _ => {}
+        }
+        switched_at = None;
+    }
+    slices
+}
+
+/// A slice sized by a task's remaining work completes it, so no task
+/// with work ends on a residue slice: a `MIN_SLICE` that follows its own
+/// earlier slice and only finishes the rounding's leftover.
+#[test]
+fn no_task_ends_on_a_residue_slice() {
+    let mut rng = SimRng::seed_from(0x5C4E_0006);
+    let (mut multi_slice, mut preemptions, mut migrations) = (0, 0, 0);
+    for case in 0..16 {
+        let mut m = machine(rng.next_u64());
+        m.set_tracing(true);
+        mixed_waves(&mut m, &mut rng);
+        m.run_until_idle();
+        assert_eq!(m.cpu_load(), 0, "case {case}");
+        preemptions += m.stats().preemptions;
+        migrations += m.stats().migrations;
+        for (task, useful) in useful_slices(&m) {
+            let [.., before, last] = useful[..] else {
+                continue;
+            };
+            multi_slice += 1;
+            assert!(
+                last > MIN_SLICE,
+                "case {case}: task {task} ended on a residue slice after a {before} one"
+            );
+        }
+    }
+    assert!(multi_slice > 100, "only {multi_slice} multi-slice tasks");
+    assert!(
+        preemptions > 0 && migrations > 0,
+        "{preemptions} preemptions, {migrations} migrations"
+    );
 }

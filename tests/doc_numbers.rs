@@ -1,12 +1,17 @@
-//! EXPERIMENTS.md quotes only numbers that `figures` prints.
+//! The docs quote only numbers the committed outputs give.
 //!
-//! For each row of the paper-vs-measured table that a `figures` exhibit
-//! regenerates, every number in the "Measured here" cell must round, at
-//! the precision it is quoted with, from a number in that exhibit's
-//! section of `docs/reference_output.txt` (the committed output of
-//! `AITAX_ITERS=500 figures`, which CI regenerates byte for byte). A
-//! number the output does not print is listed in [`DERIVED`] with the
-//! output values it comes from, and recomputed here.
+//! For each row of EXPERIMENTS.md's paper-vs-measured table that a
+//! `figures` exhibit regenerates, every number in the "Measured here"
+//! cell must round, at the precision it is quoted with, from a number in
+//! that exhibit's section of `docs/reference_output.txt` (the committed
+//! output of `AITAX_ITERS=500 figures`, which CI regenerates byte for
+//! byte). A number the output does not print is listed in [`DERIVED`]
+//! with the output values it comes from, and recomputed here.
+//!
+//! EXPERIMENTS.md and the README fence each passage that quotes a
+//! committed `BENCH_*.json` between `<!-- doc-numbers: BENCH_x.json -->`
+//! and `<!-- /doc-numbers -->`. Every number in a fenced passage must
+//! round from a number in that file, or be listed in [`BENCH_DERIVED`].
 
 use std::fs;
 use std::path::Path;
@@ -33,9 +38,10 @@ const FIRST_HEADINGS: [(&str, &str); 16] = [
     ("serving", "serving '"),
 ];
 
-/// A quoted number no output value rounds to: its exhibit, the number
-/// as EXPERIMENTS.md quotes it, the output values it comes from (each
-/// printed verbatim in the exhibit's section) and how.
+/// A quoted number no output value rounds to: its exhibit (or
+/// `BENCH_*.json` file), the number as quoted, the output values it comes
+/// from (each printed verbatim in the exhibit's section or the file) and
+/// how.
 type Derived = (
     &'static str,
     &'static str,
@@ -58,14 +64,14 @@ const DERIVED: &[Derived] = &[
         "fig9",
         "1",
         &[
-            "0", "1", "2", "4", "6", "8", "12.4", "20.9", "32.4", "56.4", "80.7", "105",
+            "0", "1", "2", "4", "6", "8", "12.4", "20.8", "32.3", "56.5", "80.6", "105",
         ],
         |v| r_squared(&v[..6], &v[6..]),
     ),
     // The benchmark's σ = cv × mean.
     ("fig11", "0.03", &["0.001", "26.9"], |v| v[0] * v[1]),
     // The app's p95 over its median, in percent.
-    ("fig11", "12", &["61.0", "54.6"], |v| {
+    ("fig11", "13", &["61.5", "54.6"], |v| {
         (v[0] / v[1] - 1.0) * 100.0
     }),
     // Capture + preproc on the SD845 and the SD835.
@@ -83,11 +89,42 @@ const DERIVED: &[Derived] = &[
     ("extras", "17", &["40.3", "33.3"], |v| {
         (1.0 - v[1] / v[0]) * 100.0
     }),
-    ("extras", "24", &["43.8", "33.4"], |v| {
+    ("extras", "24", &["43.9", "33.4"], |v| {
         (1.0 - v[1] / v[0]) * 100.0
     }),
     // CPU ×4 over CPU ×1 watts.
     ("energy", "2", &["6.46", "3.16"], |v| v[0] / v[1]),
+];
+
+/// Every derived number a fenced `BENCH_*.json` passage quotes.
+const BENCH_DERIVED: &[Derived] = &[
+    // Serve p99 inflation, mix over solo: the enhancer, then the indexer.
+    (
+        "BENCH_serve.json",
+        "1.20",
+        &["2048.892630", "1709.878114"],
+        |v| v[0] / v[1],
+    ),
+    (
+        "BENCH_serve.json",
+        "21.75",
+        &["1406.840040", "64.677736"],
+        |v| v[0] / v[1],
+    ),
+    // The enhancer's share of the attributed tax, in percent.
+    (
+        "BENCH_serve.json",
+        "80",
+        &["9558.794800", "12021.544895"],
+        |v| v[0] / v[1] * 100.0,
+    ),
+];
+
+/// The files each document must fence at least one passage for.
+const FENCED: [(&str, &str); 3] = [
+    ("EXPERIMENTS.md", "BENCH_fleet.json"),
+    ("EXPERIMENTS.md", "BENCH_serve.json"),
+    ("README.md", "BENCH_serve.json"),
 ];
 
 /// The coefficient of determination of the least-squares line through
@@ -144,6 +181,86 @@ fn numbers(text: &str, names_right: bool) -> Vec<&str> {
 fn rounds_to(x: f64, quoted: &str) -> bool {
     let decimals = quoted.split_once('.').map_or(0, |(_, d)| d.len());
     format!("{x:.decimals$}") == quoted
+}
+
+/// Checks every number in `quotes`, taken from `source`: it must round
+/// from a number in `printed`, or, when `derived` lists it for `source`,
+/// from one of those entries whose inputs are all printed. Marks the
+/// entries that held in `used` and records each failing quote.
+#[expect(
+    clippy::unwrap_used,
+    reason = "`numbers` yields only decimal literals, and derived inputs are written as such"
+)]
+fn check_quotes(
+    source: &str,
+    printed: &[&str],
+    quotes: &[&str],
+    derived: &[Derived],
+    used: &mut [bool],
+    failures: &mut Vec<String>,
+) {
+    for &quoted in quotes {
+        let mut entries = derived
+            .iter()
+            .enumerate()
+            .filter(|(_, (src, q, _, _))| *src == source && *q == quoted)
+            .peekable();
+        let ok = if entries.peek().is_some() {
+            let mut held = false;
+            for (d, (_, _, inputs, f)) in entries {
+                let values: Vec<f64> = inputs.iter().map(|v| v.parse().unwrap()).collect();
+                if inputs.iter().all(|v| printed.contains(v)) && rounds_to(f(&values), quoted) {
+                    used[d] = true;
+                    held = true;
+                }
+            }
+            held
+        } else {
+            printed
+                .iter()
+                .any(|p| rounds_to(p.parse().unwrap(), quoted))
+        };
+        if !ok {
+            failures.push(format!("{source}: {quoted}"));
+        }
+    }
+}
+
+/// Records each `derived` entry that held for no quote.
+fn unused_derived(derived: &[Derived], used: &[bool], failures: &mut Vec<String>) {
+    for (d, (source, quoted, _, _)) in derived.iter().enumerate() {
+        if !used[d] {
+            failures.push(format!("{source}: derived {quoted} holds for no quote"));
+        }
+    }
+}
+
+/// Every fenced passage of `doc`: the `BENCH_*.json` file it quotes and
+/// its text.
+#[expect(clippy::panic, reason = "a malformed fence fails the test")]
+fn bench_passages(doc: &str) -> Vec<(&str, &str)> {
+    const OPEN: &str = "<!-- doc-numbers: ";
+    const CLOSE: &str = "<!-- /doc-numbers -->";
+    let mut out = Vec::new();
+    let mut rest = doc;
+    while let Some(at) = rest.find(OPEN) {
+        let after = &rest[at + OPEN.len()..];
+        let Some((file, body)) = after.split_once(" -->") else {
+            panic!("unterminated fence comment");
+        };
+        let Some((passage, tail)) = body.split_once(CLOSE) else {
+            panic!("{file}: fenced passage has no '{CLOSE}'");
+        };
+        assert!(
+            file.starts_with("BENCH_") && file.ends_with(".json") && !file.contains('/'),
+            "fence names '{file}', not a committed BENCH_*.json"
+        );
+        assert!(!passage.contains(OPEN), "{file}: fences nest");
+        out.push((file, passage));
+        rest = tail;
+    }
+    assert!(!rest.contains(CLOSE), "a fence closes without opening");
+    out
 }
 
 /// Each exhibit's section of the reference output: from its first
@@ -214,41 +331,49 @@ fn measured_numbers_come_from_the_reference_output() {
             failures.push(format!("{exhibit}: no such exhibit"));
             continue;
         };
-        let printed = numbers(section, false);
-        for quoted in numbers(cell, true) {
-            let mut derived = DERIVED
-                .iter()
-                .enumerate()
-                .filter(|(_, (ex, q, _, _))| *ex == exhibit && *q == quoted)
-                .peekable();
-            let ok = if derived.peek().is_some() {
-                let mut held = false;
-                for (d, (_, _, inputs, f)) in derived {
-                    let values: Vec<f64> = inputs.iter().map(|v| v.parse().unwrap()).collect();
-                    if inputs.iter().all(|v| printed.contains(v)) && rounds_to(f(&values), quoted) {
-                        used[d] = true;
-                        held = true;
-                    }
-                }
-                held
-            } else {
-                printed
-                    .iter()
-                    .any(|p| rounds_to(p.parse().unwrap(), quoted))
-            };
-            if !ok {
-                failures.push(format!("{exhibit}: {quoted}"));
-            }
-        }
+        check_quotes(
+            exhibit,
+            &numbers(section, false),
+            &numbers(cell, true),
+            DERIVED,
+            &mut used,
+            &mut failures,
+        );
     }
-    for (d, (exhibit, quoted, _, _)) in DERIVED.iter().enumerate() {
-        if !used[d] {
-            failures.push(format!("{exhibit}: derived {quoted} holds for no quote"));
-        }
-    }
+    unused_derived(DERIVED, &used, &mut failures);
     assert!(
         failures.is_empty(),
         "EXPERIMENTS.md quotes numbers the reference output does not give:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn bench_quotes_come_from_the_committed_files() {
+    let mut used = vec![false; BENCH_DERIVED.len()];
+    let mut failures = Vec::new();
+    let mut fenced = Vec::new();
+    let docs = ["EXPERIMENTS.md", "README.md"].map(|name| (name, read(name)));
+    for (doc_name, doc) in &docs {
+        for (file, passage) in bench_passages(doc) {
+            check_quotes(
+                file,
+                &numbers(&read(file), false),
+                &numbers(passage, true),
+                BENCH_DERIVED,
+                &mut used,
+                &mut failures,
+            );
+            fenced.push((*doc_name, file));
+        }
+    }
+    for want in FENCED {
+        assert!(fenced.contains(&want), "{want:?}: no fenced passage");
+    }
+    unused_derived(BENCH_DERIVED, &used, &mut failures);
+    assert!(
+        failures.is_empty(),
+        "the docs quote numbers the committed BENCH files do not give:\n{}",
         failures.join("\n")
     );
 }
