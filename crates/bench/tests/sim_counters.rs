@@ -15,7 +15,9 @@
 //!   NNAPI-fallback tasks,
 //! * `machine-drain` — seeded waves of fork-join gangs and background
 //!   tasks run until the machine idles; `events` over `tasks_completed`
-//!   is the scheduler's calendar cost per CPU task,
+//!   is the scheduler's calendar cost per CPU task, and the thermal and
+//!   governor period closes are the only points where heat and
+//!   utilization are folded (no per-event `exp`),
 //! * `init-tax-fresh` / `init-tax-reused` — repeated short runs that pay
 //!   graph build, plan compile and machine boot every run, against the
 //!   same runs through the compiled-artifact caches and one reset
@@ -96,12 +98,12 @@ const QUICK_EXPECTED: Table = &[
     ("far-timer-churn", &[("scheduled", 266731), ("fired", 200000), ("cancelled", 46846), ("pending_after", 19885)]),
     ("trace-record", &[("recorded", 425000), ("intervals", 200000), ("bytes_traced", 13600000)]),
     ("machine-hot", &[("events", 96000), ("steady_allocs", 0), ("context_switches", 120004), ("trace_events", 360008)]),
-    ("machine-mixed", &[("events", 80000), ("migrations", 6847), ("dsp_jobs", 26361), ("trace_events", 172449)]),
-    ("machine-drain", &[("events", 16661), ("tasks_completed", 6955)]),
+    ("machine-mixed", &[("events", 80000), ("migrations", 6990), ("dsp_jobs", 26384), ("trace_events", 172018)]),
+    ("machine-drain", &[("events", 16689), ("tasks_completed", 6955), ("thermal_period_closes", 3760), ("gov_period_closes", 14433)]),
     ("init-tax-fresh", &[("runs", 2000), ("digest", 4064989676571707945)]),
     ("init-tax-reused", &[("runs", 2000), ("digest", 4064989676571707945)]),
-    ("init-tax-fleet-fresh", &[("devices", 6), ("digest", 7485153777124778294)]),
-    ("init-tax-fleet-reused", &[("devices", 6), ("digest", 7485153777124778294)]),
+    ("init-tax-fleet-fresh", &[("devices", 6), ("digest", 9525735366519928489)]),
+    ("init-tax-fleet-reused", &[("devices", 6), ("digest", 9525735366519928489)]),
 ];
 
 #[rustfmt::skip]
@@ -110,12 +112,12 @@ const FULL_EXPECTED: Table = &[
     ("far-timer-churn", &[("scheduled", 2666731), ("fired", 2000000), ("cancelled", 509612), ("pending_after", 157119)]),
     ("trace-record", &[("recorded", 4250000), ("intervals", 2000000), ("bytes_traced", 136000000)]),
     ("machine-hot", &[("events", 800000), ("steady_allocs", 0), ("context_switches", 1000004), ("trace_events", 3000008)]),
-    ("machine-mixed", &[("events", 600000), ("migrations", 52402), ("dsp_jobs", 197147), ("trace_events", 1294329)]),
-    ("machine-drain", &[("events", 166622), ("tasks_completed", 69578)]),
+    ("machine-mixed", &[("events", 600000), ("migrations", 52636), ("dsp_jobs", 196836), ("trace_events", 1289745)]),
+    ("machine-drain", &[("events", 166765), ("tasks_completed", 69578), ("thermal_period_closes", 37796), ("gov_period_closes", 145699)]),
     ("init-tax-fresh", &[("runs", 20000), ("digest", 11158070960313227722)]),
     ("init-tax-reused", &[("runs", 20000), ("digest", 11158070960313227722)]),
-    ("init-tax-fleet-fresh", &[("devices", 32), ("digest", 2391120338383374445)]),
-    ("init-tax-fleet-reused", &[("devices", 32), ("digest", 2391120338383374445)]),
+    ("init-tax-fleet-fresh", &[("devices", 32), ("digest", 16400556643090968643)]),
+    ("init-tax-fleet-reused", &[("devices", 32), ("digest", 16400556643090968643)]),
 ];
 
 // ------------------------------------------------------------------ sizing
@@ -369,6 +371,8 @@ fn machine_drain(waves: u64) -> Counters {
     vec![
         ("events", events),
         ("tasks_completed", m.stats().tasks_completed),
+        ("thermal_period_closes", m.stats().thermal_period_closes),
+        ("gov_period_closes", m.stats().gov_period_closes),
     ]
 }
 

@@ -4,10 +4,19 @@
 //! (`f = 1.25 · util · f_max`, rounded up to a real operating point) and
 //! boosts latency-sensitive work straight to the top — Android adds
 //! uclamp floors for the foreground cgroup. This module reproduces that
-//! shape: each core keeps an exponentially-weighted busy-fraction
-//! estimate; foreground, kernel and NNAPI-fallback dispatches boost to
-//! the nominal operating point, while background work runs at whatever
-//! point covers its utilization (with the schedutil margin).
+//! shape: each core tracks a PELT-style busy fraction; foreground, kernel
+//! and NNAPI-fallback dispatches boost to the nominal operating point,
+//! while background work runs at whatever point covers its utilization
+//! (with the schedutil margin).
+//!
+//! **Period rule.** Like PELT, the tracker accrues a core's busy time in
+//! [`ACCOUNTING_PERIOD`]s of 1,024 µs, by integer nanoseconds. When a
+//! period closes, its busy share folds into the utilization, and every
+//! whole period since decays it by a factor of `y` each, read from a
+//! table of `yⁿ`. `y = e^(−1.024/16)` keeps a 16 ms time constant (a
+//! half-life of about 11 ms; PELT's is 32 ms). The governor reads the
+//! utilization as of the last closed period, so a clock choice lags the
+//! load by at most one period, and no libm call runs per event.
 //!
 //! The governor closes the power loop twice over: the chosen operating
 //! point scales the task's retirement rate (time axis), and its
@@ -17,17 +26,39 @@
 //! multiplier caps the effective rate on top of the governor's choice.
 
 use aitax_des::trace::{TraceKind, TraceResource};
-use aitax_des::{SimSpan, SimTime};
-use aitax_soc::SocSpec;
+use aitax_soc::{SocSpec, ACCOUNTING_PERIOD};
 
-use crate::machine::Machine;
+use crate::machine::{nanowatts, Machine};
 use crate::task::TaskClass;
 
 /// Headroom multiplier on utilization (schedutil uses 1.25).
 const MARGIN: f64 = 1.25;
 
-/// Horizon of the per-core utilization EWMA.
-const UTIL_TAU: SimSpan = SimSpan::from_ns(16_000_000);
+/// Per-period decay of the utilization, `e^(−1.024/16)`: one
+/// [`ACCOUNTING_PERIOD`] over a 16 ms time constant.
+const Y: f64 = 0.938_004_999_530_729_5;
+
+/// Periods the `yⁿ` table covers. `y¹⁰²⁴ < 10⁻²⁸`, so a core idle that
+/// long (about a second) has forgotten its history below any operating
+/// point's step, and [`y_pow`] reads zero beyond the table.
+const DECAY_LEN: usize = 1024;
+
+/// `yⁿ` for `n < DECAY_LEN`, by repeated multiplication from [`Y`].
+static DECAY: [f64; DECAY_LEN] = {
+    let mut table = [1.0; DECAY_LEN];
+    let mut n = 1;
+    while n < DECAY_LEN {
+        table[n] = table[n - 1] * Y;
+        n += 1;
+    }
+    table
+};
+
+/// `yⁿ`, zero once the table runs out.
+#[inline]
+fn y_pow(n: u64) -> f64 {
+    DECAY.get(n as usize).copied().unwrap_or(0.0)
+}
 
 /// Whether a dispatch of `class` gets the uclamp-style max boost
 /// (Android's floor for foreground, kernel and NNAPI-fallback work).
@@ -41,19 +72,24 @@ fn boosts(class: TaskClass) -> bool {
 /// Per-core governor state.
 #[derive(Debug, Clone)]
 pub(crate) struct CoreGov {
-    /// EWMA busy-fraction estimate in `[0, 1]`.
+    /// PELT-style busy fraction in `[0, 1]`, as of the start of the
+    /// current period.
     util: f64,
-    /// Whether the core has been busy since `last_update`.
+    /// End of the current period, in nanoseconds.
+    period_end: u64,
+    /// Busy nanoseconds of the current period up to `last_ns`.
+    busy_ns: u64,
+    /// Whether the core has been busy since `last_ns`.
     busy: bool,
-    last_update: SimTime,
+    last_ns: u64,
     /// Current frequency as a fraction of nominal.
     pub mult: f64,
     /// Current frequency in Hz.
     pub freq_hz: f64,
-    /// The core rail's active power at `freq_hz`, repriced whenever the
-    /// clock changes so the thermal loop never re-interpolates the rail
-    /// voltage per event.
-    pub active_w: f64,
+    /// The core rail's active draw at `freq_hz`, in whole nanowatts:
+    /// priced when the clock changes, added to the package total when
+    /// the core flips busy.
+    pub active_nw: u64,
 }
 
 impl CoreGov {
@@ -63,12 +99,48 @@ impl CoreGov {
         let nominal_hz = rail.nominal().freq_hz;
         CoreGov {
             util: 0.0,
+            period_end: ACCOUNTING_PERIOD.as_ns(),
+            busy_ns: 0,
             busy: false,
-            last_update: SimTime::ZERO,
+            last_ns: 0,
             mult: 1.0,
             freq_hz: nominal_hz,
-            active_w: rail.active_power_w(nominal_hz),
+            active_nw: nanowatts(rail.active_power_w(nominal_hz)),
         }
+    }
+
+    /// Accrues the stretch since the last observation at the state it ran
+    /// in, and records the state the core enters at `now_ns`. Returns
+    /// whether a period closed.
+    ///
+    /// Closing folds `n` periods at once: the one that ended at
+    /// `period_end` with its busy share `f`, then `n − 1` whole ones in
+    /// the state `b` the core held throughout. The last term is the first
+    /// period's departure from `b`, decayed through the rest; it is zero
+    /// when the core never changed state.
+    #[inline]
+    fn observe(&mut self, now_ns: u64, busy_next: bool) -> bool {
+        let closes = now_ns >= self.period_end;
+        if closes {
+            let period = ACCOUNTING_PERIOD.as_ns();
+            if self.busy {
+                self.busy_ns += self.period_end - self.last_ns;
+            }
+            let n = 1 + (now_ns - self.period_end) / period;
+            let b = if self.busy { 1.0 } else { 0.0 };
+            let f = self.busy_ns as f64 / period as f64;
+            let yn = y_pow(n);
+            self.util = self.util * yn + b * (1.0 - yn) + (f - b) * (1.0 - Y) * y_pow(n - 1);
+            self.last_ns = self.period_end + (n - 1) * period;
+            self.period_end = self.last_ns + period;
+            self.busy_ns = 0;
+        }
+        if self.busy {
+            self.busy_ns += now_ns - self.last_ns;
+        }
+        self.last_ns = now_ns;
+        self.busy = busy_next;
+        closes
     }
 }
 
@@ -85,25 +157,24 @@ impl Machine {
         self.governor[core].mult * self.thermal.freq_multiplier()
     }
 
-    /// Folds the elapsed busy/idle stretch into the core's utilization
-    /// estimate and records the state the core enters now.
+    /// Accrues the elapsed busy or idle stretch into the core's current
+    /// period, closing the periods that ended, and records the state the
+    /// core enters now.
+    #[inline]
     pub(crate) fn gov_observe(&mut self, core: usize, busy_next: bool) {
-        let now = self.cal.now();
-        let tau = UTIL_TAU.as_secs();
-        let gov = &mut self.governor[core];
-        let dt = now.since(gov.last_update).as_secs();
-        if dt > 0.0 {
-            let alpha = 1.0 - (-dt / tau).exp();
-            let sample = if gov.busy { 1.0 } else { 0.0 };
-            gov.util += (sample - gov.util) * alpha;
+        let now = self.cal.now().as_ns();
+        if self.governor[core].observe(now, busy_next) {
+            self.stats_mut().gov_period_closes += 1;
         }
-        gov.last_update = now;
-        gov.busy = busy_next;
     }
 
     /// Re-picks the core's operating point for a dispatch of `class`,
     /// stamping a [`TraceKind::Dvfs`] event when the clock changes.
+    ///
+    /// Only an idle core is retargeted, so the new active draw reaches the
+    /// package total when the core flips busy.
     pub(crate) fn gov_retarget(&mut self, core: usize, class: TaskClass) {
+        debug_assert!(self.cores[core].running.is_none());
         let target = if boosts(class) {
             1.0
         } else {
@@ -118,7 +189,7 @@ impl Machine {
         }
         gov.freq_hz = opp.freq_hz;
         gov.mult = opp.freq_hz / nominal;
-        gov.active_w = rail.active_power_w(opp.freq_hz);
+        gov.active_nw = nanowatts(rail.active_power_w(opp.freq_hz));
         let now = self.cal.now();
         self.trace.record(
             now,
@@ -136,6 +207,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::task::{CoreMask, TaskSpec, Work};
+    use aitax_des::{SimSpan, SimTime};
     use aitax_soc::{SocCatalog, SocId};
     use std::rc::Rc;
 
@@ -197,95 +269,142 @@ mod tests {
         );
     }
 
+    const P: u64 = 1_024_000;
+
+    /// Observes `core` entering `busy` at `ns`.
+    fn observe_at(m: &mut Machine, core: usize, ns: u64, busy: bool) {
+        m.run_until(SimTime::from_ns(ns));
+        m.gov_observe(core, busy);
+    }
+
+    /// `yⁿ` by repeated multiplication.
+    fn y_to(n: u64) -> f64 {
+        (0..n).fold(1.0, |acc, _| acc * Y)
+    }
+
     #[test]
-    fn utilization_ewma_matches_its_closed_form_bit_for_bit() {
-        let mut m = machine();
-        let tau = UTIL_TAU.as_secs();
-        // (busy over the stretch, stretch length in µs); the zero-length
-        // stretch re-observes an instant and must change nothing.
-        let stretches = [
-            (true, 1_500.0),
-            (false, 700.0),
-            (true, 16_000.0),
-            (true, 0.0),
-            (false, 30_000.0),
-            (true, 250.0),
-            (false, 4_000.0),
-        ];
+    fn the_decay_keeps_a_16_ms_time_constant() {
+        let tau = 16e-3;
+        let exact = (-ACCOUNTING_PERIOD.as_secs() / tau).exp();
+        assert!((Y - exact).abs() <= f64::EPSILON, "{Y} vs {exact}");
+        for n in 0..DECAY_LEN as u64 {
+            assert_eq!(y_pow(n), y_to(n), "n = {n}");
+        }
+        assert_eq!(y_pow(DECAY_LEN as u64), 0.0);
+    }
+
+    #[test]
+    fn n_busy_periods_from_idle_give_one_minus_y_to_the_n() {
         let core = 3;
-        m.gov_observe(core, stretches[0].0);
-        let mut now = SimTime::ZERO;
-        let mut expected = 0.0f64;
-        for (i, &(busy, us)) in stretches.iter().enumerate() {
-            let dt = SimSpan::from_us(us);
-            now += dt;
-            m.run_until(now);
-            let busy_next = stretches.get(i + 1).is_some_and(|s| s.0);
-            m.gov_observe(core, busy_next);
-            // Exact first-order step over the stretch toward its sample.
-            if us > 0.0 {
-                let sample = if busy { 1.0 } else { 0.0 };
-                expected += (sample - expected) * (1.0 - (-dt.as_secs() / tau).exp());
-            }
+        for n in [1u64, 2, 3, 16, 100, 1_023, 1_024, 5_000] {
+            let mut m = machine();
+            observe_at(&mut m, core, 0, true);
+            observe_at(&mut m, core, n * P, false);
+            let expected = 1.0 - y_to(n);
             assert_eq!(
                 m.governor[core].util.to_bits(),
                 expected.to_bits(),
-                "stretch {i}: {} vs {expected}",
+                "n = {n}: {} vs {expected}",
                 m.governor[core].util
             );
+            assert_eq!(m.stats().gov_period_closes, 1, "one fold, n = {n}");
         }
-        // One busy stretch from idle: util = 1 - e^(-dt/tau).
-        let mut fresh = machine();
-        fresh.gov_observe(core, true);
-        fresh.run_until(SimTime::ZERO + UTIL_TAU);
-        fresh.gov_observe(core, false);
-        assert_eq!(fresh.governor[core].util, 1.0 - (-1.0f64).exp());
     }
 
-    /// Package power summed without the governor's cache: every busy
-    /// core's rail re-interpolated at its current clock, in the order
-    /// `current_power_w` sums.
-    fn uncached_power_w(m: &Machine) -> f64 {
+    #[test]
+    fn n_idle_periods_multiply_by_y_to_the_n() {
+        let core = 2;
+        let mut m = machine();
+        observe_at(&mut m, core, 0, true);
+        observe_at(&mut m, core, 5 * P, false);
+        let u = m.governor[core].util;
+        let mut at = 5 * P;
+        for n in [1u64, 4, 31] {
+            at += n * P;
+            let before = m.governor[core].util;
+            observe_at(&mut m, core, at, false);
+            assert_eq!(
+                m.governor[core].util.to_bits(),
+                (before * y_to(n)).to_bits(),
+                "n = {n}"
+            );
+        }
+        assert!(m.governor[core].util < u);
+    }
+
+    #[test]
+    fn a_partial_period_accrues_only_its_busy_nanoseconds() {
+        let core = 5;
+        let mut m = machine();
+        // Busy 100 µs and 250 µs inside period 0: the utilization does not
+        // move until the period closes, then takes exactly that share.
+        observe_at(&mut m, core, 200_000, true);
+        observe_at(&mut m, core, 300_000, false);
+        observe_at(&mut m, core, 500_000, true);
+        observe_at(&mut m, core, 750_000, false);
+        assert_eq!(m.governor[core].busy_ns, 350_000);
+        assert_eq!(m.governor[core].util, 0.0);
+        assert_eq!(m.stats().gov_period_closes, 0);
+        // A busy stretch across the boundary: 100 µs of it land in period
+        // 0, the rest accrue in period 1.
+        observe_at(&mut m, core, 924_000, true);
+        observe_at(&mut m, core, P + 40_000, false);
+        let f = 450_000.0 / P as f64;
+        assert_eq!(m.governor[core].util, f * (1.0 - Y));
+        assert_eq!(m.governor[core].busy_ns, 40_000);
+        assert_eq!(m.stats().gov_period_closes, 1);
+        // An observation at the instant already accrued changes nothing.
+        let before = m.governor[core].clone();
+        m.gov_observe(core, false);
+        assert_eq!(m.governor[core].util, before.util);
+        assert_eq!(m.governor[core].busy_ns, before.busy_ns);
+    }
+
+    /// Package power re-derived without the running total: every rail
+    /// priced afresh (each busy core's rail re-interpolated at its
+    /// current clock) and rounded to the nanowatt, as the machine rounds
+    /// it once.
+    fn uncached_power_nw(m: &Machine) -> u64 {
         let p = &m.spec().power;
-        let mut w = p.interconnect.uncore_w;
+        let mut nw = nanowatts(p.interconnect.uncore_w);
         for (i, rail) in p.core_rails.iter().enumerate() {
-            w += if m.cores[i].running.is_some() {
+            nw += nanowatts(if m.cores[i].running.is_some() {
                 rail.active_power_w(m.core_freq_hz(i))
             } else {
                 rail.idle_power_w()
-            };
+            });
         }
-        w += if m.dsp.running.is_some() {
+        nw += nanowatts(if m.dsp.running.is_some() {
             p.dsp.busy_w
         } else {
             p.dsp.idle_power_w()
-        };
-        w += if m.gpu.running.is_some() {
+        });
+        nw += nanowatts(if m.gpu.running.is_some() {
             p.gpu.busy_w
         } else {
             p.gpu.idle_power_w()
-        };
+        });
         if let Some(npu) = &p.npu {
-            w += if m.npu.running.is_some() {
+            nw += nanowatts(if m.npu.running.is_some() {
                 npu.busy_w
             } else {
                 npu.idle_power_w()
-            };
+            });
         }
-        w
+        nw
     }
 
     /// One 64-bit FNV-1a digest per SoC, in catalog order, of what
     /// [`pinned_run`] leaves over seeds 0..32, without and with a thermal
-    /// emergency. A change to the kernel's bookkeeping (when heat is
-    /// priced, how rail watts are summed, where task and gang records
-    /// live) must leave every one unchanged; only a change to the
-    /// thermal, DVFS or scheduling model itself may re-pin them.
+    /// emergency. A change to the kernel's bookkeeping (how rail draws
+    /// are summed, where task and gang records live) must leave every one
+    /// unchanged; only a change to the thermal, DVFS or scheduling model
+    /// or to its accounting period may re-pin them.
     const PINNED: [[u64; 2]; 4] = [
-        [0x3b2777425bfeb889, 0xaf7decd418d5ffb3],
-        [0x773baf2ff5b4788b, 0x8d80da89afcb2987],
-        [0xfea1c7e819537452, 0x8af37a26a646d07b],
-        [0x64c851777c6fd822, 0x0672ee43b826f914],
+        [0x3efd23cc4f2a03d2, 0xa7918d9723413287],
+        [0x807c3fe87b98c999, 0xaa8bb42776c48b1f],
+        [0x865bb3ba201a4b0f, 0xc21c957440e0054e],
+        [0x2e809f2b1fc615d8, 0x14648f199b9afc5b],
     ];
 
     struct Fnv(u64);
@@ -328,8 +447,8 @@ mod tests {
         }
     }
 
-    /// Runs the mixed workload once, checking the cached package power
-    /// against the uncached sum at every event, and folds the thermal,
+    /// Runs the mixed workload once, checking the running package total
+    /// against the per-rail rounded sum at every event, and folds the thermal,
     /// governor and counter state the run leaves into `digest`.
     fn pinned_run(spec: &'static SocSpec, seed: u64, emergency: bool, digest: &mut Fnv) {
         use aitax_des::{FaultKind, FaultPlan};
@@ -346,8 +465,8 @@ mod tests {
         mixed_workload(&mut m, seed);
         while m.step() {
             assert_eq!(
-                m.current_power_w().to_bits(),
-                uncached_power_w(&m).to_bits(),
+                m.power.total,
+                uncached_power_nw(&m),
                 "{} seed {seed} at {}",
                 spec.name,
                 m.now()
@@ -373,6 +492,8 @@ mod tests {
             s.npu_jobs,
             s.axi_bytes,
             s.rpc_calls,
+            s.thermal_period_closes,
+            s.gov_period_closes,
         ] {
             digest.word(w);
         }

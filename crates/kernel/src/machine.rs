@@ -45,6 +45,12 @@ pub struct MachineStats {
     pub axi_bytes: u64,
     /// FastRPC invocations issued.
     pub rpc_calls: u64,
+    /// Thermal accounting periods closed: times the temperature stepped
+    /// (one step may fold several whole periods).
+    pub thermal_period_closes: u64,
+    /// Governor accounting periods closed, summed over cores: times a
+    /// core's utilization folded (one fold may cover several periods).
+    pub gov_period_closes: u64,
 }
 
 /// Counters describing how a run degraded under an installed
@@ -318,6 +324,7 @@ pub struct Machine {
     pub(crate) npu: AccelState,
     pub(crate) thermal: ThermalState,
     pub(crate) governor: Vec<CoreGov>,
+    pub(crate) power: PackagePower,
     pub(crate) rpc_costs: FastRpcCosts,
     /// The ambient-load generator's parameters while one runs.
     pub(crate) noise: Option<NoiseConfig>,
@@ -362,6 +369,7 @@ impl Machine {
             cores,
             thermal,
             governor,
+            power: PackagePower::new(spec),
             cal: Calendar::new(),
             rng: SimRng::seed_from(seed),
             trace: TraceBuffer::disabled(),
@@ -414,6 +422,7 @@ impl Machine {
         for (core, gov) in self.governor.iter_mut().enumerate() {
             *gov = CoreGov::new(self.spec, core);
         }
+        self.power.total = self.power.idle;
         self.rpc_costs = FastRpcCosts::default();
         self.noise = None;
         self.noise_generation = 0;
@@ -665,54 +674,25 @@ impl Machine {
 
     // ------------------------------------------------- thermal and power
 
-    /// Instantaneous package power in watts: every core rail at its
-    /// governor-chosen operating point (active, priced when the governor
-    /// set the clock) or leakage floor (idle), accelerator rails busy or
-    /// collapsed, plus the uncore floor.
-    pub(crate) fn current_power_w(&self) -> f64 {
-        let p = &self.spec.power;
-        let mut w = p.interconnect.uncore_w;
-        for (i, rail) in p.core_rails.iter().enumerate() {
-            w += if self.cores[i].running.is_some() {
-                self.governor[i].active_w
-            } else {
-                rail.idle_power_w()
-            };
-        }
-        w += if self.dsp.running.is_some() {
-            p.dsp.busy_w
-        } else {
-            p.dsp.idle_power_w()
-        };
-        w += if self.gpu.running.is_some() {
-            p.gpu.busy_w
-        } else {
-            p.gpu.idle_power_w()
-        };
-        if let Some(npu) = &p.npu {
-            w += if self.npu.running.is_some() {
-                npu.busy_w
-            } else {
-                npu.idle_power_w()
-            };
-        }
-        w
-    }
-
-    /// Advances the thermal state to now, heating from the power drawn
-    /// since the last update. Call *before* changing busy state so the
-    /// elapsed stretch is priced at the state it actually ran in.
-    ///
-    /// Heat is priced once per instant: an advance over zero elapsed time
-    /// changes nothing, so a second touch at an instant already
-    /// integrated returns before summing the rails.
+    /// Accrues heat up to now at the package power drawn since the last
+    /// touch. Call *before* changing busy state so the elapsed stretch is
+    /// priced at the state it actually ran in. O(1): the package total is
+    /// kept by the busy flips, and the temperature steps only when an
+    /// accounting period has closed.
+    #[inline]
     pub(crate) fn touch_thermal(&mut self) {
         let now = self.cal.now();
-        if self.thermal.last_update() == now {
-            return;
+        if self.thermal.accrue(now, self.power.total) {
+            self.stats.thermal_period_closes += 1;
         }
-        let watts = self.current_power_w();
-        self.thermal.advance(now, watts);
+    }
+
+    /// Moves core `core` between its idle floor and its active draw at
+    /// the current clock in the package total: to busy, or back to idle.
+    #[inline]
+    pub(crate) fn flip_core_power(&mut self, core: usize, busy: bool) {
+        let idle = self.power.core_idle[core];
+        self.power.flip(idle, self.governor[core].active_nw, busy);
     }
 
     /// Current frequency multiplier (thermal throttling).
@@ -831,6 +811,7 @@ impl Machine {
         let trace_id = job.trace_id;
         let label = job.label;
         state.running = Some(job);
+        self.power.accel_flip(kind, true);
         let token = self.cal.schedule_after(exec);
         self.set_event(
             token,
@@ -863,6 +844,7 @@ impl Machine {
             .running
             .take()
             .expect("accelerator completion without a running job");
+        self.power.accel_flip(kind, false);
         let now = self.cal.now();
         self.trace.record(
             now,
@@ -885,6 +867,77 @@ impl Machine {
         }
         (job.on_done)(self);
         self.maybe_start_accel(kind);
+    }
+}
+
+/// Watts rounded to whole nanowatts (power is never negative).
+#[inline]
+pub(crate) fn nanowatts(w: f64) -> u64 {
+    (w * 1e9 + 0.5) as u64
+}
+
+/// Package power in whole nanowatts, kept as a running total.
+///
+/// Each rail's draw is rounded to the nanowatt once, when it is priced:
+/// idle floors and accelerator draws at boot, a core's active draw when
+/// the governor sets its clock ([`CoreGov::active_nw`]). The total then
+/// moves by integer adds at each core busy/idle flip and accelerator
+/// start/end, so it always equals the sum of the rounded rails exactly,
+/// and reading it never walks the rails.
+pub(crate) struct PackagePower {
+    /// Idle floor of each core rail.
+    core_idle: Vec<u64>,
+    /// `[idle, busy]` draw of each accelerator rail, by [`AccelKind`].
+    accel: [[u64; 2]; 3],
+    /// The package with every rail idle: the total at boot.
+    idle: u64,
+    /// The package now.
+    pub total: u64,
+}
+
+impl PackagePower {
+    fn new(spec: &SocSpec) -> Self {
+        let p = &spec.power;
+        let core_idle: Vec<u64> = p
+            .core_rails
+            .iter()
+            .map(|rail| nanowatts(rail.idle_power_w()))
+            .collect();
+        let rail = |idle_w: f64, busy_w: f64| [nanowatts(idle_w), nanowatts(busy_w)];
+        let accel = [
+            rail(p.dsp.idle_power_w(), p.dsp.busy_w),
+            rail(p.gpu.idle_power_w(), p.gpu.busy_w),
+            p.npu
+                .as_ref()
+                .map_or([0, 0], |npu| rail(npu.idle_power_w(), npu.busy_w)),
+        ];
+        let idle = nanowatts(p.interconnect.uncore_w)
+            + core_idle.iter().sum::<u64>()
+            + accel.iter().map(|[idle, _]| idle).sum::<u64>();
+        PackagePower {
+            core_idle,
+            accel,
+            idle,
+            total: idle,
+        }
+    }
+
+    /// Accelerator `kind` starts (`busy`) or finishes a job.
+    #[inline]
+    fn accel_flip(&mut self, kind: AccelKind, busy: bool) {
+        let [idle, active] = self.accel[kind as usize];
+        self.flip(idle, active, busy);
+    }
+
+    /// A rail moves between its `idle` and `active` draws. Adds before
+    /// it subtracts, so the total never passes below zero.
+    #[inline]
+    fn flip(&mut self, idle: u64, active: u64, busy: bool) {
+        self.total = if busy {
+            self.total + active - idle
+        } else {
+            self.total + idle - active
+        };
     }
 }
 

@@ -212,6 +212,7 @@ impl Machine {
             .running
             .take()
             .expect("preempting an idle core");
+        self.flip_core_power(core, false);
         let cancelled = self.cal.cancel(running.slice_token);
         debug_assert!(cancelled, "running task must have a live slice end");
         self.take_event(running.slice_token);
@@ -291,6 +292,7 @@ impl Machine {
             finishes,
             slice_token: token,
         });
+        self.flip_core_power(core, true);
         self.cores[core].last_task = Some(id);
         self.trace.record(
             now,
@@ -312,6 +314,7 @@ impl Machine {
             .running
             .take()
             .expect("slice end on an idle core");
+        self.flip_core_power(core, false);
         let now = self.cal.now();
         let slot = running.task;
         let task = &mut self.tasks[slot];

@@ -36,7 +36,7 @@ use devices::NpuSpec;
 pub use devices::{DspSpec, GpuSpec};
 use memory::MemorySpec;
 use thermal::ThermalModel;
-pub use thermal::ThermalState;
+pub use thermal::{ThermalState, ACCOUNTING_PERIOD};
 
 /// Full specification of one SoC platform (one row of Table II).
 #[derive(Debug, Clone, PartialEq)]

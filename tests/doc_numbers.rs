@@ -1,17 +1,21 @@
 //! The docs quote only numbers the committed outputs give.
 //!
-//! For each row of EXPERIMENTS.md's paper-vs-measured table that a
-//! `figures` exhibit regenerates, every number in the "Measured here"
-//! cell must round, at the precision it is quoted with, from a number in
-//! that exhibit's section of `docs/reference_output.txt` (the committed
-//! output of `AITAX_ITERS=500 figures`, which CI regenerates byte for
-//! byte). A number the output does not print is listed in [`DERIVED`]
-//! with the output values it comes from, and recomputed here.
+//! For each row of EXPERIMENTS.md's paper-vs-measured table and of its
+//! calibration-anchor table that a `figures` exhibit regenerates, every
+//! number in the measured cell must round, at the precision it is quoted
+//! with, from a number in that exhibit's section of
+//! `docs/reference_output.txt` (the committed output of
+//! `AITAX_ITERS=500 figures`, which CI regenerates byte for byte). A
+//! number the output does not print is listed in [`DERIVED`] with the
+//! output values it comes from, and recomputed here.
 //!
-//! EXPERIMENTS.md and the README fence each passage that quotes a
+//! EXPERIMENTS.md and the README fence each prose passage that quotes a
 //! committed `BENCH_*.json` between `<!-- doc-numbers: BENCH_x.json -->`
 //! and `<!-- /doc-numbers -->`. Every number in a fenced passage must
 //! round from a number in that file, or be listed in [`BENCH_DERIVED`].
+//! A passage fenced with `<!-- doc-numbers: figures <exhibit> -->`
+//! quotes that exhibit's section of the reference output instead, and
+//! is checked like a measured cell.
 
 use std::fs;
 use std::path::Path;
@@ -64,14 +68,14 @@ const DERIVED: &[Derived] = &[
         "fig9",
         "1",
         &[
-            "0", "1", "2", "4", "6", "8", "12.4", "20.8", "32.3", "56.5", "80.6", "105",
+            "0", "1", "2", "4", "6", "8", "12.4", "20.9", "32.2", "56.5", "80.7", "105",
         ],
         |v| r_squared(&v[..6], &v[6..]),
     ),
     // The benchmark's σ = cv × mean.
     ("fig11", "0.03", &["0.001", "26.9"], |v| v[0] * v[1]),
     // The app's p95 over its median, in percent.
-    ("fig11", "13", &["61.5", "54.6"], |v| {
+    ("fig11", "13", &["61.6", "54.6"], |v| {
         (v[0] / v[1] - 1.0) * 100.0
     }),
     // Capture + preproc on the SD845 and the SD835.
@@ -89,7 +93,7 @@ const DERIVED: &[Derived] = &[
     ("extras", "17", &["40.3", "33.3"], |v| {
         (1.0 - v[1] / v[0]) * 100.0
     }),
-    ("extras", "24", &["43.9", "33.4"], |v| {
+    ("extras", "24", &["44.2", "33.4"], |v| {
         (1.0 - v[1] / v[0]) * 100.0
     }),
     // CPU ×4 over CPU ×1 watts.
@@ -235,10 +239,10 @@ fn unused_derived(derived: &[Derived], used: &[bool], failures: &mut Vec<String>
     }
 }
 
-/// Every fenced passage of `doc`: the `BENCH_*.json` file it quotes and
-/// its text.
+/// Every fenced passage of `doc`: what it quotes (a committed
+/// `BENCH_*.json` file, or `figures <exhibit>`) and its text.
 #[expect(clippy::panic, reason = "a malformed fence fails the test")]
-fn bench_passages(doc: &str) -> Vec<(&str, &str)> {
+fn fenced_passages(doc: &str) -> Vec<(&str, &str)> {
     const OPEN: &str = "<!-- doc-numbers: ";
     const CLOSE: &str = "<!-- /doc-numbers -->";
     let mut out = Vec::new();
@@ -251,9 +255,10 @@ fn bench_passages(doc: &str) -> Vec<(&str, &str)> {
         let Some((passage, tail)) = body.split_once(CLOSE) else {
             panic!("{file}: fenced passage has no '{CLOSE}'");
         };
+        let bench = file.starts_with("BENCH_") && file.ends_with(".json") && !file.contains('/');
         assert!(
-            file.starts_with("BENCH_") && file.ends_with(".json") && !file.contains('/'),
-            "fence names '{file}', not a committed BENCH_*.json"
+            bench || file.starts_with("figures "),
+            "fence names '{file}', neither a committed BENCH_*.json nor `figures <exhibit>`"
         );
         assert!(!passage.contains(OPEN), "{file}: fences nest");
         out.push((file, passage));
@@ -285,23 +290,33 @@ fn sections(output: &str) -> Vec<(&'static str, &str)> {
         .collect()
 }
 
-/// The paper-vs-measured rows a `figures` exhibit regenerates:
-/// `(exhibit, "Measured here" cell)`.
-#[expect(clippy::expect_used, reason = "a missing table fails the test")]
+/// The headers of EXPERIMENTS.md's measured tables: the paper-vs-measured
+/// table and the calibration anchors. Both have the exhibit's command in
+/// the second column and the measured cell in the fourth.
+const MEASURED_TABLES: [&str; 2] = [
+    "| Exhibit | Regenerate with | Paper reports | Measured here |",
+    "| Anchor | Regenerate with | Paper | Measured |",
+];
+
+/// The measured-table rows a `figures` exhibit regenerates:
+/// `(exhibit, measured cell)`.
+#[expect(clippy::panic, reason = "a missing table fails the test")]
 fn measured_rows(experiments: &str) -> Vec<(&str, &str)> {
-    let table = experiments
-        .split("\n\n")
-        .find(|block| block.starts_with("| Exhibit | Regenerate with |"))
-        .expect("EXPERIMENTS.md has the paper-vs-measured table");
-    table
-        .lines()
-        .skip(2)
-        .filter_map(|row| {
+    let mut rows = Vec::new();
+    for header in MEASURED_TABLES {
+        let Some(table) = experiments
+            .split("\n\n")
+            .find(|block| block.starts_with(header))
+        else {
+            panic!("EXPERIMENTS.md has no table headed '{header}'");
+        };
+        rows.extend(table.lines().skip(2).filter_map(|row| {
             let cells: Vec<&str> = row.split('|').map(str::trim).collect();
             let exhibit = cells[2].strip_prefix("`figures ")?.strip_suffix('`')?;
             Some((exhibit, cells[4]))
-        })
-        .collect()
+        }));
+    }
+    rows
 }
 
 #[test]
@@ -322,8 +337,13 @@ fn measured_numbers_come_from_the_reference_output() {
     let experiments = read("EXPERIMENTS.md");
     let output = read("docs/reference_output.txt");
     let sections = sections(&output);
-    let rows = measured_rows(&experiments);
-    assert!(rows.len() >= 15, "found only {} rows", rows.len());
+    let mut rows = measured_rows(&experiments);
+    assert!(rows.len() >= 19, "found only {} rows", rows.len());
+    rows.extend(
+        fenced_passages(&experiments)
+            .into_iter()
+            .filter_map(|(target, passage)| Some((target.strip_prefix("figures ")?, passage))),
+    );
     let mut used = vec![false; DERIVED.len()];
     let mut failures = Vec::new();
     for (exhibit, cell) in rows {
@@ -355,7 +375,10 @@ fn bench_quotes_come_from_the_committed_files() {
     let mut fenced = Vec::new();
     let docs = ["EXPERIMENTS.md", "README.md"].map(|name| (name, read(name)));
     for (doc_name, doc) in &docs {
-        for (file, passage) in bench_passages(doc) {
+        for (file, passage) in fenced_passages(doc) {
+            if file.starts_with("figures ") {
+                continue;
+            }
             check_quotes(
                 file,
                 &numbers(&read(file), false),
