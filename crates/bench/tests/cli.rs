@@ -1,5 +1,6 @@
 //! Exit codes and determinism of the `figures` binary: 2 for an unknown
-//! flag, a bad `AITAX_*` default, an iteration count past the simulated
+//! flag, a bad `AITAX_*` default (a worker count past
+//! `cli::MAX_THREADS` among them), an iteration count past the simulated
 //! clock's horizon or an unknown exhibit, 0 for `--list`, and a tiny run
 //! prints the same bytes twice.
 
@@ -31,6 +32,12 @@ fn exit_codes_follow_the_shared_rule() {
         ("AITAX_ITERS=x", &[("AITAX_ITERS", "x")], &["fig7"], 2),
         ("AITAX_SEED=x", &[("AITAX_SEED", "x")], &["fig7"], 2),
         ("AITAX_THREADS=0", &[("AITAX_THREADS", "0")], &["fig7"], 2),
+        (
+            "AITAX_THREADS=257",
+            &[("AITAX_THREADS", "257")],
+            &["fig7"],
+            2,
+        ),
         (
             "AITAX_ITERS=u64::MAX",
             &[("AITAX_ITERS", HUGE)],

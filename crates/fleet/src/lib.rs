@@ -15,7 +15,7 @@
 //!    battery state, background pressure, fault rate, workload mix)
 //!    via the pure stream `root.derive2(STREAM, k)`;
 //! 2. `shard` — contiguous device ranges become tasks for the lab's
-//!    work-stealing pool; each task lazily samples and runs its devices
+//!    shared-stack pool; each task lazily samples and runs its devices
 //!    and returns raw per-device partials, never pre-merging;
 //! 3. [`device`] — one `AndroidApp`-mode latency run per device plus a
 //!    tiny metered energy probe;

@@ -1,4 +1,4 @@
-//! Sharded fleet execution on the lab's work-stealing pool.
+//! Sharded fleet execution on the lab's shared-stack pool.
 //!
 //! A [`ShardPlan`] cuts the device index space into contiguous ranges;
 //! each range becomes one task for [`aitax_lab::run_tasks_ctx`], and a

@@ -1,8 +1,9 @@
 //! Exit codes of the `fleet` binary: 2 for any usage error — an unknown
-//! flag, a missing value, a zero count, an out-of-range rate, a
-//! `--name` that is not one plain file name, a `--requests` whose
-//! busiest device cannot fit the simulated clock or a bad `AITAX_*`
-//! default — and 0 for `--help` and a clean run.
+//! flag, a missing value, a zero count, a worker count past
+//! `cli::MAX_THREADS`, an out-of-range rate, a `--name` that is not one
+//! plain file name, a `--requests` whose busiest device cannot fit the
+//! simulated clock or a bad `AITAX_*` default — and 0 for `--help` and
+//! a clean run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -60,6 +61,12 @@ fn exit_codes_follow_the_shared_rule() {
         ),
         ("zero shards", &[], &["--shards", "0"], 2),
         ("zero threads", &[], &["--threads", "0"], 2),
+        (
+            "257 threads",
+            &[],
+            &[RUN, &["--threads", "257"]].concat(),
+            2,
+        ),
         ("fault rate above 1", &[], &["--fault-rate", "1.5"], 2),
         (
             "negative multi-tenant rate",
@@ -68,6 +75,7 @@ fn exit_codes_follow_the_shared_rule() {
             2,
         ),
         ("AITAX_THREADS=0", &[("AITAX_THREADS", "0")], RUN, 2),
+        ("AITAX_THREADS=257", &[("AITAX_THREADS", "257")], RUN, 2),
         ("AITAX_SEED=x", &[("AITAX_SEED", "x")], RUN, 2),
         ("help", &[], &["--help"], 0),
         (

@@ -4,7 +4,7 @@
 //! * **Exit codes:** 0 on success, 2 on a usage error, 1 on a
 //!   determinism violation or an I/O failure ([`CliError`], [`exit`]).
 //! * **Flags** are read through [`Args`] and checked by [`count`],
-//!   [`rate`] and [`seed`].
+//!   [`rate`] and [`seed`]; a worker count is at most [`MAX_THREADS`].
 //! * **`AITAX_*` variables** only supply a flag's default and are checked
 //!   by the flag's own parser, so `AITAX_ITERS=0` is as much a usage
 //!   error as `--iters 0`. A flag on the command line wins.
@@ -137,12 +137,27 @@ pub fn seed_or_env(flag: Option<u64>) -> Result<u64, String> {
     flag_or_env(flag, "AITAX_SEED", seed, || 1)
 }
 
-/// `--threads`, else `AITAX_THREADS`, else every available core.
-/// Artifact bytes never depend on it: the pool merges in input order.
+/// The most pool workers a front end starts: `--threads` or
+/// `AITAX_THREADS` above it is a usage error, and the all-cores default
+/// is capped at it.
+pub const MAX_THREADS: usize = 256;
+
+/// `--threads`, else `AITAX_THREADS`, else every available core, at
+/// most [`MAX_THREADS`]. Artifact bytes never depend on it: the pool
+/// merges in input order.
 pub fn threads_or_env(flag: Option<usize>) -> Result<usize, String> {
-    flag_or_env(flag, "AITAX_THREADS", count, || {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
+    let n = flag_or_env(flag, "AITAX_THREADS", count, || {
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
+    })?;
+    if n > MAX_THREADS {
+        let name = if flag.is_some() {
+            "--threads"
+        } else {
+            "AITAX_THREADS"
+        };
+        return Err(format!("{name} must be at most {MAX_THREADS}, got '{n}'"));
+    }
+    Ok(n)
 }
 
 /// `table` as the front ends print it: under a `## title` heading, or as

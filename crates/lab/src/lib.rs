@@ -3,7 +3,7 @@
 //! The paper's evaluation is a *grid*: chipset × runtime/delegate × model
 //! × packaging × fault plan, each point repeated over independent seeds.
 //! This crate turns such grids into embarrassingly-parallel job lists,
-//! executes them on a work-stealing thread pool, and aggregates the
+//! executes them on a shared-stack thread pool, and aggregates the
 //! results into distribution statistics (percentiles, CV, CDF buckets,
 //! per-stage tax breakdown, energy/EDP) plus versioned JSON/CSV
 //! artifacts and Chrome-trace exports.

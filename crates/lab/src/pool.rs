@@ -1,9 +1,10 @@
-//! The work-stealing execution pool.
+//! The execution pool: one shared task stack.
 //!
-//! Tasks are dealt round-robin into per-worker deques; each worker
-//! drains its own deque from the front and, when empty, steals from the
-//! back of its neighbours'. Workers only consume (tasks never spawn
-//! tasks), so a worker may exit once every deque is empty.
+//! Each free worker pops the last task still waiting, so **the
+//! last-listed task starts first**: a caller that knows which task is
+//! longest lists it last. Task order changes wall time only, never
+//! bytes. Workers only consume (tasks never spawn tasks), so a worker
+//! exits once the stack is empty.
 //!
 //! **Determinism contract:** results are written into a slot indexed by
 //! the task's position in the input and returned in that order, and
@@ -18,7 +19,6 @@
 //!
 //! [`Grid::expand`]: crate::scenario::Grid::expand
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::job::{JobResult, JobSpec};
@@ -27,9 +27,9 @@ use crate::job::{JobResult, JobSpec};
 /// order**, regardless of which worker executed what.
 ///
 /// `threads == 1` executes inline on the caller's thread (the serial
-/// reference path); any other count spins up a scoped work-stealing
-/// pool. Both paths produce identical output by construction when `run`
-/// is a pure function of its task.
+/// reference path); any other count spins up scoped workers sharing one
+/// task stack. Both paths produce identical output by construction when
+/// `run` is a pure function of its task.
 ///
 /// # Panics
 ///
@@ -47,14 +47,17 @@ where
 /// once when it starts and threads the resulting context through every
 /// task it executes.
 ///
+/// With more than one thread, each free worker pops the last task still
+/// waiting, so the last-listed task starts first: list the longest task
+/// last.
+///
 /// This is how context reuse (e.g. [`aitax_core::SimContext`]) crosses
 /// the pool: the context need not be `Send` because it is born and dies
 /// on its worker's thread. Determinism survives **only if** `run` is
 /// context-oblivious — a run in a reused context must equal a run in a
-/// fresh one. Work-stealing makes worker→task assignment timing-
-/// dependent, so any context-carried state that leaked into results
-/// would vary run to run; `tests/lab_determinism.rs` pins that it does
-/// not.
+/// fresh one. Which worker pops which task is timing-dependent, so any
+/// context-carried state that leaked into results would vary run to
+/// run; `tests/lab_determinism.rs` pins that it does not.
 ///
 /// # Panics
 ///
@@ -84,14 +87,9 @@ where
         return tasks.iter().map(|t| run(&mut ctx, t)).collect();
     }
 
-    // Deal tasks round-robin so every worker starts with local work and
-    // long tasks interleave across workers. Each queue entry carries the
-    // task's input position, which indexes its result slot.
-    let mut queues: Vec<VecDeque<(usize, T)>> = (0..threads).map(|_| VecDeque::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        queues[i % threads].push_back((i, task));
-    }
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> = queues.into_iter().map(Mutex::new).collect();
+    // Each entry carries the task's input position, which indexes its
+    // result slot.
+    let stack = Mutex::new(tasks.into_iter().enumerate().collect::<Vec<_>>());
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     #[expect(
@@ -99,33 +97,18 @@ where
         reason = "the one worker pool: results merge by input position, so the thread count never reaches an artifact"
     )]
     std::thread::scope(|scope| {
-        for me in 0..threads {
-            let queues = &queues;
-            let results = &results;
-            let mk = &mk;
-            let run = &run;
-            scope.spawn(move || {
+        for _ in 0..threads {
+            scope.spawn(|| {
                 // Per-worker scratch, created on this thread (contexts
-                // need not be Send) and reused across every task the
-                // worker executes or steals.
+                // need not be Send) and reused across every task it pops.
                 let mut ctx = mk();
+                // A `let` drops the stack guard before the task runs; a
+                // `while let` would hold it through the loop body.
                 loop {
-                    // Own deque first (front), then steal (back) round-robin.
-                    // The own-queue guard must drop before stealing: holding
-                    // it while locking a victim's queue would let a ring of
-                    // stealing workers deadlock.
-                    let mut task = queues[me].lock().unwrap().pop_front();
-                    if task.is_none() {
-                        task = (1..threads)
-                            .find_map(|d| queues[(me + d) % threads].lock().unwrap().pop_back());
-                    }
-                    match task {
-                        Some((idx, task)) => {
-                            let result = run(&mut ctx, &task);
-                            *results[idx].lock().unwrap() = Some(result);
-                        }
-                        None => break,
-                    }
+                    let Some((idx, task)) = stack.lock().unwrap().pop() else {
+                        break;
+                    };
+                    *results[idx].lock().unwrap() = Some(run(&mut ctx, &task));
                 }
             });
         }
@@ -182,6 +165,36 @@ mod tests {
             let parallel = run_jobs(small_grid().expand(), threads);
             assert_eq!(serial, parallel, "{threads} threads must match serial");
         }
+    }
+
+    /// The first two tasks started each wait at a barrier for the other,
+    /// so each of the 2 workers holds one: they are the last two listed.
+    #[test]
+    fn the_last_listed_tasks_start_first() {
+        let (started, barrier) = (Mutex::new(Vec::new()), std::sync::Barrier::new(2));
+        let out = run_tasks((0..6).collect(), 2, |&t: &usize| {
+            let mut log = started.lock().unwrap();
+            log.push(t);
+            let first_two = log.len() <= 2;
+            drop(log);
+            if first_two {
+                barrier.wait();
+            }
+            t
+        });
+        assert_eq!(out, (0..6).collect::<Vec<_>>());
+        let mut first = started.into_inner().unwrap()[..2].to_vec();
+        first.sort_unstable();
+        assert_eq!(first, [4, 5]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_task_panic_propagates() {
+        run_tasks((0..4).collect(), 2, |&t: &u32| {
+            assert_ne!(t, 2, "task 2 fails");
+            t
+        });
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Exit codes of the `lab` binary: 2 for any usage error — an unknown
-//! flag, a missing value, a zero count, a bad `AITAX_*` default, an
-//! unknown grid, an iteration count past the simulated clock's horizon
-//! or a repeat count whose jobs do not fit in memory — and 0 for
-//! `--help`, `--list` and a clean run.
+//! flag, a missing value, a zero count, a worker count past
+//! `cli::MAX_THREADS`, a bad `AITAX_*` default, an unknown grid, an
+//! iteration count past the simulated clock's horizon or a repeat count
+//! whose jobs do not fit in memory — and 0 for `--help`, `--list` and a
+//! clean run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -74,6 +75,12 @@ fn exit_codes_follow_the_shared_rule() {
             &["--grid", "smoke", "--iters", "1"],
             2,
         ),
+        (
+            "AITAX_THREADS=257",
+            &[("AITAX_THREADS", "257")],
+            &["--grid", "smoke", "--iters", "1"],
+            2,
+        ),
         ("flag beats env", &[("AITAX_ITERS", "0")], RUN, 0),
         ("help", &[], &["--help"], 0),
         ("list", &[], &["--list"], 0),
@@ -100,6 +107,27 @@ fn repeat_counts_past_the_job_bound_are_usage_errors() {
         assert!(
             stderr.starts_with(&format!("error: --repeats {repeats}: ")),
             "--repeats {repeats}: {stderr}"
+        );
+    }
+}
+
+/// A worker count past `cli::MAX_THREADS` is refused before any worker
+/// starts, naming the flag or variable it came from.
+#[test]
+fn thread_counts_past_the_bound_are_usage_errors() {
+    let flag = |n| lab(&[], &["--grid", "smoke", "--threads", n]);
+    let variable = lab(&[("AITAX_THREADS", "257")], &["--grid", "smoke"]);
+    let runs = [
+        ("--threads", flag("257")),
+        ("--threads", flag(HUGE)),
+        ("AITAX_THREADS", variable),
+    ];
+    for (named, out) in runs {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{named}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {named} must be at most 256")),
+            "{named}: {stderr}"
         );
     }
 }

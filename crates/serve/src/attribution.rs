@@ -102,7 +102,9 @@ impl ServeReport {
 
 /// Runs the N solo baselines and the mix (N+1 independent simulations,
 /// parallel over `threads` workers, each reusing its own [`SimContext`])
-/// and attributes the contention.
+/// and attributes the contention. The mix, the longest simulation, is
+/// listed last, so the pool starts it first while the solos share the
+/// other workers.
 /// Returns the report plus the raw runs for deeper inspection (the mix
 /// run is last).
 pub fn run_report(cfg: &ServeConfig, threads: usize) -> (ServeReport, Vec<ScenarioRun>) {

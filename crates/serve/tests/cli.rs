@@ -1,9 +1,9 @@
 //! Exit codes of the `serve` binary: 2 for any usage error — an unknown
-//! flag, a missing value, a zero count, a tenant count past the `u32`
-//! tenant ids, a zero rate, a rate or request count under which some
-//! tenant's arrivals do not fit the simulated clock, a bad `AITAX_*`
-//! default or an unknown scenario — and 0 for `--help`, `--list` and a
-//! clean run.
+//! flag, a missing value, a zero count, a worker count past
+//! `cli::MAX_THREADS`, a tenant count past the `u32` tenant ids, a zero
+//! rate, a rate or request count under which some tenant's arrivals do
+//! not fit the simulated clock, a bad `AITAX_*` default or an unknown
+//! scenario — and 0 for `--help`, `--list` and a clean run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -52,6 +52,12 @@ fn exit_codes_follow_the_shared_rule() {
             2,
         ),
         ("zero threads", &[], &["--threads", "0"], 2),
+        (
+            "257 threads",
+            &[],
+            &[RUN, &["--threads", "257"]].concat(),
+            2,
+        ),
         ("zero arrival rate", &[], &["--arrival-rate", "0"], 2),
         (
             "infinite mean gap",
@@ -85,6 +91,7 @@ fn exit_codes_follow_the_shared_rule() {
         ),
         ("unknown scenario", &[], &["--scenario", "nope"], 2),
         ("AITAX_THREADS=0", &[("AITAX_THREADS", "0")], RUN, 2),
+        ("AITAX_THREADS=257", &[("AITAX_THREADS", "257")], RUN, 2),
         ("AITAX_SEED=x", &[("AITAX_SEED", "x")], RUN, 2),
         ("help", &[], &["--help"], 0),
         ("list", &[], &["--list"], 0),
